@@ -51,7 +51,7 @@ cover:
 # panic or reject their own fixtures without paying measurement time.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineProcess$$|BenchmarkMonitorStride$$|BenchmarkQuarantinePush$$|BenchmarkDWTDenoise$$|BenchmarkRootMUSIC$$|BenchmarkEstimateStage$$|BenchmarkStreamingCorrelationAppend$$|BenchmarkColumnarIngest$$|BenchmarkFleetDensity$$|BenchmarkStoreAppend$$|BenchmarkStoreRangeQuery$$|BenchmarkSpanIngestOverhead$$' -benchtime 1x ./internal/core ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineProcess$$|BenchmarkMonitorStride$$|BenchmarkRunningMedianStrided$$|BenchmarkHampel$$|BenchmarkQuarantinePush$$|BenchmarkDWTDenoise$$|BenchmarkRootMUSIC$$|BenchmarkEstimateStage$$|BenchmarkStreamingCorrelationAppend$$|BenchmarkColumnarIngest$$|BenchmarkFleetDensity$$|BenchmarkStoreAppend$$|BenchmarkStoreRangeQuery$$|BenchmarkSpanIngestOverhead$$' -benchtime 1x ./internal/core ./internal/dsp ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace
 
 # A small, bounded run of the fleet daemon's in-process load harness:
 # opens sessions over sharded arenas with mid-run churn, and exits
@@ -105,7 +105,8 @@ bench-compare:
 	$(GO) run ./cmd/benchreport -benchtime 300ms -count 3 -out BENCH_ci.json -compare bench/baseline.json
 
 # Refresh the committed baseline (run on the reference machine after an
-# intentional performance change, and commit the result).
+# intentional performance change, and commit the result). Five runs per
+# benchmark: the report keeps the fastest and records the spread.
 .PHONY: bench-baseline
 bench-baseline:
-	$(GO) run ./cmd/benchreport -benchtime 300ms -count 3 -out BENCH_ci.json -compare bench/baseline.json -update
+	$(GO) run ./cmd/benchreport -benchtime 300ms -count 5 -out BENCH_ci.json -compare bench/baseline.json -update

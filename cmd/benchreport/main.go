@@ -50,12 +50,14 @@ func main() {
 }
 
 // defaultBench selects the tracked benchmarks: the two pipeline
-// throughput benchmarks, the per-packet quarantine, DWT and root-MUSIC
-// hot paths, the columnar-ingest microbenchmarks, the fleet daemon's
-// session-density harness (sessions/core Extra metric), the trace
-// store's append and tier-query paths, and the latency tracer's
-// per-packet overhead (disabled and enabled).
-const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|BenchmarkQuarantinePush$|BenchmarkDWTDenoise$|BenchmarkRootMUSIC$|BenchmarkEstimateStage$|BenchmarkStreamingCorrelationAppend$|BenchmarkColumnarIngest$|BenchmarkFleetDensity$|BenchmarkStoreAppend$|BenchmarkStoreRangeQuery$|BenchmarkSpanIngestOverhead$"
+// throughput benchmarks, the smooth stage's two median kernels (trend
+// median and Hampel smoother, full window and per-stride ranges), the
+// per-packet quarantine, DWT and root-MUSIC hot paths, the columnar-ingest
+// microbenchmarks, the fleet daemon's session-density harness
+// (sessions/core Extra metric), the trace store's append and tier-query
+// paths, and the latency tracer's per-packet overhead (disabled and
+// enabled).
+const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|BenchmarkRunningMedianStrided$|BenchmarkHampel$|BenchmarkQuarantinePush$|BenchmarkDWTDenoise$|BenchmarkRootMUSIC$|BenchmarkEstimateStage$|BenchmarkStreamingCorrelationAppend$|BenchmarkColumnarIngest$|BenchmarkFleetDensity$|BenchmarkStoreAppend$|BenchmarkStoreRangeQuery$|BenchmarkSpanIngestOverhead$"
 
 // defaultStrictAllocs selects the zero-alloc hot paths whose allocs/op
 // is gated with zero tolerance against the baseline: warm columnar
@@ -65,13 +67,14 @@ const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|Benchmar
 // counts (the stride/pipeline runs) stay on the fractional gate — GC
 // timing refills their pools by a few allocs run to run, which strict
 // gating would misread as regressions. The disabled-tracer span path is
-// part of the zero-overhead contract and is strict-gated too.
-const defaultStrictAllocs = "BenchmarkColumnarIngest|BenchmarkQuarantinePush$|BenchmarkStreamingCorrelationAppend$|BenchmarkSpanIngestOverhead/disabled"
+// part of the zero-overhead contract and is strict-gated too, as are the
+// warm median kernels, whose scratch is pooled.
+const defaultStrictAllocs = "BenchmarkColumnarIngest|BenchmarkQuarantinePush$|BenchmarkStreamingCorrelationAppend$|BenchmarkSpanIngestOverhead/disabled|BenchmarkRunningMedianStrided/|BenchmarkHampel/"
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
 	bench := fs.String("bench", defaultBench, "benchmark regex passed to go test -bench")
-	packages := fs.String("packages", "./internal/core ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace", "space-separated packages to benchmark")
+	packages := fs.String("packages", "./internal/core ./internal/dsp ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace", "space-separated packages to benchmark")
 	benchtime := fs.String("benchtime", "200ms", "per-benchmark measurement time (go test -benchtime)")
 	count := fs.Int("count", 1, "benchmark repetitions; the fastest run per benchmark is kept")
 	cpu := fs.String("cpu", "1", "go test -cpu list; pinned to 1 so benchmark names and serial latency are machine-stable (empty = go default)")
@@ -206,7 +209,8 @@ func runBenchmarks(goBin, bench, benchtime, cpu string, count int, pkgs []string
 
 // fastest collapses -count repetitions: for each benchmark name the run
 // with the lowest ns/op is kept, the usual noise-rejection for wall-
-// clock metrics.
+// clock metrics, together with the run count and the slowest ns/op so
+// the report records the spread.
 func fastest(benches []benchfmt.Benchmark) []benchfmt.Benchmark {
 	best := make(map[string]int)
 	var out []benchfmt.Benchmark
@@ -217,9 +221,14 @@ func fastest(benches []benchfmt.Benchmark) []benchfmt.Benchmark {
 			out = append(out, b)
 			continue
 		}
+		runs, slowest := out[i].Runs, max(out[i].NsPerOpMax, out[i].NsPerOp, b.NsPerOp)
+		if runs == 0 {
+			runs = 1
+		}
 		if b.NsPerOp < out[i].NsPerOp {
 			out[i] = b
 		}
+		out[i].Runs, out[i].NsPerOpMax = runs+1, slowest
 	}
 	return out
 }

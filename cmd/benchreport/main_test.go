@@ -54,6 +54,28 @@ func TestReportFromInputFile(t *testing.T) {
 	}
 }
 
+// TestRepeatedRunsKeepSpread: -count repetitions collapse to the fastest
+// run, and the row records how many runs there were and the slowest
+// ns/op; a single run records neither.
+func TestRepeatedRunsKeepSpread(t *testing.T) {
+	got := fastest([]benchfmt.Benchmark{
+		{Name: "BenchmarkA", NsPerOp: 120},
+		{Name: "BenchmarkB", NsPerOp: 7},
+		{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 3},
+		{Name: "BenchmarkA", NsPerOp: 150},
+	})
+	if len(got) != 2 {
+		t.Fatalf("got %d rows, want 2", len(got))
+	}
+	a, b := got[0], got[1]
+	if a.NsPerOp != 100 || a.AllocsPerOp != 3 || a.Runs != 3 || a.NsPerOpMax != 150 {
+		t.Errorf("collapsed row = %+v, want the 100 ns/op run with runs 3 and max 150", a)
+	}
+	if b.Runs != 0 || b.NsPerOpMax != 0 {
+		t.Errorf("single-run row = %+v, want no spread fields", b)
+	}
+}
+
 // TestCompareGate drives the full CLI gate: a report compared against
 // itself passes, and an injected ≥20% ns/op regression fails with the
 // errRegression sentinel (exit code 1 in main).

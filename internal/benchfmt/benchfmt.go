@@ -53,6 +53,11 @@ type Benchmark struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Extra holds custom b.ReportMetric units (packets/sec, ...).
 	Extra map[string]float64 `json:"extra,omitempty"`
+	// Runs and NsPerOpMax keep the spread of a -count N report: how many
+	// runs were collapsed into this row (NsPerOp is the fastest) and the
+	// slowest run's ns/op. Both are zero for a single run.
+	Runs       int     `json:"runs,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
 }
 
 // Report is the whole document.

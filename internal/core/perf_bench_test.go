@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"phasebeat/internal/csisim"
@@ -14,6 +12,8 @@ import (
 // BenchmarkPipelineProcess measures batch pipeline throughput in
 // packets/sec over a one-minute default-rate trace, serial versus fanned
 // across every core. On a single-core runner the two are expected to tie.
+// The case names do not depend on GOMAXPROCS, so a -cpu 1 report still
+// names (and the baseline still gates) both.
 func BenchmarkPipelineProcess(b *testing.B) {
 	sim, err := csisim.FixedRatesScenario([]float64{17}, 33)
 	if err != nil {
@@ -27,8 +27,8 @@ func BenchmarkPipelineProcess(b *testing.B) {
 		name    string
 		workers int
 	}{
-		{"parallelism-1", 1},
-		{fmt.Sprintf("parallelism-%d", runtime.GOMAXPROCS(0)), 0},
+		{"serial", 1},
+		{"fanout", 0},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
@@ -234,23 +234,16 @@ func BenchmarkEstimateStage(b *testing.B) {
 // baseline. The samples/stride metric is the per-subcarrier count of
 // samples actually smoothed — the acceptance criterion is that the
 // incremental engine processes at least 5× fewer.
+//
+// Each stride's packets continue one simulated stream, generated with the
+// timer stopped: a recycled packet pool would splice the stream at its
+// wrap (time running backwards, a phase discontinuity in the window) and
+// time the rejection and error paths instead of the stride. Any rejected
+// packet or stride error fails the benchmark.
 func BenchmarkMonitorStride(b *testing.B) {
 	cfg := DefaultMonitorConfig()
 	window := int(cfg.WindowSeconds * cfg.SampleRate)
 	stride := int(cfg.UpdateEverySeconds * cfg.SampleRate)
-
-	// Pre-generate a pool covering the window plus several strides; the
-	// benchmark loop cycles through it. The wrap-around discontinuity can
-	// make a window look non-stationary, so pipeline errors are tolerated —
-	// the measured smoothing work is identical either way.
-	sim, err := csisim.FixedRatesScenario([]float64{17}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := make([]trace.Packet, window+16*stride)
-	for i := range pool {
-		pool[i] = sim.NextPacket()
-	}
 
 	modes := []struct {
 		name string
@@ -268,28 +261,36 @@ func BenchmarkMonitorStride(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng := newStrideEngine(&c, proc)
-			idx := 0
-			next := func() trace.Packet {
-				p := pool[idx]
-				idx++
-				if idx == len(pool) {
-					idx = 0
+			sim, err := csisim.FixedRatesScenario([]float64{17}, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			push := func(p trace.Packet) {
+				if v, _ := eng.push(p); v != pushAccepted {
+					b.Fatalf("packet at t=%.4f rejected: %v", p.Time, v)
 				}
-				return p
 			}
 			for i := 0; i < window; i++ {
-				eng.push(next())
+				push(sim.NextPacket())
 			}
 			if _, err := eng.process(); err != nil {
 				b.Fatal(err)
 			}
+			next := make([]trace.Packet, stride)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for k := 0; k < stride; k++ {
-					eng.push(next())
+				b.StopTimer()
+				for k := range next {
+					next[k] = sim.NextPacket()
 				}
-				eng.process()
+				b.StartTimer()
+				for _, p := range next {
+					push(p)
+				}
+				if _, err := eng.process(); err != nil {
+					b.Fatalf("stride %d: %v", i, err)
+				}
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(stride)*float64(b.N)/b.Elapsed().Seconds(), "packets/sec")

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -166,7 +167,8 @@ func TestHampelIdentityProperty(t *testing.T) {
 }
 
 func TestMedianWindowMAD(t *testing.T) {
-	w := newMedianWindow(8)
+	w := getMedianWindow(8)
+	defer putMedianWindow(w)
 	for _, v := range []float64{1, 2, 3, 4, 100} {
 		w.push(v)
 	}
@@ -184,6 +186,88 @@ func TestMedianWindowMAD(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputIsAnError: a NaN can never leave the sorted window
+// (NaN == NaN is false), so before the entry points rejected it every later
+// sample came back silently wrong with a nil error. Every Hampel and
+// running-median entry point now reports ErrNonFinite for NaN and ±Inf in
+// the samples it reads, and accepts non-finite samples it does not read.
+func TestNonFiniteInputIsAnError(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x := make([]float64, 200)
+		for i := range x {
+			x[i] = math.Sin(float64(i) / 7)
+		}
+		x[60] = bad
+		calls := map[string]func() error{
+			"Hampel": func() error { _, err := Hampel(x, 11, 3); return err },
+			"HampelInto": func() error {
+				_, err := HampelInto(make([]float64, 0, len(x)), x, 11, 3)
+				return err
+			},
+			"HampelRange": func() error {
+				_, err := HampelRange(nil, x[40:100], 40, len(x), 11, 3, 50, 90)
+				return err
+			},
+			"HampelTrend": func() error { _, err := HampelTrend(x, 11); return err },
+			"RunningMedianStrided": func() error {
+				_, err := RunningMedianStrided(x, 11, 4)
+				return err
+			},
+			"RunningMedianStridedRange": func() error {
+				_, err := RunningMedianStridedRange(nil, x, 11, 4, 50, 90)
+				return err
+			},
+			"DetrendHampel": func() error { _, err := DetrendHampel(x, 11); return err },
+		}
+		for name, call := range calls {
+			if err := call(); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s with a %v sample: err = %v, want ErrNonFinite", name, bad, err)
+			}
+		}
+		// Samples outside every window the range reads do not matter.
+		if _, err := HampelRange(nil, x[100:200], 100, len(x), 11, 3, 110, 190); err != nil {
+			t.Errorf("HampelRange away from the %v sample: %v", bad, err)
+		}
+		if _, err := RunningMedianStridedRange(nil, x, 11, 4, 120, 190); err != nil {
+			t.Errorf("RunningMedianStridedRange away from the %v sample: %v", bad, err)
+		}
+	}
+}
+
+// TestWarmKernelsZeroAllocs: once their pooled scratch is warm, the
+// Hampel smoother and the strided trend median allocate nothing when dst
+// has capacity — the rank and Fenwick scratch is pooled, never per call.
+func TestWarmKernelsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	x := paperSignal()
+	dst := make([]float64, 0, len(x))
+	calls := map[string]func(){
+		"HampelInto": func() {
+			if _, err := HampelInto(dst, x, paperSmoothWindow, 0.01); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"RunningMedianStridedRange": func() {
+			if _, err := RunningMedianStridedRange(dst, x, paperTrendWindow, paperTrendStride, 0, len(x)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"RunningMedianStridedRange/short-view": func() {
+			if _, err := RunningMedianStridedRange(dst, x[:240], 150, paperTrendStride, 0, 240); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, call := range calls {
+		call()
+		if allocs := testing.AllocsPerRun(5, call); allocs != 0 {
+			t.Errorf("warm %s allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}
+
 func BenchmarkHampelLargeWindow(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := make([]float64, 10000)
@@ -196,4 +280,100 @@ func BenchmarkHampelLargeWindow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The paper's operating point as the streaming engine sees it: a 60 s
+// window at 400 Hz, the Hampel(2000) trend evaluated every 10 samples,
+// the Hampel(50, 0.01) smoother, and a 5 s slide.
+const (
+	paperN            = 24000
+	paperTrendWindow  = 2000
+	paperTrendStride  = 10
+	paperSmoothWindow = 50
+	paperSlide        = 2000
+)
+
+// paperSignal is one subcarrier's unwrapped phase over the window:
+// breathing and heartbeat tones on a slow drift, plus noise.
+func paperSignal() []float64 {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float64, paperN)
+	for i := range x {
+		t := float64(i) / 400
+		x[i] = 0.002*t + 0.3*math.Sin(2*math.Pi*0.25*t) + 0.03*math.Sin(2*math.Pi*1.2*t) + 0.05*rng.NormFloat64()
+	}
+	return x
+}
+
+// paperStrideRanges are the two output ranges the streaming engine
+// smooths per stride: the head margin and the new tail plus its margin.
+func paperStrideRanges() [2][2]int {
+	m := paperTrendWindow/2 + paperTrendStride + paperSmoothWindow/2 + 4
+	return [2][2]int{{0, m}, {paperN - paperSlide - m, paperN}}
+}
+
+// benchWarm times call b.N times after one untimed call, which refills
+// the filter-state pools that the runtime.GC before each benchmark round
+// empties: the timed loop is the warm, allocation-free steady state.
+func benchWarm(b *testing.B, call func() error) {
+	b.ReportAllocs()
+	if err := call(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := call(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunningMedianStrided measures the trend median over a full
+// window (the batch path) and over one stride's two ranges, each widened
+// by the smoother's half-window as the detrend needs.
+func BenchmarkRunningMedianStrided(b *testing.B) {
+	x := paperSignal()
+	dst := make([]float64, 0, paperN)
+	b.Run("full", func(b *testing.B) {
+		benchWarm(b, func() error {
+			_, err := RunningMedianStridedRange(dst, x, paperTrendWindow, paperTrendStride, 0, paperN)
+			return err
+		})
+	})
+	b.Run("stride-range", func(b *testing.B) {
+		sh := paperSmoothWindow / 2
+		benchWarm(b, func() error {
+			for _, r := range paperStrideRanges() {
+				if _, err := RunningMedianStridedRange(dst, x, paperTrendWindow, paperTrendStride, max(r[0]-sh, 0), min(r[1]+sh, paperN)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// BenchmarkHampel measures the Hampel(50) smoother over a full window
+// (warm HampelInto) and over one stride's two ranges.
+func BenchmarkHampel(b *testing.B) {
+	x := paperSignal()
+	dst := make([]float64, 0, paperN)
+	b.Run("full", func(b *testing.B) {
+		benchWarm(b, func() error {
+			_, err := HampelInto(dst, x, paperSmoothWindow, 0.01)
+			return err
+		})
+	})
+	b.Run("stride-range", func(b *testing.B) {
+		sh := paperSmoothWindow / 2
+		benchWarm(b, func() error {
+			for _, r := range paperStrideRanges() {
+				vlo, vhi := max(r[0]-sh, 0), min(r[1]+sh, paperN)
+				if _, err := HampelRange(dst, x[vlo:vhi], vlo, paperN, paperSmoothWindow, 0.01, r[0], r[1]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
 }

@@ -27,7 +27,7 @@ func UnwrapPhase(phase []float64) []float64 {
 // must not alias phase: the unwrap reads each input sample after its
 // predecessor's output has been written.
 func UnwrapPhaseInto(dst, phase []float64) []float64 {
-	out := growFloats(dst, len(phase))
+	out := grow(dst, len(phase))
 	if len(phase) == 0 {
 		return out
 	}

@@ -16,7 +16,7 @@ func DownsampleInto(dst, x []float64, factor int) ([]float64, error) {
 		return nil, fmt.Errorf("dsp: downsample factor must be positive, got %d", factor)
 	}
 	n := (len(x) + factor - 1) / factor
-	out := growFloats(dst, n)
+	out := grow(dst, n)
 	for i, j := 0, 0; i < len(x); i, j = i+factor, j+1 {
 		out[j] = x[i]
 	}
