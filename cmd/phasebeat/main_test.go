@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"phasebeat"
@@ -60,6 +61,13 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run([]string{"-simulate", "-log", "bogus"}); err == nil {
 		t.Error("want error for unknown log level")
+	}
+	// The amplitude baseline reads the raw trace, which the streaming
+	// Monitor never retains: watch mode must refuse it up front.
+	if err := run([]string{"-watch", "42", "-estimator", "amplitude"}); err == nil {
+		t.Error("want error for a batch-only estimator in watch mode")
+	} else if !strings.Contains(err.Error(), "amplitude") || !strings.Contains(err.Error(), "batch-only") {
+		t.Errorf("watch -estimator amplitude: error %q should name amplitude and say batch-only", err)
 	}
 }
 

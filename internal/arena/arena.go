@@ -1,15 +1,19 @@
 // Package arena provides the columnar CSI memory layout shared by the
-// batch pipeline and the streaming Monitor: a size-classed slab allocator
-// (Arena), dense subcarrier-major matrices whose rows live in one flat
-// backing slab (Matrix), and power-of-two columnar ring buffers with
-// absolute sample indexing and zero-copy window views (Ring, View).
+// batch pipeline and the streaming Monitor: a size-classed float64 slab
+// allocator (Arena), dense subcarrier-major matrices whose rows live in
+// one flat backing slab (Matrix), and power-of-two columnar ring buffers
+// with absolute sample indexing and zero-copy window views (Ring, View).
 //
 // The motivating access pattern is PhaseBeat's: packets arrive as
 // row-oriented per-packet [antenna][subcarrier] matrices, but every DSP
 // stage consumes one (antenna-pair, subcarrier) channel's *time series* at
 // a time. Storing each channel contiguously ("subcarrier-major") turns the
 // per-stage strided walks over packet rows into sequential scans, and the
-// one unavoidable transpose is paid exactly once, at ingest.
+// one unavoidable transpose is paid exactly once, at ingest. Nothing here
+// retains raw complex CSI: the Monitor's ring holds the real-valued
+// per-sample quantities derived from it at ingest (phase difference, its
+// sin and cos, per-antenna amplitude), and the batch pipeline's matrices
+// hold the extracted and smoothed series.
 //
 // An Arena is safe for concurrent use, so one allocator can back many
 // Monitor sessions (the fleet-daemon hook: pass the same *Arena to every
@@ -27,26 +31,21 @@ import (
 // pooled, so one giant transient request cannot pin memory forever.
 const maxPooledClass = 26
 
-// Arena is a size-classed free-list allocator for float64 and complex128
-// slabs. Alloc rounds the request up to the next power of two and reuses a
+// Arena is a size-classed free-list allocator for float64 slabs. Alloc rounds the request up to the next power of two and reuses a
 // released slab of that class when one is available; Release returns a
 // slab for reuse. All methods are safe for concurrent use, and all are
 // nil-tolerant: a nil *Arena degrades to plain make with no pooling, so
 // code paths can run arena-less (tests, one-shot tools) without guards.
 type Arena struct {
-	mu        sync.Mutex
-	floats    map[uint][][]float64
-	complexes map[uint][][]complex128
+	mu     sync.Mutex
+	floats map[uint][][]float64
 
 	allocs, reuses uint64
 }
 
 // New returns an empty arena.
 func New() *Arena {
-	return &Arena{
-		floats:    make(map[uint][][]float64),
-		complexes: make(map[uint][][]complex128),
-	}
+	return &Arena{floats: make(map[uint][][]float64)}
 }
 
 // sizeClass returns the power-of-two class exponent covering n (n > 0).
@@ -84,31 +83,6 @@ func (a *Arena) Floats(n int) []float64 {
 	return make([]float64, n, 1<<c)
 }
 
-// Complexes is Floats for complex128 slabs.
-func (a *Arena) Complexes(n int) []complex128 {
-	if n <= 0 {
-		return nil
-	}
-	if a == nil {
-		return make([]complex128, n)
-	}
-	c := sizeClass(n)
-	a.mu.Lock()
-	free := a.complexes[c]
-	if k := len(free); k > 0 {
-		s := free[k-1]
-		a.complexes[c] = free[:k-1]
-		a.reuses++
-		a.mu.Unlock()
-		s = s[:n]
-		clear(s)
-		return s
-	}
-	a.allocs++
-	a.mu.Unlock()
-	return make([]complex128, n, 1<<c)
-}
-
 // ReleaseFloats returns a slab obtained from Floats to the free list. The
 // caller must not touch the slab (or any view into it) afterwards.
 // Slabs whose capacity is not a power of two (foreign memory) and slabs
@@ -123,20 +97,6 @@ func (a *Arena) ReleaseFloats(s []float64) {
 	}
 	a.mu.Lock()
 	a.floats[c] = append(a.floats[c], s[:0])
-	a.mu.Unlock()
-}
-
-// ReleaseComplexes is ReleaseFloats for complex128 slabs.
-func (a *Arena) ReleaseComplexes(s []complex128) {
-	if a == nil || cap(s) == 0 {
-		return
-	}
-	c := sizeClass(cap(s))
-	if 1<<c != cap(s) || c > maxPooledClass {
-		return
-	}
-	a.mu.Lock()
-	a.complexes[c] = append(a.complexes[c], s[:0])
 	a.mu.Unlock()
 }
 
@@ -163,9 +123,8 @@ func (a *Arena) Stats() Stats {
 // of a single flat backing slab, so iterating one row is a sequential
 // memory scan and the whole matrix is one allocation (plus row headers).
 type Matrix struct {
-	rows, cols int
-	data       []float64
-	view       [][]float64
+	data []float64
+	view [][]float64
 }
 
 // NewMatrix allocates a rows × cols matrix from the arena (nil a = plain
@@ -176,8 +135,6 @@ func NewMatrix(a *Arena, rows, cols int) *Matrix {
 		panic(fmt.Sprintf("arena: matrix shape %d x %d", rows, cols))
 	}
 	m := &Matrix{
-		rows: rows,
-		cols: cols,
 		data: a.Floats(rows * cols),
 		view: make([][]float64, rows),
 	}
@@ -186,9 +143,6 @@ func NewMatrix(a *Arena, rows, cols int) *Matrix {
 	}
 	return m
 }
-
-// Dims returns the matrix shape.
-func (m *Matrix) Dims() (rows, cols int) { return m.rows, m.cols }
 
 // Row returns row r's contiguous column view.
 func (m *Matrix) Row(r int) []float64 { return m.view[r] }

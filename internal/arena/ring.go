@@ -24,33 +24,33 @@ import "fmt"
 // A Ring is single-writer: one goroutine calls Advance and writes the
 // current slot; concurrent readers are only safe on slots strictly
 // before Head (the engine's stride reads satisfy this by construction).
-type Ring[T any] struct {
-	planes, channels int
-	capacity         int
-	mask             int64
-	head             int64
-	data             []T
+type Ring struct {
+	channels int
+	capacity int
+	mask     int64
+	head     int64
+	data     []float64
 	// cols caches one contiguous column header per (plane, channel) so
 	// the hot ingest path indexes straight into its column slice.
-	cols [][]T
+	cols [][]float64
 }
 
-// newRing builds the shared geometry; data must be planes*channels*capacity
-// long and is sliced into cached per-column headers.
-func newRing[T any](planes, channels, capacity int, data []T) *Ring[T] {
+// newRing builds the ring geometry over data, which must be
+// planes*channels*capacity long and is sliced into cached per-column
+// headers.
+func newRing(planes, channels, capacity int, data []float64) *Ring {
 	if planes <= 0 || channels <= 0 {
 		panic(fmt.Sprintf("arena: ring geometry %d planes x %d channels", planes, channels))
 	}
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic(fmt.Sprintf("arena: ring capacity %d is not a power of two", capacity))
 	}
-	r := &Ring[T]{
-		planes:   planes,
+	r := &Ring{
 		channels: channels,
 		capacity: capacity,
 		mask:     int64(capacity - 1),
 		data:     data,
-		cols:     make([][]T, planes*channels),
+		cols:     make([][]float64, planes*channels),
 	}
 	for i := range r.cols {
 		lo := i * capacity
@@ -69,70 +69,49 @@ func RingCapacity(n int) int {
 	return c
 }
 
-// NewFloatRing allocates a float64 ring from the arena (nil a = plain
-// make). capacity is rounded up to a power of two.
-func NewFloatRing(a *Arena, planes, channels, capacity int) *Ring[float64] {
+// NewFloatRing allocates a ring from the arena (nil a = plain make).
+// capacity is rounded up to a power of two.
+func NewFloatRing(a *Arena, planes, channels, capacity int) *Ring {
 	capacity = RingCapacity(capacity)
 	return newRing(planes, channels, capacity, a.Floats(planes*channels*capacity))
 }
 
-// NewComplexRing allocates a complex128 ring from the arena.
-func NewComplexRing(a *Arena, planes, channels, capacity int) *Ring[complex128] {
-	capacity = RingCapacity(capacity)
-	return newRing(planes, channels, capacity, a.Complexes(planes*channels*capacity))
-}
-
 // Capacity returns the (power-of-two) per-channel sample capacity.
-func (r *Ring[T]) Capacity() int { return r.capacity }
-
-// Channels returns the channel count per plane.
-func (r *Ring[T]) Channels() int { return r.channels }
-
-// Planes returns the plane count.
-func (r *Ring[T]) Planes() int { return r.planes }
+func (r *Ring) Capacity() int { return r.capacity }
 
 // Head returns the absolute index one past the newest admitted sample —
 // equivalently the count of samples ever admitted since the last Reset.
-func (r *Ring[T]) Head() int64 { return r.head }
+func (r *Ring) Head() int64 { return r.head }
 
 // Slot returns the in-column slot the *next* sample (index Head) will
 // occupy. Writers fill col[Slot()] across planes, then call Advance.
-func (r *Ring[T]) Slot() int { return int(r.head & r.mask) }
-
-// SlotOf returns the in-column slot of absolute sample index i. The
-// caller is responsible for i being within retention.
-func (r *Ring[T]) SlotOf(i int64) int { return int(i & r.mask) }
+func (r *Ring) Slot() int { return int(r.head & r.mask) }
 
 // Advance commits the sample written at Slot across all planes/channels.
-func (r *Ring[T]) Advance() { r.head++ }
+func (r *Ring) Advance() { r.head++ }
 
 // Reset forgets all samples; absolute indexing restarts at zero.
-func (r *Ring[T]) Reset() { r.head = 0 }
+func (r *Ring) Reset() { r.head = 0 }
 
 // Column returns the full backing column for (plane p, channel c) —
 // capacity elements in slot order, not time order. It is the write
 // surface for ingest; readers should use View for time-ordered access.
-func (r *Ring[T]) Column(p, c int) []T { return r.cols[p*r.channels+c] }
+func (r *Ring) Column(p, c int) []float64 { return r.cols[p*r.channels+c] }
 
 // Columns returns plane p's per-channel column headers (a subslice of the
 // cached headers — no allocation), so hot ingest loops can hold one
-// [][]T per plane and index it by channel.
-func (r *Ring[T]) Columns(p int) [][]T {
+// [][]float64 per plane and index it by channel.
+func (r *Ring) Columns(p int) [][]float64 {
 	return r.cols[p*r.channels : (p+1)*r.channels]
 }
 
 // Release returns the backing slab to the arena. The ring and every
 // column/view into it are dead afterwards.
-func (r *Ring[T]) Release(a *Arena) {
+func (r *Ring) Release(a *Arena) {
 	if r == nil || r.data == nil {
 		return
 	}
-	switch d := any(r.data).(type) {
-	case []float64:
-		a.ReleaseFloats(d)
-	case []complex128:
-		a.ReleaseComplexes(d)
-	}
+	a.ReleaseFloats(r.data)
 	r.data = nil
 	r.cols = nil
 }
@@ -142,29 +121,29 @@ func (r *Ring[T]) Release(a *Arena) {
 // samples first. Iterating a, then b visits the window in admission
 // order, which is exactly the summation order the batch DSP uses — the
 // reason columnar strides stay bit-identical to the row-oriented code.
-type View[T any] struct {
-	a, b  []T
+type View struct {
+	a, b  []float64
 	start int64
 }
 
 // View returns a window of n samples of (plane p, channel c) starting at
 // absolute sample index start. The window must lie entirely within
 // retention: start >= Head-Capacity and start+n <= Head.
-func (r *Ring[T]) View(p, c int, start int64, n int) (View[T], error) {
+func (r *Ring) View(p, c int, start int64, n int) (View, error) {
 	if n < 0 || int64(n) > int64(r.capacity) {
-		return View[T]{}, fmt.Errorf("arena: view length %d exceeds ring capacity %d", n, r.capacity)
+		return View{}, fmt.Errorf("arena: view length %d exceeds ring capacity %d", n, r.capacity)
 	}
 	if start < 0 || start < r.head-int64(r.capacity) || start+int64(n) > r.head {
-		return View[T]{}, fmt.Errorf("arena: view [%d,%d) outside retention [%d,%d)",
+		return View{}, fmt.Errorf("arena: view [%d,%d) outside retention [%d,%d)",
 			start, start+int64(n), max64(0, r.head-int64(r.capacity)), r.head)
 	}
 	col := r.cols[p*r.channels+c]
 	lo := int(start & r.mask)
 	if lo+n <= r.capacity {
-		return View[T]{a: col[lo : lo+n : lo+n], start: start}, nil
+		return View{a: col[lo : lo+n : lo+n], start: start}, nil
 	}
 	k := r.capacity - lo
-	return View[T]{
+	return View{
 		a:     col[lo:r.capacity:r.capacity],
 		b:     col[0 : n-k : n-k],
 		start: start,
@@ -179,13 +158,13 @@ func max64(a, b int64) int64 {
 }
 
 // Len returns the window length.
-func (v View[T]) Len() int { return len(v.a) + len(v.b) }
+func (v View) Len() int { return len(v.a) + len(v.b) }
 
 // Start returns the absolute sample index of the window's oldest sample.
-func (v View[T]) Start() int64 { return v.start }
+func (v View) Start() int64 { return v.start }
 
 // At returns the i-th sample of the window (0 = oldest).
-func (v View[T]) At(i int) T {
+func (v View) At(i int) float64 {
 	if i < len(v.a) {
 		return v.a[i]
 	}
@@ -194,11 +173,11 @@ func (v View[T]) At(i int) T {
 
 // Slices returns the window's backing segments, oldest first. b is nil
 // when the window does not straddle the wrap point.
-func (v View[T]) Slices() (a, b []T) { return v.a, v.b }
+func (v View) Slices() (a, b []float64) { return v.a, v.b }
 
 // CopyTo linearizes the window into dst (which must hold Len elements)
 // and returns the number of samples copied.
-func (v View[T]) CopyTo(dst []T) int {
+func (v View) CopyTo(dst []float64) int {
 	n := copy(dst, v.a)
 	n += copy(dst[n:], v.b)
 	return n

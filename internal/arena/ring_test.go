@@ -18,9 +18,9 @@ func TestRingCapacityRounding(t *testing.T) {
 
 func TestRingGeometryPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { newRing[float64](0, 3, 4, make([]float64, 0)) },
-		func() { newRing[float64](1, 0, 4, make([]float64, 0)) },
-		func() { newRing[float64](1, 1, 3, make([]float64, 3)) },
+		func() { newRing(0, 3, 4, make([]float64, 0)) },
+		func() { newRing(1, 0, 4, make([]float64, 0)) },
+		func() { newRing(1, 1, 3, make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -164,22 +164,25 @@ func TestRingResetRestartsIndexing(t *testing.T) {
 	}
 }
 
-func TestComplexRingRelease(t *testing.T) {
+func TestRingRelease(t *testing.T) {
 	a := New()
-	r := NewComplexRing(a, 2, 3, 16)
-	r.Column(1, 2)[0] = 1 + 2i
+	r := NewFloatRing(a, 2, 3, 16)
+	r.Column(1, 2)[0] = 1.5
 	r.Advance()
 	r.Release(a)
 	if st := a.Stats(); st.Allocs != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Released slab must be reusable.
-	s := a.Complexes(2 * 3 * 16)
+	s := a.Floats(2 * 3 * 16)
 	if s[0] != 0 {
-		t.Fatalf("reused complex slab not zeroed")
+		t.Fatalf("reused ring slab not zeroed")
+	}
+	if st := a.Stats(); st.Reuses != 1 {
+		t.Fatalf("ring slab not reused: stats = %+v", st)
 	}
 	r.Release(a) // double release is a no-op
-	var nilR *Ring[complex128]
+	var nilR *Ring
 	nilR.Release(a)
 }
 

@@ -51,7 +51,7 @@ func (es *estimateState) observeStride(st *pipelineState) {
 	}
 
 	es.sinceRefresh++
-	es.exactStride = es.refreshEvery <= 1 || es.sinceRefresh >= es.refreshEvery
+	es.exactStride = es.sinceRefresh >= es.refreshEvery
 
 	fs := st.res.EstimationRate
 	if es.wantMusic {

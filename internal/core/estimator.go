@@ -14,8 +14,8 @@ import (
 // calibrated matrix with its eligibility mask, and — on batch runs — the
 // raw trace for amplitude-domain methods.
 type EstimatorInput struct {
-	// Trace is the raw capture; nil on the Monitor's incremental path,
-	// which discards raw CSI after its ring caches are filled.
+	// Trace is the raw capture; nil on Monitor strides, whose engine keeps
+	// only the quantities derived from CSI at ingest.
 	Trace *trace.Trace
 	// Breathing and Heart are the DWT band reconstructions of the selected
 	// subcarrier, sampled at Rate.
@@ -70,8 +70,8 @@ type HeartEstimator interface {
 }
 
 // RawTraceEstimator is optionally implemented by backends that need the
-// raw trace (EstimatorInput.Trace); the Monitor refuses such backends on
-// its incremental path, which does not retain raw CSI.
+// raw trace (EstimatorInput.Trace). Such backends are batch-only: the
+// Monitor refuses them, because its stride engine does not retain raw CSI.
 type RawTraceEstimator interface {
 	NeedsRawTrace() bool
 }
@@ -351,7 +351,7 @@ func (amplitudeEstimator) NeedsRawTrace() bool { return true }
 
 func (amplitudeEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, error) {
 	if in.Trace == nil {
-		return nil, fmt.Errorf("core: amplitude estimator needs the raw trace (batch Process or a FullRecompute Monitor)")
+		return nil, fmt.Errorf("core: amplitude estimator is batch-only (it reads the raw trace); run it through Processor.Process")
 	}
 	bcfg := baseline.ConfigForRate(in.Trace.SampleRate)
 	bcfg.Antenna = in.Config.AntennaA

@@ -102,7 +102,6 @@ type strideEngine struct {
 	window, stride int
 	margin         int
 	nSub           int
-	cached         bool // per-packet caches in use (incremental path)
 
 	pos       int // total accepted packets (mirrors the ring head)
 	sinceLast int // packets since the last processed window
@@ -113,20 +112,12 @@ type strideEngine struct {
 	lastTime float64
 	maxGap   float64
 
-	// ring is the incremental path's columnar store (numPlanes × nSub
-	// channels, power-of-two capacity ≥ window); diff/sinD/cosD/ampA/ampB
-	// are its cached per-plane column headers, indexed [subcarrier][slot].
-	ring             *arena.Ring[float64]
+	// ring is the columnar store (numPlanes × nSub channels, power-of-two
+	// capacity ≥ window); diff/sinD/cosD/ampA/ampB are its cached
+	// per-plane column headers, indexed [subcarrier][slot].
+	ring             *arena.Ring
 	diff, sinD, cosD [][]float64
 	ampA, ampB       [][]float64
-
-	// raw and times buffer the full-recompute path: raw CSI transposed
-	// into a complex columnar ring (NumAntennas planes × nSub channels)
-	// plus a timestamp ring, replacing the old packet-reference ring so
-	// the engine owns its window outright (no aliasing of producer
-	// buffers, bounded retention).
-	raw   *arena.Ring[complex128]
-	times *arena.Ring[float64]
 
 	// smoothed holds the previous stride's per-subcarrier smoothed windows;
 	// next is the matrix being computed this stride (the two swap).
@@ -135,11 +126,9 @@ type strideEngine struct {
 	haveSmoothed     bool
 	prevPos          int // pos at which smoothed was computed
 
-	scratch   sync.Pool // *subScratch
-	weaker    []float64
-	eligible  []bool
-	fullTrace trace.Trace
-	fullCSI   []complex128 // fullTrace's flat CSI slab (for release)
+	scratch  sync.Pool // *subScratch
+	weaker   []float64
+	eligible []bool
 
 	// wantEvidence is latched per stride when the observer implements
 	// EvidenceCollector; trendAbs then accumulates each subcarrier's
@@ -148,12 +137,13 @@ type strideEngine struct {
 	trendAbs     []float64
 
 	// lastSmoothedSamples is per-subcarrier telemetry: how many samples the
-	// last stride actually smoothed (window length on the full path).
+	// last stride actually smoothed (the window length when it could not
+	// reuse the previous stride's smoothed interior).
 	lastSmoothedSamples int
 
 	// est is the incremental estimate stage (streaming correlation,
 	// subspace tracking, DWT boundary reuse); nil unless
-	// Config.EstimateRefreshEvery > 0 on the cached path.
+	// Config.EstimateRefreshEvery > 0.
 	est *estimateState
 }
 
@@ -176,30 +166,24 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 		stride:   stride,
 		margin:   smoothMargin(&proc.cfg),
 		nSub:     cfg.NumSubcarriers,
-		cached:   !cfg.FullRecompute,
 		lastTime: math.Inf(-1),
 		maxGap:   defaultMaxGapSeconds(cfg),
 	}
 	e.scratch.New = func() any { return &subScratch{} }
-	if e.cached {
-		e.ring = arena.NewFloatRing(e.arena, numPlanes, e.nSub, window)
-		e.diff = e.ring.Columns(planeDiff)
-		e.sinD = e.ring.Columns(planeSin)
-		e.cosD = e.ring.Columns(planeCos)
-		e.ampA = e.ring.Columns(planeAmpA)
-		e.ampB = e.ring.Columns(planeAmpB)
-		e.smoothedM = arena.NewMatrix(e.arena, e.nSub, window)
-		e.nextM = arena.NewMatrix(e.arena, e.nSub, window)
-		e.smoothed = e.smoothedM.Rows()
-		e.next = e.nextM.Rows()
-		e.weaker = make([]float64, e.nSub)
-		e.eligible = make([]bool, e.nSub)
-		if proc.cfg.EstimateRefreshEvery > 0 {
-			e.est = newEstimateState(&proc.cfg, proc.nPersons)
-		}
-	} else {
-		e.raw = arena.NewComplexRing(e.arena, cfg.NumAntennas, e.nSub, window)
-		e.times = arena.NewFloatRing(e.arena, 1, 1, window)
+	e.ring = arena.NewFloatRing(e.arena, numPlanes, e.nSub, window)
+	e.diff = e.ring.Columns(planeDiff)
+	e.sinD = e.ring.Columns(planeSin)
+	e.cosD = e.ring.Columns(planeCos)
+	e.ampA = e.ring.Columns(planeAmpA)
+	e.ampB = e.ring.Columns(planeAmpB)
+	e.smoothedM = arena.NewMatrix(e.arena, e.nSub, window)
+	e.nextM = arena.NewMatrix(e.arena, e.nSub, window)
+	e.smoothed = e.smoothedM.Rows()
+	e.next = e.nextM.Rows()
+	e.weaker = make([]float64, e.nSub)
+	e.eligible = make([]bool, e.nSub)
+	if proc.cfg.EstimateRefreshEvery > 0 {
+		e.est = newEstimateState(&proc.cfg, proc.nPersons)
 	}
 	return e
 }
@@ -210,15 +194,10 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 // recycle window storage across Monitor lifetimes.
 func (e *strideEngine) release() {
 	e.ring.Release(e.arena)
-	e.raw.Release(e.arena)
-	e.times.Release(e.arena)
 	e.smoothedM.Release(e.arena)
 	e.nextM.Release(e.arena)
-	e.arena.ReleaseComplexes(e.fullCSI)
 	e.diff, e.sinD, e.cosD, e.ampA, e.ampB = nil, nil, nil, nil, nil
 	e.smoothed, e.next = nil, nil
-	e.fullTrace = trace.Trace{}
-	e.fullCSI = nil
 }
 
 // push offers one packet to the ring. Packets that fail quarantine
@@ -251,23 +230,6 @@ func (e *strideEngine) push(p trace.Packet) (verdict pushVerdict, gapReset bool)
 	}
 	e.lastTime = p.Time
 
-	if !e.cached {
-		// Transpose the raw CSI into the complex columnar ring (the engine
-		// owns the copy; producer buffers are never aliased).
-		slot := e.raw.Slot()
-		for a, row := range p.CSI {
-			cols := e.raw.Columns(a)
-			for s, c := range row {
-				cols[s][slot] = c
-			}
-		}
-		e.times.Column(0, 0)[e.times.Slot()] = p.Time
-		e.raw.Advance()
-		e.times.Advance()
-		e.pos++
-		e.sinceLast++
-		return pushAccepted, gapReset
-	}
 	slot := e.ring.Slot()
 	a, b := e.proc.cfg.AntennaA, e.proc.cfg.AntennaB
 	rowA, rowB := p.CSI[a], p.CSI[b]
@@ -313,12 +275,7 @@ func (e *strideEngine) resetWindow() {
 	e.sinceLast = 0
 	e.haveSmoothed = false
 	e.prevPos = 0
-	if e.cached {
-		e.ring.Reset()
-	} else {
-		e.raw.Reset()
-		e.times.Reset()
-	}
+	e.ring.Reset()
 	e.est.reset()
 }
 
@@ -328,74 +285,11 @@ func (e *strideEngine) ready() bool {
 	return e.pos >= e.window && e.sinceLast >= e.stride
 }
 
-// process runs the pipeline over the current window.
+// process runs the pipeline over the current window: extraction and
+// smoothing from the ring caches, then the shared downstream stage list.
 func (e *strideEngine) process() (*Result, error) {
 	slide := e.sinceLast
 	e.sinceLast = 0
-	if !e.cached {
-		return e.processFull()
-	}
-	return e.processIncremental(slide)
-}
-
-// processFull rebuilds a linear trace from the columnar raw-CSI ring and
-// runs the batch pipeline — the reference (and fallback) path. The trace's
-// packets live in one flat complex slab allocated once per engine; each
-// stride transposes the window back into packet order (per-channel
-// sequential reads, strided writes — the mirror of ingest).
-func (e *strideEngine) processFull() (*Result, error) {
-	n := e.window
-	nAnt, nSub := e.cfg.NumAntennas, e.cfg.NumSubcarriers
-	if e.fullTrace.Packets == nil {
-		e.fullCSI = e.arena.Complexes(n * nAnt * nSub)
-		rows := make([][]complex128, n*nAnt)
-		for r := range rows {
-			rows[r] = e.fullCSI[r*nSub : (r+1)*nSub : (r+1)*nSub]
-		}
-		pkts := make([]trace.Packet, n)
-		for k := range pkts {
-			pkts[k].CSI = rows[k*nAnt : (k+1)*nAnt : (k+1)*nAnt]
-		}
-		e.fullTrace = trace.Trace{
-			SampleRate:     e.cfg.SampleRate,
-			NumAntennas:    nAnt,
-			NumSubcarriers: nSub,
-			Packets:        pkts,
-		}
-	}
-	wstart := e.raw.Head() - int64(n)
-	for a := 0; a < nAnt; a++ {
-		for s := 0; s < nSub; s++ {
-			v, err := e.raw.View(a, s, wstart, n)
-			if err != nil {
-				return &Result{}, fmt.Errorf("core: raw window: %w", err)
-			}
-			va, vb := v.Slices()
-			k := 0
-			for _, c := range va {
-				e.fullTrace.Packets[k].CSI[a][s] = c
-				k++
-			}
-			for _, c := range vb {
-				e.fullTrace.Packets[k].CSI[a][s] = c
-				k++
-			}
-		}
-	}
-	tv, err := e.times.View(0, 0, wstart, n)
-	if err != nil {
-		return &Result{}, fmt.Errorf("core: time window: %w", err)
-	}
-	for k := range e.fullTrace.Packets {
-		e.fullTrace.Packets[k].Time = tv.At(k)
-	}
-	e.lastSmoothedSamples = n
-	return e.proc.Process(&e.fullTrace)
-}
-
-// processIncremental extracts and smooths from the ring caches, then runs
-// the shared downstream stage list over the result.
-func (e *strideEngine) processIncremental(slide int) (*Result, error) {
 	if err := e.strideSmooth(slide); err != nil {
 		return nil, err
 	}
@@ -407,10 +301,9 @@ func (e *strideEngine) processIncremental(slide int) (*Result, error) {
 // When the previous stride's smoothed matrix is reusable (window slid by a
 // multiple of TrendStride and the window comfortably exceeds twice the
 // margin plus the slide), only the head margin and the new tail are
-// smoothed; otherwise every subcarrier is smoothed in full — still without
-// touching raw CSI. It is split from processIncremental so the allocation
-// guards can measure the columnar engine in isolation from the batch
-// stages downstream.
+// smoothed; otherwise every subcarrier is smoothed in full from the ring
+// caches. It is split from process so the allocation guards can measure
+// the columnar engine in isolation from the batch stages downstream.
 func (e *strideEngine) strideSmooth(slide int) error {
 	e.est.beginStride(slide)
 	n := e.window
@@ -582,7 +475,7 @@ func (e *strideEngine) strideSubcarrier(s, slide int, wstart int64, reuse bool, 
 // viewSum adds a window view's samples oldest-first — the same order a
 // serial loop over a linear trace uses, which keeps the circular-mean and
 // amplitude-gate sums bit-identical to their batch counterparts.
-func viewSum(v arena.View[float64]) float64 {
+func viewSum(v arena.View) float64 {
 	var sum float64
 	a, b := v.Slices()
 	for _, x := range a {

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,27 +16,7 @@ import (
 // one person breathing at exactly bpm (FixedRatesScenario pins 400 Hz).
 func newFixedSim(t testing.TB, rate, bpm float64, seed int64) *csisim.Simulator {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	env := csisim.Environment{
-		CarrierHz:       csisim.DefaultCarrierHz,
-		AntennaSpacingM: csisim.DefaultAntennaSpacingM,
-		StaticPaths:     csisim.RandomStaticPaths(rng, 6, 3),
-		TxRxDistanceM:   3,
-	}
-	pathDist := 4 + rng.Float64()*2
-	p := csisim.RandomPerson(rng, pathDist, csisim.ReflectionGainForPath(pathDist, false))
-	p.BreathingRateBPM = bpm
-	sim, err := csisim.New(csisim.Config{
-		Env:         env,
-		Persons:     []csisim.Person{p},
-		SampleRate:  rate,
-		NumAntennas: 3,
-		Seed:        rng.Int63(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim
+	return newFixedMultiSim(t, rate, []float64{bpm}, seed)
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -51,26 +31,44 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // TestIncrementalMatchesBatch is the exactness contract of the incremental
 // engine: every stride's output must match running the batch pipeline from
-// scratch on the same window. Discrete outputs (environment states, segment
-// bounds, subcarrier selection) must agree exactly; float outputs agree to a
-// tight tolerance. The tolerance is not zero because overlapping samples
-// are smoothed once and copied forward: their values are anchored to the
-// unwrap constant of the window that computed them, which the detrend
-// cancels exactly in real arithmetic but only to ulp precision in floating
-// point (see DESIGN.md).
+// scratch on the same window, for every breathing backend a Monitor can
+// run. Discrete outputs (environment states, segment bounds, subcarrier
+// selection) must agree exactly; float outputs agree to a tight tolerance.
+// The tolerance is not zero because overlapping samples are smoothed once
+// and copied forward: their values are anchored to the unwrap constant of
+// the window that computed them, which the detrend cancels exactly in real
+// arithmetic but only to ulp precision in floating point (see DESIGN.md).
 func TestIncrementalMatchesBatch(t *testing.T) {
+	cases := []struct {
+		estimator string
+		bpm       []float64
+	}{
+		{"peaks", []float64{16}},
+		{"root-music", []float64{12, 19}},
+		{"esprit", []float64{12, 19}},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/%dp", tc.estimator, len(tc.bpm)), func(t *testing.T) {
+			testIncrementalMatchesBatch(t, tc.estimator, tc.bpm)
+		})
+	}
+}
+
+func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64) {
 	const rate = 100.0
 	cfg := DefaultMonitorConfig()
 	cfg.SampleRate = rate
 	cfg.Pipeline = ConfigForRate(rate)
+	cfg.Pipeline.Estimator = estimator
+	cfg.Persons = len(bpm)
 	cfg.WindowSeconds = 30
 	cfg.UpdateEverySeconds = 5
 
-	proc, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(1))
+	proc, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(cfg.Persons))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(1))
+	batch, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(cfg.Persons))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +82,12 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		t.Fatalf("stride %d not aligned to trend stride %d", stride, cfg.Pipeline.TrendStride)
 	}
 
-	sim := newFixedSim(t, rate, 16, 99)
+	sim := newFixedMultiSim(t, rate, bpm, 99)
 	total := int(80 * rate)
 	history := make([]trace.Packet, 0, total)
 	strides := 0
 	incremental := 0
+	estimated := 0
 	for i := 0; i < total; i++ {
 		p := sim.NextPacket()
 		history = append(history, p)
@@ -116,12 +115,18 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			continue
 		}
 		compareResults(t, strides, res, wantRes)
+		if res.Breathing != nil || res.MultiPerson != nil {
+			estimated++
+		}
 	}
 	if strides < 10 {
 		t.Fatalf("only %d strides processed", strides)
 	}
 	if incremental < strides-1 {
 		t.Fatalf("incremental reuse engaged on %d of %d strides", incremental, strides)
+	}
+	if estimated == 0 {
+		t.Fatalf("no stride of %d produced a %s estimate", strides, estimator)
 	}
 }
 
@@ -185,6 +190,21 @@ func compareResults(t *testing.T, stride int, got, want *Result) {
 		if d := math.Abs(got.Breathing.RateBPM - want.Breathing.RateBPM); d > bpmTol {
 			t.Fatalf("stride %d: breathing %v vs %v (Δ %g)", stride,
 				got.Breathing.RateBPM, want.Breathing.RateBPM, d)
+		}
+	}
+	if (got.MultiPerson == nil) != (want.MultiPerson == nil) {
+		t.Fatalf("stride %d: multi-person nil-ness differs", stride)
+	}
+	if got.MultiPerson != nil {
+		if len(got.MultiPerson.RatesBPM) != len(want.MultiPerson.RatesBPM) {
+			t.Fatalf("stride %d: multi-person rates %v vs %v", stride,
+				got.MultiPerson.RatesBPM, want.MultiPerson.RatesBPM)
+		}
+		for j := range got.MultiPerson.RatesBPM {
+			if d := math.Abs(got.MultiPerson.RatesBPM[j] - want.MultiPerson.RatesBPM[j]); d > bpmTol {
+				t.Fatalf("stride %d: person %d rate %v vs %v (Δ %g)", stride, j,
+					got.MultiPerson.RatesBPM[j], want.MultiPerson.RatesBPM[j], d)
+			}
 		}
 	}
 	if (got.Heart == nil) != (want.Heart == nil) {

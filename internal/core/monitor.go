@@ -88,10 +88,6 @@ type MonitorConfig struct {
 	// after an outage. Zero selects the default of one second (at least
 	// twenty packet intervals); negative disables gap detection.
 	MaxGapSeconds float64
-	// FullRecompute disables the incremental engine and reprocesses the
-	// whole window from raw CSI every stride — the pre-ring-buffer
-	// behavior, kept for A/B comparison and as a benchmark baseline.
-	FullRecompute bool
 	// Metrics, when non-nil, receives the monitor's runtime metrics:
 	// per-stage latency histograms (via an implicit StageMetrics observer
 	// combined with any configured Pipeline.Observer), a stride-latency
@@ -118,8 +114,8 @@ type MonitorConfig struct {
 	// logging too.
 	Logger *slog.Logger
 	// Arena, when non-nil, is the allocator the monitor's columnar window
-	// storage (phase rings, smoothing matrices, raw-CSI retention) is
-	// carved from, and to which it returns on Close. Sharing one arena
+	// storage (the derived-quantity ring and the two smoothing matrices)
+	// is carved from, and to which it returns on Close. Sharing one arena
 	// across a fleet of monitors lets sessions recycle each other's
 	// window slabs instead of growing the heap per session. Nil (the
 	// default) allocates private, unpooled slabs.
@@ -251,13 +247,13 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The incremental engine discards raw CSI once its ring caches are
-	// filled, so backends that re-read the trace (amplitude method) can
-	// only run on the full-recompute path. Fail fast instead of erroring
-	// on every stride.
-	if !cfg.FullRecompute && cfg.Pipeline.Estimator != "" {
+	// The stride engine keeps only quantities derived from CSI at ingest,
+	// never the raw trace, so backends that re-read it (the amplitude
+	// method) are batch-only. Fail fast instead of erroring on every
+	// stride.
+	if cfg.Pipeline.Estimator != "" {
 		if be, lerr := LookupBreathingEstimator(cfg.Pipeline.Estimator); lerr == nil && needsRawTrace(be) {
-			return nil, fmt.Errorf("core: estimator %q needs the raw trace; set MonitorConfig.FullRecompute",
+			return nil, fmt.Errorf("core: estimator %q is batch-only (it reads the raw trace); run it through Processor.Process",
 				cfg.Pipeline.Estimator)
 		}
 	}

@@ -433,17 +433,15 @@ func TestEstimatorRegistry(t *testing.T) {
 func TestMonitorRejectsRawTraceEstimatorIncrementally(t *testing.T) {
 	cfg := DefaultMonitorConfig()
 	cfg.Pipeline.Estimator = "amplitude"
-	if _, err := NewMonitor(cfg); err == nil {
-		t.Error("want error: amplitude estimator on the incremental path")
-	} else if !strings.Contains(err.Error(), "FullRecompute") {
-		t.Errorf("error should point at FullRecompute, got %v", err)
+	_, err := NewMonitor(cfg)
+	if err == nil {
+		t.Fatal("want error: amplitude estimator on a Monitor")
 	}
-	cfg.FullRecompute = true
-	m, err := NewMonitor(cfg)
-	if err != nil {
-		t.Fatalf("FullRecompute monitor with amplitude estimator: %v", err)
+	for _, want := range []string{"amplitude", "batch-only"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q should contain %q", err, want)
+		}
 	}
-	m.Close()
 }
 
 func TestStageErrorFormatting(t *testing.T) {

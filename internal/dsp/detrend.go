@@ -44,17 +44,12 @@ func DetrendLinear(x []float64) []float64 {
 	return out
 }
 
-// DetrendHampel removes the slow trend estimated by a large sliding-window
-// median (PhaseBeat's DC-removal step). window is the full Hampel window
-// length.
-func DetrendHampel(x []float64, window int) ([]float64, error) {
-	return DetrendHampelStrided(x, window, 1)
-}
-
-// DetrendHampelStrided is DetrendHampel with the trend evaluated only every
-// stride samples and linearly interpolated in between — a large speedup
-// that is essentially lossless because the trend is by construction slow
-// compared to any plausible stride.
+// DetrendHampelStrided removes the slow trend estimated by a large
+// sliding-window median (PhaseBeat's DC-removal step; window is the full
+// Hampel window length). The trend is evaluated only every stride samples
+// and linearly interpolated in between — a large speedup that is
+// essentially lossless because the trend is by construction slow compared
+// to any plausible stride; stride 1 is the exact running median.
 func DetrendHampelStrided(x []float64, window, stride int) ([]float64, error) {
 	trend, err := RunningMedianStrided(x, window, stride)
 	if err != nil {

@@ -57,38 +57,6 @@ func TestMovingAverageConstant(t *testing.T) {
 	}
 }
 
-func TestUpsample(t *testing.T) {
-	got, err := Upsample([]float64{1, 2, 3}, 2)
-	if err != nil {
-		t.Fatalf("Upsample: %v", err)
-	}
-	want := []float64{1, 0, 2, 0, 3}
-	if len(got) != len(want) {
-		t.Fatalf("length = %d, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i] != w {
-			t.Errorf("got[%d] = %v, want %v", i, got[i], w)
-		}
-	}
-}
-
-func TestLinearResample(t *testing.T) {
-	got, err := LinearResample([]float64{0, 2}, 3)
-	if err != nil {
-		t.Fatalf("LinearResample: %v", err)
-	}
-	want := []float64{0, 1, 2}
-	for i, w := range want {
-		if math.Abs(got[i]-w) > 1e-12 {
-			t.Errorf("got[%d] = %v, want %v", i, got[i], w)
-		}
-	}
-	if _, err := LinearResample(nil, 3); err == nil {
-		t.Error("want error for empty input")
-	}
-}
-
 func TestRemoveMean(t *testing.T) {
 	out := RemoveMean([]float64{1, 2, 3})
 	if math.Abs(Mean(out)) > 1e-12 {
@@ -118,9 +86,9 @@ func TestDetrendHampelRemovesDrift(t *testing.T) {
 	for i := range x {
 		x[i] = 10 + 0.002*float64(i) + 0.5*math.Sin(2*math.Pi*float64(i)/100)
 	}
-	out, err := DetrendHampel(x, 500)
+	out, err := DetrendHampelStrided(x, 500, 1)
 	if err != nil {
-		t.Fatalf("DetrendHampel: %v", err)
+		t.Fatalf("DetrendHampelStrided: %v", err)
 	}
 	if math.Abs(Mean(out[250:1750])) > 0.1 {
 		t.Errorf("mean after Hampel detrend = %v, want ~0", Mean(out[250:1750]))
@@ -132,26 +100,19 @@ func TestDetrendHampelRemovesDrift(t *testing.T) {
 }
 
 func TestWindows(t *testing.T) {
-	for name, fn := range map[string]WindowFunc{
-		"hann": Hann, "hamming": Hamming, "blackman": Blackman, "rect": Rectangular,
-	} {
-		w := fn(64)
-		if len(w) != 64 {
-			t.Errorf("%s: length %d", name, len(w))
-		}
-		// Symmetric.
-		for i := 0; i < 32; i++ {
-			if math.Abs(w[i]-w[63-i]) > 1e-12 {
-				t.Errorf("%s: asymmetric at %d", name, i)
-			}
-		}
-		// Single-point windows are 1.
-		if one := fn(1); one[0] != 1 {
-			t.Errorf("%s(1) = %v, want 1", name, one[0])
+	w := Hamming(64)
+	if len(w) != 64 {
+		t.Errorf("hamming: length %d", len(w))
+	}
+	// Symmetric.
+	for i := 0; i < 32; i++ {
+		if math.Abs(w[i]-w[63-i]) > 1e-12 {
+			t.Errorf("hamming: asymmetric at %d", i)
 		}
 	}
-	if got := ApplyWindow([]float64{2, 2}, []float64{0.5, 1}); got[0] != 1 || got[1] != 2 {
-		t.Errorf("ApplyWindow = %v", got)
+	// Single-point windows are 1.
+	if one := Hamming(1); one[0] != 1 {
+		t.Errorf("hamming(1) = %v, want 1", one[0])
 	}
 }
 
@@ -249,50 +210,6 @@ func TestPhaseWrapUnwrapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPhaseDifference(t *testing.T) {
-	a := []float64{0.1, 3.0}
-	b := []float64{-0.1, -3.0}
-	got := PhaseDifference(a, b)
-	if math.Abs(got[0]-0.2) > 1e-12 {
-		t.Errorf("diff[0] = %v, want 0.2", got[0])
-	}
-	// 6.0 wraps to 6.0-2π ≈ -0.283.
-	if math.Abs(got[1]-(6-2*math.Pi)) > 1e-12 {
-		t.Errorf("diff[1] = %v, want %v", got[1], 6-2*math.Pi)
-	}
-}
-
-func TestGoertzelMatchesFFT(t *testing.T) {
-	fs := 100.0
-	n := 256
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2*math.Pi*12.5*float64(i)/fs) + 0.5*math.Cos(2*math.Pi*30*float64(i)/fs)
-	}
-	bins := FFTReal(x)
-	for _, bin := range []int{8, 32, 77} {
-		f := BinFrequency(bin, n, fs)
-		gm := GoertzelMagnitude(x, f, fs)
-		fm := math.Hypot(real(bins[bin]), imag(bins[bin]))
-		if math.Abs(gm-fm) > 1e-6*(1+fm) {
-			t.Errorf("bin %d: goertzel %v != fft %v", bin, gm, fm)
-		}
-	}
-}
-
-func TestGoertzelSweepFindsPeak(t *testing.T) {
-	fs := 20.0
-	x := make([]float64, 600)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * 0.3 * float64(i) / fs)
-	}
-	freqs, mags := GoertzelSweep(x, fs, 0.1, 0.6, 101)
-	best := ArgMax(mags)
-	if math.Abs(freqs[best]-0.3) > 0.01 {
-		t.Errorf("sweep peak at %v Hz, want 0.3", freqs[best])
 	}
 }
 

@@ -178,21 +178,6 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// FFTFreqs returns the frequency in Hz for each bin of an n-point FFT of a
-// signal sampled at rate fs, following the usual convention where bins
-// above n/2 represent negative frequencies.
-func FFTFreqs(n int, fs float64) []float64 {
-	freqs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		k := i
-		if i > n/2 {
-			k = i - n
-		}
-		freqs[i] = float64(k) * fs / float64(n)
-	}
-	return freqs
-}
-
 // BinFrequency returns the center frequency of FFT bin k for an n-point
 // transform at sample rate fs.
 func BinFrequency(k, n int, fs float64) float64 {

@@ -175,16 +175,6 @@ func directDFT(x []complex128) []complex128 {
 	return out
 }
 
-func TestFFTFreqs(t *testing.T) {
-	freqs := FFTFreqs(8, 80)
-	want := []float64{0, 10, 20, 30, 40, -30, -20, -10}
-	for i, w := range want {
-		if math.Abs(freqs[i]-w) > 1e-12 {
-			t.Errorf("freqs[%d] = %v, want %v", i, freqs[i], w)
-		}
-	}
-}
-
 func TestConvolve(t *testing.T) {
 	got := Convolve([]float64{1, 2, 3}, []float64{0, 1, 0.5})
 	want := []float64{0, 1, 2.5, 4, 1.5}

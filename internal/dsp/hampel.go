@@ -102,13 +102,6 @@ func grow[T any](dst []T, n int) []T {
 	return dst[:n]
 }
 
-// HampelTrend returns the sliding-window median of x — the "basic trend"
-// PhaseBeat extracts with a large Hampel window before detrending.
-func HampelTrend(x []float64, window int) ([]float64, error) {
-	// A threshold of zero replaces every sample with the window median.
-	return Hampel(x, window, 0)
-}
-
 // RunningMedianStrided evaluates the centered window median only at sample
 // indices 0, stride, 2·stride, … and linearly interpolates between those
 // anchor points; with stride 1 it is the exact running median. See

@@ -68,9 +68,10 @@ func TestHampelTrendIsRunningMedian(t *testing.T) {
 		x[i] = rng.NormFloat64() + float64(i)*0.05
 	}
 	window := 15
-	trend, err := HampelTrend(x, window)
+	// A zero threshold replaces every sample with its window median.
+	trend, err := Hampel(x, window, 0)
 	if err != nil {
-		t.Fatalf("HampelTrend: %v", err)
+		t.Fatalf("Hampel: %v", err)
 	}
 	// Compare against a brute-force centered median.
 	half := window / 2
@@ -208,7 +209,6 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 				_, err := HampelRange(nil, x[40:100], 40, len(x), 11, 3, 50, 90)
 				return err
 			},
-			"HampelTrend": func() error { _, err := HampelTrend(x, 11); return err },
 			"RunningMedianStrided": func() error {
 				_, err := RunningMedianStrided(x, 11, 4)
 				return err
@@ -217,7 +217,6 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 				_, err := RunningMedianStridedRange(nil, x, 11, 4, 50, 90)
 				return err
 			},
-			"DetrendHampel": func() error { _, err := DetrendHampel(x, 11); return err },
 		}
 		for name, call := range calls {
 			if err := call(); !errors.Is(err, ErrNonFinite) {

@@ -96,16 +96,6 @@ func enforceMinDistance(candidates []Peak, minDistance int) []Peak {
 	return out
 }
 
-// MeanPeakInterval returns the average spacing (in samples) between
-// consecutive peaks. ok is false with fewer than two peaks.
-func MeanPeakInterval(peaks []Peak) (interval float64, ok bool) {
-	if len(peaks) < 2 {
-		return 0, false
-	}
-	total := peaks[len(peaks)-1].Index - peaks[0].Index
-	return float64(total) / float64(len(peaks)-1), true
-}
-
 // MedianPeakInterval returns the median spacing between consecutive peaks —
 // robust to a spurious extra peak near either edge, which would bias the
 // span-based mean. ok is false with fewer than two peaks.

@@ -44,16 +44,3 @@ func UnwrapPhaseInto(dst, phase []float64) []float64 {
 	}
 	return out
 }
-
-// PhaseDifference returns the wrapped difference a-b element-wise.
-func PhaseDifference(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = WrapPhase(a[i] - b[i])
-	}
-	return out
-}

@@ -67,49 +67,3 @@ func MovingAverage(x []float64, window int) []float64 {
 	}
 	return out
 }
-
-// Upsample inserts factor-1 zeros between consecutive samples of x
-// (used by the inverse wavelet transform and interpolation tests).
-func Upsample(x []float64, factor int) ([]float64, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("dsp: upsample factor must be positive, got %d", factor)
-	}
-	if len(x) == 0 {
-		return nil, nil
-	}
-	out := make([]float64, (len(x)-1)*factor+1)
-	for i, v := range x {
-		out[i*factor] = v
-	}
-	return out, nil
-}
-
-// LinearResample resamples x to exactly n samples using linear
-// interpolation over the original index range.
-func LinearResample(x []float64, n int) ([]float64, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("dsp: resample length must be positive, got %d", n)
-	}
-	if len(x) == 0 {
-		return nil, fmt.Errorf("%w: LinearResample", ErrEmptyInput)
-	}
-	out := make([]float64, n)
-	if len(x) == 1 || n == 1 {
-		for i := range out {
-			out[i] = x[0]
-		}
-		return out, nil
-	}
-	scale := float64(len(x)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		pos := float64(i) * scale
-		lo := int(pos)
-		if lo >= len(x)-1 {
-			out[i] = x[len(x)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = x[lo]*(1-frac) + x[lo+1]*frac
-	}
-	return out, nil
-}

@@ -64,20 +64,6 @@ func MeanAbsDev(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// MedianAbsDev returns the median absolute deviation around the median —
-// the robust scale estimate used inside the Hampel filter.
-func MedianAbsDev(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	med := Median(x)
-	dev := make([]float64, len(x))
-	for i, v := range x {
-		dev[i] = math.Abs(v - med)
-	}
-	return Median(dev)
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of x using linear
 // interpolation between order statistics. x is not modified.
 func Percentile(x []float64, p float64) float64 {
@@ -151,20 +137,6 @@ func Autocorrelation(x []float64, maxLag int) []float64 {
 		out[lag] = s / denom
 	}
 	return out
-}
-
-// ArgMax returns the index of the maximum element of x (-1 if empty).
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range x {
-		if v > x[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // RMS returns the root-mean-square of x.

@@ -24,7 +24,7 @@ func TestBasicStats(t *testing.T) {
 }
 
 func TestStatsEmpty(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 || Variance(nil) != 0 || MeanAbsDev(nil) != 0 || MedianAbsDev(nil) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 || Variance(nil) != 0 || MeanAbsDev(nil) != 0 {
 		t.Error("empty-slice statistics should be zero")
 	}
 	if Percentile(nil, 50) != 0 {
@@ -42,13 +42,6 @@ func TestMeanAbsDev(t *testing.T) {
 	}
 }
 
-func TestMedianAbsDev(t *testing.T) {
-	x := []float64{1, 1, 2, 2, 4, 6, 9} // median 2, abs devs 1 1 0 0 2 4 7 → median 1
-	if got := MedianAbsDev(x); got != 1 {
-		t.Errorf("MedianAbsDev = %v, want 1", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{
@@ -61,17 +54,11 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMinMaxAndArgMax(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	x := []float64{3, -1, 7, 2}
 	mn, mx := MinMax(x)
 	if mn != -1 || mx != 7 {
 		t.Errorf("MinMax = (%v, %v), want (-1, 7)", mn, mx)
-	}
-	if got := ArgMax(x); got != 2 {
-		t.Errorf("ArgMax = %d, want 2", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %d, want -1", got)
 	}
 }
 

@@ -2,31 +2,6 @@ package dsp
 
 import "math"
 
-// WindowFunc generates an n-point window.
-type WindowFunc func(n int) []float64
-
-// Rectangular returns an all-ones window.
-func Rectangular(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-// Hann returns the symmetric Hann window.
-func Hann(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return w
-}
-
 // Hamming returns the symmetric Hamming window.
 func Hamming(n int) []float64 {
 	w := make([]float64, n)
@@ -38,32 +13,4 @@ func Hamming(n int) []float64 {
 		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
 	}
 	return w
-}
-
-// Blackman returns the symmetric Blackman window.
-func Blackman(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		t := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = 0.42 - 0.5*math.Cos(t) + 0.08*math.Cos(2*t)
-	}
-	return w
-}
-
-// ApplyWindow multiplies x element-wise by window w, returning a new slice.
-// The shorter length of the two is used.
-func ApplyWindow(x, w []float64) []float64 {
-	n := len(x)
-	if len(w) < n {
-		n = len(w)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = x[i] * w[i]
-	}
-	return out
 }
