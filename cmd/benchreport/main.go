@@ -66,10 +66,11 @@ const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|Benchmar
 // but the gate must fail on 0 → 1). Benchmarks with small nonzero alloc
 // counts (the stride/pipeline runs) stay on the fractional gate — GC
 // timing refills their pools by a few allocs run to run, which strict
-// gating would misread as regressions. The disabled-tracer span path is
-// part of the zero-overhead contract and is strict-gated too, as are the
-// warm median kernels, whose scratch is pooled.
-const defaultStrictAllocs = "BenchmarkColumnarIngest|BenchmarkQuarantinePush$|BenchmarkStreamingCorrelationAppend$|BenchmarkSpanIngestOverhead/disabled|BenchmarkRunningMedianStrided/|BenchmarkHampel/"
+// gating would misread as regressions. The tracer's per-packet span path
+// is strict-gated too, disabled (the zero-overhead contract) and enabled
+// on an unretained span, as are the warm median kernels, whose scratch
+// is pooled.
+const defaultStrictAllocs = "BenchmarkColumnarIngest|BenchmarkQuarantinePush$|BenchmarkStreamingCorrelationAppend$|BenchmarkSpanIngestOverhead/|BenchmarkRunningMedianStrided/|BenchmarkHampel/"
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)

@@ -1,8 +1,10 @@
 // Package arena provides the columnar CSI memory layout shared by the
 // batch pipeline and the streaming Monitor: a size-classed float64 slab
 // allocator (Arena), dense subcarrier-major matrices whose rows live in
-// one flat backing slab (Matrix), and power-of-two columnar ring buffers
-// with absolute sample indexing and zero-copy window views (Ring, View).
+// one flat backing slab (Matrix), and columnar ring buffers with absolute
+// sample indexing and zero-copy window views (Ring, View). Every slab is
+// exactly as long as its payload: the size classes only key the free
+// lists, they never round an allocation up.
 //
 // The motivating access pattern is PhaseBeat's: packets arrive as
 // row-oriented per-packet [antenna][subcarrier] matrices, but every DSP
@@ -31,16 +33,19 @@ import (
 // pooled, so one giant transient request cannot pin memory forever.
 const maxPooledClass = 26
 
-// Arena is a size-classed free-list allocator for float64 slabs. Alloc rounds the request up to the next power of two and reuses a
-// released slab of that class when one is available; Release returns a
-// slab for reuse. All methods are safe for concurrent use, and all are
-// nil-tolerant: a nil *Arena degrades to plain make with no pooling, so
-// code paths can run arena-less (tests, one-shot tools) without guards.
+// Arena is a size-classed free-list allocator for float64 slabs. Every
+// slab is allocated at exactly the requested length; the power-of-two
+// class of its capacity only keys the free list it returns to, so a
+// request reuses the shortest released slab of its class that can hold
+// it. All methods are safe for concurrent use, and all are nil-tolerant:
+// a nil *Arena degrades to plain make with no pooling, so code paths can
+// run arena-less (tests, one-shot tools) without guards.
 type Arena struct {
 	mu     sync.Mutex
 	floats map[uint][][]float64
 
 	allocs, reuses uint64
+	bytes          int64
 }
 
 // New returns an empty arena.
@@ -57,8 +62,10 @@ func sizeClass(n int) uint {
 	return c
 }
 
-// Floats returns a zeroed slab of exactly n float64s (capacity rounded up
-// to the size class), reusing a released slab when possible.
+// Floats returns a zeroed slab of exactly n float64s. It reuses the
+// shortest released slab of n's size class whose capacity holds n (its
+// capacity may exceed n by less than the class width) and otherwise
+// allocates a fresh slab with capacity n.
 func (a *Arena) Floats(n int) []float64 {
 	if n <= 0 {
 		return nil
@@ -68,44 +75,67 @@ func (a *Arena) Floats(n int) []float64 {
 	}
 	c := sizeClass(n)
 	a.mu.Lock()
+	// Best fit, so a short request never takes the slab a longer request
+	// of the same class needs while both are held (first fit would make
+	// the longer one allocate fresh); newest first on ties, the likeliest
+	// to still be cache-warm.
 	free := a.floats[c]
-	if k := len(free); k > 0 {
-		s := free[k-1]
-		a.floats[c] = free[:k-1]
+	best := -1
+	for i := len(free) - 1; i >= 0; i-- {
+		if k := cap(free[i]); k >= n && (best < 0 || k < cap(free[best])) {
+			best = i
+			if k == n {
+				break
+			}
+		}
+	}
+	if best >= 0 {
+		s := free[best]
+		last := len(free) - 1
+		copy(free[best:], free[best+1:])
+		free[last] = nil
+		a.floats[c] = free[:last]
 		a.reuses++
+		a.bytes += 8 * int64(cap(s))
 		a.mu.Unlock()
 		s = s[:n]
 		clear(s)
 		return s
 	}
 	a.allocs++
+	a.bytes += 8 * int64(n)
 	a.mu.Unlock()
-	return make([]float64, n, 1<<c)
+	return make([]float64, n)
 }
 
-// ReleaseFloats returns a slab obtained from Floats to the free list. The
-// caller must not touch the slab (or any view into it) afterwards.
-// Slabs whose capacity is not a power of two (foreign memory) and slabs
-// above the pooling cap are dropped for the GC instead.
+// ReleaseFloats returns a slab obtained from Floats to the free list of
+// its capacity's size class. The caller must not touch the slab (or any
+// view into it) afterwards. Empty slabs and slabs above the pooling cap
+// are dropped for the GC instead.
 func (a *Arena) ReleaseFloats(s []float64) {
 	if a == nil || cap(s) == 0 {
 		return
 	}
 	c := sizeClass(cap(s))
-	if 1<<c != cap(s) || c > maxPooledClass {
-		return
-	}
 	a.mu.Lock()
-	a.floats[c] = append(a.floats[c], s[:0])
+	a.bytes -= 8 * int64(cap(s))
+	if c <= maxPooledClass {
+		a.floats[c] = append(a.floats[c], s[:0])
+	}
 	a.mu.Unlock()
 }
 
-// Stats reports cumulative allocator traffic: fresh slab allocations and
-// free-list reuses. A fleet of sessions sharing one arena should see
-// Reuses dominate Allocs once session churn reaches steady state.
+// Stats reports allocator traffic: cumulative fresh slab allocations and
+// free-list reuses, and the capacity bytes of the slabs currently handed
+// out (raised by Floats, lowered by ReleaseFloats). A fleet of sessions
+// sharing one arena should see Reuses dominate Allocs once session churn
+// reaches steady state, and Bytes track the open sessions' window
+// storage. Bytes is signed so that releasing memory the arena never
+// handed out shows up as a deficit rather than wrapping around.
 type Stats struct {
 	Allocs uint64
 	Reuses uint64
+	Bytes  int64
 }
 
 // Stats returns a snapshot of the allocator counters.
@@ -115,7 +145,7 @@ func (a *Arena) Stats() Stats {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return Stats{Allocs: a.allocs, Reuses: a.reuses}
+	return Stats{Allocs: a.allocs, Reuses: a.reuses, Bytes: a.bytes}
 }
 
 // Matrix is a dense channel-major matrix: row r (one subcarrier's or one

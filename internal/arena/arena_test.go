@@ -22,17 +22,24 @@ func TestSizeClass(t *testing.T) {
 func TestArenaReuseAndZeroing(t *testing.T) {
 	a := New()
 	s := a.Floats(100)
-	if len(s) != 100 || cap(s) != 128 {
-		t.Fatalf("Floats(100): len=%d cap=%d, want 100/128", len(s), cap(s))
+	if len(s) != 100 || cap(s) != 100 {
+		t.Fatalf("Floats(100): len=%d cap=%d, want exactly 100/100", len(s), cap(s))
+	}
+	if got := a.Stats().Bytes; got != 800 {
+		t.Fatalf("Bytes after Floats(100) = %d, want 800", got)
 	}
 	for i := range s {
 		s[i] = float64(i) + 1
 	}
 	a.ReleaseFloats(s)
-	// Same class, different length: must come back zeroed from the free list.
+	if got := a.Stats().Bytes; got != 0 {
+		t.Fatalf("Bytes after release = %d, want 0", got)
+	}
+	// Same class, shorter request: the larger released slab is reused,
+	// trimmed to the request and zeroed.
 	r := a.Floats(70)
-	if len(r) != 70 || cap(r) != 128 {
-		t.Fatalf("Floats(70): len=%d cap=%d, want 70/128", len(r), cap(r))
+	if len(r) != 70 || cap(r) != 100 {
+		t.Fatalf("Floats(70): len=%d cap=%d, want 70/100", len(r), cap(r))
 	}
 	if &r[0] != &s[0] {
 		t.Fatalf("Floats(70) did not reuse the released slab")
@@ -43,8 +50,39 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 		}
 	}
 	st := a.Stats()
-	if st.Allocs != 1 || st.Reuses != 1 {
-		t.Fatalf("stats = %+v, want 1 alloc / 1 reuse", st)
+	if st.Allocs != 1 || st.Reuses != 1 || st.Bytes != 800 {
+		t.Fatalf("stats = %+v, want 1 alloc / 1 reuse / 800 bytes out", st)
+	}
+}
+
+// TestArenaNeverServesShortSlab: a request larger than every free slab of
+// its size class allocates fresh (never a short slab), and a request
+// reuses the shortest free slab that holds it, leaving longer ones for
+// longer requests held at the same time.
+func TestArenaNeverServesShortSlab(t *testing.T) {
+	a := New()
+	s90, s120 := a.Floats(90), a.Floats(120) // both class 7 (65..128)
+	a.ReleaseFloats(s90)
+	a.ReleaseFloats(s120)
+	big := a.Floats(125)
+	if len(big) != 125 || cap(big) != 125 {
+		t.Fatalf("Floats(125): len=%d cap=%d, want a fresh 125/125 slab", len(big), cap(big))
+	}
+	if st := a.Stats(); st.Allocs != 3 || st.Reuses != 0 {
+		t.Fatalf("stats = %+v, want 3 allocs / 0 reuses", st)
+	}
+	// Taking the newest fitting slab (the 120) here would leave nothing
+	// for the 100-request below.
+	small := a.Floats(80)
+	if cap(small) != 90 || &small[0] != &s90[0] {
+		t.Fatalf("Floats(80) got cap %d, want the released 90-slab", cap(small))
+	}
+	mid := a.Floats(100)
+	if cap(mid) != 120 || &mid[0] != &s120[0] {
+		t.Fatalf("Floats(100) got cap %d, want the released 120-slab", cap(mid))
+	}
+	if st := a.Stats(); st.Allocs != 3 || st.Reuses != 2 || st.Bytes != 8*(125+120+90) {
+		t.Fatalf("stats = %+v, want 3 allocs / 2 reuses / %d bytes out", st, 8*(125+120+90))
 	}
 }
 
@@ -63,16 +101,26 @@ func TestArenaNilSafe(t *testing.T) {
 	}
 }
 
+// TestArenaRejectsForeignSlabs pins the pooling rule: a released slab is
+// keyed by its capacity's size class — wherever it came from — and only
+// ever serves requests it can hold; empty slabs are dropped.
 func TestArenaRejectsForeignSlabs(t *testing.T) {
 	a := New()
-	// Capacity 100 is not a power of two: must be dropped, not pooled.
-	a.ReleaseFloats(make([]float64, 100))
-	if len(a.floats) != 0 {
-		t.Fatalf("foreign slab was pooled")
-	}
 	a.ReleaseFloats(nil)
+	a.ReleaseFloats(make([]float64, 0))
 	if len(a.floats) != 0 {
-		t.Fatalf("nil slab was pooled")
+		t.Fatalf("empty slab was pooled")
+	}
+	foreign := make([]float64, 10, 100)
+	a.ReleaseFloats(foreign)
+	if got := len(a.floats[sizeClass(100)]); got != 1 {
+		t.Fatalf("class %d holds %d slabs, want the foreign one", sizeClass(100), got)
+	}
+	if s := a.Floats(101); cap(s) != 101 {
+		t.Fatalf("Floats(101) got cap %d: a short slab was served", cap(s))
+	}
+	if s := a.Floats(100); &s[:1][0] != &foreign[:1][0] || len(s) != 100 {
+		t.Fatalf("Floats(100) did not reuse the pooled 100-capacity slab")
 	}
 }
 

@@ -17,7 +17,7 @@ func FuzzRingView(f *testing.F) {
 	f.Fuzz(func(t *testing.T, planesIn, channelsIn, capIn uint8, pushes, probe uint16) {
 		planes := int(planesIn)%3 + 1
 		channels := int(channelsIn)%8 + 1
-		capacity := RingCapacity(int(capIn)%33 + 1)
+		capacity := int(capIn)%33 + 1
 		n := int(pushes) % 300
 		r := NewFloatRing(nil, planes, channels, capacity)
 
@@ -98,7 +98,7 @@ func TestViewNoCrossChannelAliasing(t *testing.T) {
 	prop := func(seed uint16) bool {
 		planes := int(seed)%2 + 1
 		channels := int(seed>>1)%6 + 2
-		capacity := RingCapacity(int(seed>>4)%17 + 1)
+		capacity := int(seed>>4)%17 + 1
 		r := NewFloatRing(nil, planes, channels, capacity)
 		total := capacity + int(seed)%capacity + 1 // force wraparound
 		for i := 0; i < total; i++ {

@@ -13,8 +13,9 @@ import "fmt"
 //	data[((p*channels)+c)*capacity + s]
 //
 // so one channel's history is contiguous — the property every DSP stage
-// wants — and slot s for absolute sample index i is i & (capacity-1)
-// (capacity is a power of two).
+// wants — and slot s for absolute sample index i is i mod capacity. The
+// capacity is exactly what the caller asked for (a Monitor's window
+// length), so the slab holds no slot the window never reads.
 //
 // Indexing is absolute: Head is the count of samples ever admitted, and
 // sample i remains addressable while Head-capacity <= i < Head. Views
@@ -27,9 +28,11 @@ import "fmt"
 type Ring struct {
 	channels int
 	capacity int
-	mask     int64
 	head     int64
-	data     []float64
+	// slot is head mod capacity, wrapped incrementally by Advance so the
+	// per-packet write path never divides.
+	slot int
+	data []float64
 	// cols caches one contiguous column header per (plane, channel) so
 	// the hot ingest path indexes straight into its column slice.
 	cols [][]float64
@@ -42,13 +45,12 @@ func newRing(planes, channels, capacity int, data []float64) *Ring {
 	if planes <= 0 || channels <= 0 {
 		panic(fmt.Sprintf("arena: ring geometry %d planes x %d channels", planes, channels))
 	}
-	if capacity <= 0 || capacity&(capacity-1) != 0 {
-		panic(fmt.Sprintf("arena: ring capacity %d is not a power of two", capacity))
+	if capacity <= 0 {
+		panic(fmt.Sprintf("arena: ring capacity %d", capacity))
 	}
 	r := &Ring{
 		channels: channels,
 		capacity: capacity,
-		mask:     int64(capacity - 1),
 		data:     data,
 		cols:     make([][]float64, planes*channels),
 	}
@@ -59,24 +61,13 @@ func newRing(planes, channels, capacity int, data []float64) *Ring {
 	return r
 }
 
-// RingCapacity rounds n up to the power of two a ring holding n samples
-// needs.
-func RingCapacity(n int) int {
-	c := 1
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
-
-// NewFloatRing allocates a ring from the arena (nil a = plain make).
-// capacity is rounded up to a power of two.
+// NewFloatRing allocates a ring of exactly capacity samples per column
+// from the arena (nil a = plain make).
 func NewFloatRing(a *Arena, planes, channels, capacity int) *Ring {
-	capacity = RingCapacity(capacity)
 	return newRing(planes, channels, capacity, a.Floats(planes*channels*capacity))
 }
 
-// Capacity returns the (power-of-two) per-channel sample capacity.
+// Capacity returns the per-channel sample capacity.
 func (r *Ring) Capacity() int { return r.capacity }
 
 // Head returns the absolute index one past the newest admitted sample —
@@ -85,13 +76,18 @@ func (r *Ring) Head() int64 { return r.head }
 
 // Slot returns the in-column slot the *next* sample (index Head) will
 // occupy. Writers fill col[Slot()] across planes, then call Advance.
-func (r *Ring) Slot() int { return int(r.head & r.mask) }
+func (r *Ring) Slot() int { return r.slot }
 
 // Advance commits the sample written at Slot across all planes/channels.
-func (r *Ring) Advance() { r.head++ }
+func (r *Ring) Advance() {
+	r.head++
+	if r.slot++; r.slot == r.capacity {
+		r.slot = 0
+	}
+}
 
 // Reset forgets all samples; absolute indexing restarts at zero.
-func (r *Ring) Reset() { r.head = 0 }
+func (r *Ring) Reset() { r.head, r.slot = 0, 0 }
 
 // Column returns the full backing column for (plane p, channel c) —
 // capacity elements in slot order, not time order. It is the write
@@ -138,7 +134,7 @@ func (r *Ring) View(p, c int, start int64, n int) (View, error) {
 			start, start+int64(n), max64(0, r.head-int64(r.capacity)), r.head)
 	}
 	col := r.cols[p*r.channels+c]
-	lo := int(start & r.mask)
+	lo := int(start % int64(r.capacity))
 	if lo+n <= r.capacity {
 		return View{a: col[lo : lo+n : lo+n], start: start}, nil
 	}

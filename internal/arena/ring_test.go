@@ -7,20 +7,13 @@ import (
 	"testing"
 )
 
-func TestRingCapacityRounding(t *testing.T) {
-	cases := []struct{ n, want int }{{0, 1}, {1, 1}, {2, 2}, {3, 4}, {400, 512}, {512, 512}, {513, 1024}}
-	for _, c := range cases {
-		if got := RingCapacity(c.n); got != c.want {
-			t.Errorf("RingCapacity(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
 func TestRingGeometryPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { newRing(0, 3, 4, make([]float64, 0)) },
 		func() { newRing(1, 0, 4, make([]float64, 0)) },
-		func() { newRing(1, 1, 3, make([]float64, 3)) },
+		func() { newRing(1, 1, 0, make([]float64, 0)) },
+		func() { NewFloatRing(nil, 2, 3, 0) },
+		func() { NewFloatRing(nil, 2, 3, -4) },
 	} {
 		func() {
 			defer func() {
@@ -48,13 +41,16 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 	const (
 		planes   = 3
 		channels = 5
-		capReq   = 33 // rounds to 64
-		total    = 64*7 + 13
+		capReq   = 33 // not a power of two: the slot wraps by modulus
+		total    = capReq*7 + 13
 	)
 	a := New()
 	r := NewFloatRing(a, planes, channels, capReq)
-	if r.Capacity() != 64 {
-		t.Fatalf("capacity = %d, want 64", r.Capacity())
+	if r.Capacity() != capReq {
+		t.Fatalf("capacity = %d, want %d", r.Capacity(), capReq)
+	}
+	if got, want := a.Stats().Bytes, int64(8*planes*channels*capReq); got != want {
+		t.Fatalf("ring slab holds %d bytes, want exactly %d", got, want)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := int64(0); i < total; i++ {
@@ -67,6 +63,9 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 		r.Advance()
 		if r.Head() != i+1 {
 			t.Fatalf("head = %d after %d advances", r.Head(), i+1)
+		}
+		if want := int((i + 1) % capReq); r.Slot() != want {
+			t.Fatalf("slot = %d at head %d, want %d", r.Slot(), r.Head(), want)
 		}
 		// Probe random in-retention windows after every push.
 		for probe := 0; probe < 4; probe++ {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 
 	"phasebeat/internal/arena"
+	"phasebeat/internal/trace"
 )
 
 // TestMonitorSharedArenaReuse is the fleet-daemon contract end to end: a
@@ -103,5 +105,88 @@ func TestProcessorWithArenaReuse(t *testing.T) {
 	// Determinism across pooled runs: same trace, same output.
 	if res2.Breathing == nil || res1.Breathing == nil || res1.Breathing.RateBPM != res2.Breathing.RateBPM {
 		t.Fatalf("pooled reruns disagree: %+v vs %+v", res1.Breathing, res2.Breathing)
+	}
+}
+
+// TestMonitorWindowBytes pins the size of a paper-rate session's window
+// storage: a DefaultMonitorConfig Monitor holds exactly its five ring
+// planes plus one smoothed matrix, 8 · (5 + 1) · 30 · 24 000 bytes, with
+// no slab rounded up past its payload — and hands all of it back on Close.
+func TestMonitorWindowBytes(t *testing.T) {
+	ar := arena.New()
+	cfg := DefaultMonitorConfig()
+	cfg.Arena = ar
+	m, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := newFixedSim(t, cfg.SampleRate, 14, 3)
+	window := int(cfg.WindowSeconds * cfg.SampleRate)
+	for i := 0; i < window; i++ {
+		if !m.Ingest(sim.NextPacket()) {
+			t.Fatal("Ingest refused")
+		}
+	}
+	<-m.Updates()
+	want := int64(8 * (numPlanes + 1) * cfg.NumSubcarriers * window)
+	if want != 34_560_000 {
+		t.Fatalf("paper-rate payload = %d bytes, want 34 560 000", want)
+	}
+	if got := ar.Stats().Bytes; got != want {
+		t.Fatalf("live session holds %d arena bytes, want exactly %d", got, want)
+	}
+	m.Close()
+	if got := ar.Stats().Bytes; got != 0 {
+		t.Fatalf("closed session still holds %d arena bytes", got)
+	}
+}
+
+// TestProcessorArenaMixedLengths: traces of three different lengths whose
+// slabs share one size class reuse each other's released slabs, so after
+// the first round of calls the arena stops allocating — exact-length
+// slabs must not turn mixed-length traffic into fresh allocations.
+func TestProcessorArenaMixedLengths(t *testing.T) {
+	const rate = 50
+	ar := arena.New()
+	proc, err := NewProcessor(WithConfig(ConfigForRate(rate)), WithArena(ar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := newFixedSim(t, rate, 14, 4)
+	// Short, long, middle: the middle trace must fit a released long slab.
+	var traces []*trace.Trace
+	class := -1
+	for _, sec := range []float64{23, 27, 25} {
+		tr, err := sim.Generate(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(tr.Packets) * len(tr.Packets[0].CSI[0])
+		if c := bits.Len(uint(n - 1)); class < 0 {
+			class = c
+		} else if c != class {
+			t.Fatalf("%g s trace (%d floats) is outside size class %d", sec, n, class)
+		}
+		traces = append(traces, tr)
+	}
+
+	var afterFirst arena.Stats
+	for round := 0; round < 4; round++ {
+		for _, tr := range traces {
+			if _, err := proc.Process(tr); err != nil {
+				t.Fatal(err)
+			}
+			if got := ar.Stats().Bytes; got != 0 {
+				t.Fatalf("round %d: %d arena bytes still out after Process", round, got)
+			}
+		}
+		st := ar.Stats()
+		if round == 0 {
+			afterFirst = st
+			continue
+		}
+		if st.Allocs != afterFirst.Allocs {
+			t.Fatalf("round %d: allocs grew %d -> %d (stats %+v)", round, afterFirst.Allocs, st.Allocs, st)
+		}
 	}
 }

@@ -86,8 +86,8 @@ func defaultMaxGapSeconds(cfg *MonitorConfig) float64 {
 // is bit-identical to ExtractPhaseDifference on the same window. Smoothed
 // samples in the settled interior [M, n-M) are mathematically identical
 // across overlapping windows (the detrend cancels the per-window unwrap
-// anchor), so they are copied forward from the previous stride rather than
-// recomputed; only floating-point ulp drift of the cancelled constant
+// anchor), so they are kept from the previous stride, shifted left in place
+// by the slide, rather than recomputed; only floating-point ulp drift of the cancelled constant
 // distinguishes them from a from-scratch batch run. See DESIGN.md,
 // "Incremental smoothing" and §12 "Columnar memory layout".
 type strideEngine struct {
@@ -112,19 +112,20 @@ type strideEngine struct {
 	lastTime float64
 	maxGap   float64
 
-	// ring is the columnar store (numPlanes × nSub channels, power-of-two
-	// capacity ≥ window); diff/sinD/cosD/ampA/ampB are its cached
+	// ring is the columnar store (numPlanes × nSub channels, capacity
+	// exactly one window); diff/sinD/cosD/ampA/ampB are its cached
 	// per-plane column headers, indexed [subcarrier][slot].
 	ring             *arena.Ring
 	diff, sinD, cosD [][]float64
 	ampA, ampB       [][]float64
 
-	// smoothed holds the previous stride's per-subcarrier smoothed windows;
-	// next is the matrix being computed this stride (the two swap).
-	smoothedM, nextM *arena.Matrix
-	smoothed, next   [][]float64
-	haveSmoothed     bool
-	prevPos          int // pos at which smoothed was computed
+	// smoothed holds the per-subcarrier smoothed windows, updated in place
+	// each stride: the settled interior shifts left by the slide and only
+	// the edges are recomputed.
+	smoothedM    *arena.Matrix
+	smoothed     [][]float64
+	haveSmoothed bool
+	prevPos      int // pos at which smoothed was last fully valid
 
 	scratch  sync.Pool // *subScratch
 	weaker   []float64
@@ -177,9 +178,7 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 	e.ampA = e.ring.Columns(planeAmpA)
 	e.ampB = e.ring.Columns(planeAmpB)
 	e.smoothedM = arena.NewMatrix(e.arena, e.nSub, window)
-	e.nextM = arena.NewMatrix(e.arena, e.nSub, window)
 	e.smoothed = e.smoothedM.Rows()
-	e.next = e.nextM.Rows()
 	e.weaker = make([]float64, e.nSub)
 	e.eligible = make([]bool, e.nSub)
 	if proc.cfg.EstimateRefreshEvery > 0 {
@@ -195,9 +194,8 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 func (e *strideEngine) release() {
 	e.ring.Release(e.arena)
 	e.smoothedM.Release(e.arena)
-	e.nextM.Release(e.arena)
 	e.diff, e.sinD, e.cosD, e.ampA, e.ampB = nil, nil, nil, nil, nil
-	e.smoothed, e.next = nil, nil
+	e.smoothed = nil
 }
 
 // push offers one packet to the ring. Packets that fail quarantine
@@ -367,10 +365,11 @@ func (e *strideEngine) strideSmooth(slide int) error {
 		})
 	}
 	if err != nil {
+		// Some rows may be half-updated in place. prevPos stays at the last
+		// good stride, so the next stride's prevPos+slide == pos check fails
+		// and it re-smooths every subcarrier in full.
 		return &StageError{Stage: StageSmooth, Err: err}
 	}
-	e.smoothed, e.next = e.next, e.smoothed
-	e.smoothedM, e.nextM = e.nextM, e.smoothedM
 	e.haveSmoothed = true
 	e.prevPos = e.pos
 
@@ -412,7 +411,7 @@ func (e *strideEngine) strideSmooth(slide int) error {
 
 // strideSubcarrier updates one subcarrier for the current stride: circular
 // mean and amplitude sums over zero-copy window views, rotation + unwrap,
-// and either a ranged or a full smoothing pass into e.next[s].
+// and either a ranged or a full smoothing pass into e.smoothed[s].
 func (e *strideEngine) strideSubcarrier(s, slide int, wstart int64, reuse bool, ss *subScratch) error {
 	n := e.window
 	pcfg := &e.proc.cfg
@@ -445,29 +444,30 @@ func (e *strideEngine) strideSubcarrier(s, slide int, wstart int64, reuse bool, 
 	dv.CopyTo(series)
 	ss.unwrap = unwrapAboutMean(series, mean, ss.unwrap)
 
+	row := e.smoothed[s]
 	if !reuse {
-		out, err := smoothRangeInto(e.next[s][:0], ss.unwrap, pcfg, 0, n, &ss.sc)
-		if err != nil {
+		if _, err := smoothRangeInto(row[:0], ss.unwrap, pcfg, 0, n, &ss.sc); err != nil {
 			return err
 		}
-		e.next[s] = out
 		e.accumTrend(s, ss.unwrap)
 		return nil
 	}
 
 	m := e.margin
 	lo := n - slide - m
+	// Settled interior: identical to the previous stride's values shifted
+	// left by the slide (both windows' dependency spans lie fully inside
+	// the data). copy is memmove-safe for the overlapping shift, and it
+	// must run first: the tail written below overlaps its source.
+	copy(row[m:lo], row[m+slide:n-m])
 	// Head margin: edge-truncated values, recomputed every stride.
-	if _, err := smoothRangeInto(e.next[s][:0], ss.unwrap, pcfg, 0, m, &ss.sc); err != nil {
+	if _, err := smoothRangeInto(row[:0], ss.unwrap, pcfg, 0, m, &ss.sc); err != nil {
 		return err
 	}
 	// New tail plus trailing margin.
-	if _, err := smoothRangeInto(e.next[s][lo:lo], ss.unwrap, pcfg, lo, n, &ss.sc); err != nil {
+	if _, err := smoothRangeInto(row[lo:lo], ss.unwrap, pcfg, lo, n, &ss.sc); err != nil {
 		return err
 	}
-	// Settled interior: identical to the previous stride's values shifted by
-	// the slide (both windows' dependency spans lie fully inside the data).
-	copy(e.next[s][m:lo], e.smoothed[s][m+slide:n-m])
 	e.accumTrend(s, ss.unwrap)
 	return nil
 }
@@ -495,9 +495,9 @@ func (e *strideEngine) accumTrend(s int, unwrap []float64) {
 		return
 	}
 	var sum float64
-	next := e.next[s]
+	row := e.smoothed[s]
 	for i := range unwrap {
-		sum += math.Abs(unwrap[i] - next[i])
+		sum += math.Abs(unwrap[i] - row[i])
 	}
 	e.trendAbs[s] = sum
 }

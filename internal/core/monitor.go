@@ -114,8 +114,8 @@ type MonitorConfig struct {
 	// logging too.
 	Logger *slog.Logger
 	// Arena, when non-nil, is the allocator the monitor's columnar window
-	// storage (the derived-quantity ring and the two smoothing matrices)
-	// is carved from, and to which it returns on Close. Sharing one arena
+	// storage (the derived-quantity ring and the smoothed matrix) is
+	// carved from, and to which it returns on Close. Sharing one arena
 	// across a fleet of monitors lets sessions recycle each other's
 	// window slabs instead of growing the heap per session. Nil (the
 	// default) allocates private, unpooled slabs.

@@ -71,7 +71,7 @@ type Config struct {
 	// Metrics, when non-nil, receives the fleet gauges: fleet.sessions,
 	// fleet.sessions.opened/closed, fleet.ingested, fleet.unrouted,
 	// fleet.updates, aggregate health counters, and per-shard
-	// fleet.shard.<i>.{sessions,arena.allocs,arena.reuses}.
+	// fleet.shard.<i>.{sessions,arena.allocs,arena.reuses,arena.bytes}.
 	Metrics *metrics.Registry
 	// Logger, when non-nil, receives session lifecycle events at Debug.
 	Logger *slog.Logger
@@ -470,6 +470,7 @@ func (m *Manager) ArenaStats() arena.Stats {
 		st := sh.arena.Stats()
 		total.Allocs += st.Allocs
 		total.Reuses += st.Reuses
+		total.Bytes += st.Bytes
 	}
 	return total
 }
@@ -515,6 +516,7 @@ func (m *Manager) register(reg *metrics.Registry) {
 		})
 		reg.RegisterFunc(prefix+".arena.allocs", func() float64 { return float64(sh.arena.Stats().Allocs) })
 		reg.RegisterFunc(prefix+".arena.reuses", func() float64 { return float64(sh.arena.Stats().Reuses) })
+		reg.RegisterFunc(prefix+".arena.bytes", func() float64 { return float64(sh.arena.Stats().Bytes) })
 	}
 }
 

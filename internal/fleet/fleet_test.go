@@ -167,8 +167,20 @@ func TestManagerSessionLifecycle(t *testing.T) {
 	if v := gaugeValue(t, reg, "fleet.sessions.opened"); v != 2 {
 		t.Fatalf("fleet.sessions.opened = %v, want 2", v)
 	}
+	// The open session's window slabs are out of the shard arenas, and
+	// the per-shard bytes gauges add up to the manager's total.
+	shardBytes := func() float64 {
+		return gaugeValue(t, reg, "fleet.shard.0.arena.bytes") + gaugeValue(t, reg, "fleet.shard.1.arena.bytes")
+	}
+	waitFor(t, func() bool { return mgr.ArenaStats().Bytes > 0 })
+	if b, g := mgr.ArenaStats().Bytes, shardBytes(); float64(b) != g {
+		t.Fatalf("ArenaStats().Bytes = %d, shard gauges sum to %v", b, g)
+	}
 
 	mgr.Close()
+	if b, g := mgr.ArenaStats().Bytes, shardBytes(); b != 0 || g != 0 {
+		t.Fatalf("closed fleet still holds arena bytes: stats %d, gauges %v", b, g)
+	}
 	if _, err := mgr.Open("gamma", SessionConfig{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("open after close: err = %v", err)
 	}

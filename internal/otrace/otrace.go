@@ -292,7 +292,9 @@ func (t *Tracer) FinishUpdate(key string, seq uint64, c *Ctx, publish int64) *Sp
 	}
 	t.observed.Add(1)
 	total := publish - c.Recv
-	segs := []Segment{
+	// A stack array: the segments reach the heap only when the span is
+	// retained, so the common unsampled path allocates nothing.
+	segs := [...]Segment{
 		{SegFrame, c.MailboxEnq - c.Recv},
 		{SegMailbox, c.QueueEnq - c.MailboxEnq},
 		{SegQueue, c.QueueDeq - c.QueueEnq},
@@ -322,7 +324,7 @@ func (t *Tracer) FinishUpdate(key string, seq uint64, c *Ctx, publish int64) *Sp
 			StartNanos:      c.Recv,
 			Start:           WallTime(c.Recv).UTC().Format(time.RFC3339Nano),
 			TotalNanos:      total,
-			Segments:        segs,
+			Segments:        append([]Segment(nil), segs[:]...),
 			Stages:          c.Stages,
 			ClientSendNanos: c.ClientSend,
 			Slow:            slow,

@@ -56,9 +56,11 @@ func TestHourSessionEndToEnd(t *testing.T) {
 		t.Skip("hour-scale end-to-end run")
 	}
 	const (
-		key  = "e2e"
-		rate = 25.0
-		subs = 8
+		key           = "e2e"
+		rate          = 25.0
+		subs          = 8
+		windowSeconds = 8
+		strideSeconds = 2
 	)
 	seconds := 3600
 	if raceEnabled {
@@ -85,8 +87,8 @@ func TestHourSessionEndToEnd(t *testing.T) {
 			SampleRate:         rate,
 			NumAntennas:        3,
 			NumSubcarriers:     subs,
-			WindowSeconds:      8,
-			UpdateEverySeconds: 2,
+			WindowSeconds:      windowSeconds,
+			UpdateEverySeconds: strideSeconds,
 		},
 		Recorder: recorder{st},
 	})
@@ -121,7 +123,12 @@ func TestHourSessionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lastT float64
+	// The final stride closes at the last packet index a whole number of
+	// strides past the first full window; its update carries that
+	// packet's time.
+	window, stride := int(windowSeconds*rate), int(strideSeconds*rate)
+	finalIdx := window - 1 + (n-window)/stride*stride
+	var lastT, finalT float64
 	for i := 0; i < n; i++ {
 		p := sim.NextPacket()
 		rows := make([][]complex128, len(p.CSI))
@@ -129,6 +136,9 @@ func TestHourSessionEndToEnd(t *testing.T) {
 			rows[a] = row[:subs:subs]
 		}
 		lastT = p.Time
+		if i == finalIdx {
+			finalT = p.Time
+		}
 		if err := mgr.Ingest(key, trace.Packet{Time: p.Time, CSI: rows}); err != nil {
 			t.Fatalf("ingest packet %d: %v", i, err)
 		}
@@ -146,12 +156,17 @@ func TestHourSessionEndToEnd(t *testing.T) {
 	}
 	// The recorder sees updates on the session's drain goroutine; wait
 	// until the final stride's estimate has landed in the tiers before
-	// pulling the plug.
+	// pulling the plug. The 1 s bin must hold the final stride's own
+	// time: strides are 2 s apart, so no earlier stride shares its bin,
+	// and a looser bound lets a slow (-race) recorder stop the wait one
+	// stride early, comparing replay's final estimate with the live
+	// penultimate one.
 	for {
 		res, err := st.Range(key, 0, math.Inf(1), "1s")
-		if err == nil && len(res.Breathing) > 0 &&
-			res.Breathing[len(res.Breathing)-1].Start >= float64(seconds)-4 {
-			break
+		if err == nil && len(res.Breathing) > 0 {
+			if b := res.Breathing[len(res.Breathing)-1]; b.Start <= finalT && finalT < b.Start+1 {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("final live update never recorded (err=%v)", err)
@@ -214,6 +229,9 @@ func TestHourSessionEndToEnd(t *testing.T) {
 	}
 	if last.Result.Breathing == nil {
 		t.Fatalf("replay's final update carries no breathing estimate: %+v", last)
+	}
+	if last.Time != finalT {
+		t.Fatalf("replay's final update is at %v s, live's at %v s", last.Time, finalT)
 	}
 	if delta := math.Abs(last.Result.Breathing.RateBPM - liveBPM); delta > 0.1 {
 		t.Fatalf("replay breathing %.3f bpm vs live %.3f bpm: |delta| %.3f > 0.1",
