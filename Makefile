@@ -11,9 +11,10 @@ COVER_MIN_CORE ?= 80
 # run of the fleet daemon's self-test, the same run again with the trace
 # store recording (append → seal → downsample → range-query round trip),
 # an observability pass (spans + SLO burn + flight dump + /metrics
-# scrape), and a gated coverage report over the internal packages.
+# scrape), the end-to-end benchmark module's vet and tests, and a gated
+# coverage report over the internal packages.
 .PHONY: check
-check: vet build race bench-smoke daemon-smoke store-smoke obs-smoke cover
+check: vet build race bench-smoke daemon-smoke store-smoke obs-smoke perfbench cover
 
 .PHONY: vet
 vet:
@@ -51,7 +52,7 @@ cover:
 # panic or reject their own fixtures without paying measurement time.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineProcess$$|BenchmarkMonitorStride$$|BenchmarkRunningMedianStrided$$|BenchmarkHampel$$|BenchmarkQuarantinePush$$|BenchmarkDWTDenoise$$|BenchmarkRootMUSIC$$|BenchmarkEstimateStage$$|BenchmarkStreamingCorrelationAppend$$|BenchmarkColumnarIngest$$|BenchmarkFleetDensity$$|BenchmarkStoreAppend$$|BenchmarkStoreRangeQuery$$|BenchmarkSpanIngestOverhead$$' -benchtime 1x ./internal/core ./internal/dsp ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineProcess$$|BenchmarkMonitorStride$$|BenchmarkRunningMedianStrided$$|BenchmarkHampel$$|BenchmarkQuarantinePush$$|BenchmarkDWTDenoise$$|BenchmarkRootMUSIC$$|BenchmarkEstimateStage$$|BenchmarkColumnarIngest$$|BenchmarkFleetDensity$$|BenchmarkStoreAppend$$|BenchmarkStoreRangeQuery$$|BenchmarkSpanIngestOverhead$$' -benchtime 1x ./internal/core ./internal/dsp ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace
 
 # A small, bounded run of the fleet daemon's in-process load harness:
 # opens sessions over sharded arenas with mid-run churn, and exits
@@ -80,6 +81,13 @@ obs-smoke:
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/phasebeatd -selftest -sessions 8 -seconds 12 -window 4 -stride 1 -churn 0.25 \
 	  -slo-target-ms 0.001 -span-sample 4 -flight-dir "$$dir/flight" -metrics-addr 127.0.0.1:0
+
+# The end-to-end benchmark harness is a separate module, so `go build
+# ./...` never compiles it: vet and test it here, or a change to an API
+# it uses (core.Health, Update, fleet) would break the benchmark unseen.
+.PHONY: perfbench
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # The columnar memory-layout benchmarks on their own, with allocation
 # stats — the report CI uploads as the columnar-bench artifact.

@@ -57,7 +57,7 @@ func main() {
 // (sessions/core Extra metric), the trace store's append and tier-query
 // paths, and the latency tracer's per-packet overhead (disabled and
 // enabled).
-const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|BenchmarkRunningMedianStrided$|BenchmarkHampel$|BenchmarkQuarantinePush$|BenchmarkDWTDenoise$|BenchmarkRootMUSIC$|BenchmarkEstimateStage$|BenchmarkStreamingCorrelationAppend$|BenchmarkColumnarIngest$|BenchmarkFleetDensity$|BenchmarkStoreAppend$|BenchmarkStoreRangeQuery$|BenchmarkSpanIngestOverhead$"
+const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|BenchmarkRunningMedianStrided$|BenchmarkHampel$|BenchmarkQuarantinePush$|BenchmarkDWTDenoise$|BenchmarkRootMUSIC$|BenchmarkEstimateStage$|BenchmarkColumnarIngest$|BenchmarkFleetDensity$|BenchmarkStoreAppend$|BenchmarkStoreRangeQuery$|BenchmarkSpanIngestOverhead$"
 
 // defaultStrictAllocs selects the zero-alloc hot paths whose allocs/op
 // is gated with zero tolerance against the baseline: warm columnar
@@ -70,7 +70,7 @@ const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|Benchmar
 // is strict-gated too, disabled (the zero-overhead contract) and enabled
 // on an unretained span, as are the warm median kernels, whose scratch
 // is pooled.
-const defaultStrictAllocs = "BenchmarkColumnarIngest|BenchmarkQuarantinePush$|BenchmarkStreamingCorrelationAppend$|BenchmarkSpanIngestOverhead/|BenchmarkRunningMedianStrided/|BenchmarkHampel/"
+const defaultStrictAllocs = "BenchmarkColumnarIngest|BenchmarkQuarantinePush$|BenchmarkSpanIngestOverhead/|BenchmarkRunningMedianStrided/|BenchmarkHampel/"
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)

@@ -348,11 +348,6 @@ func watchScene(sc phasebeat.Scenario, seconds float64, persons int, estimator s
 	cfg.WindowSeconds = 40
 	cfg.UpdateEverySeconds = 10
 	cfg.Pipeline.Estimator = estimator
-	// Realtime mode uses the incremental estimate stage: subspace tracking
-	// and streaming DWT per stride, re-anchored by an exact pass every 8th
-	// update. Tracker health shows up in degraded annotations, the final
-	// health line, and the /debug/metrics monitor.subspace.* gauges.
-	cfg.Pipeline.EstimateRefreshEvery = 8
 	// CombineObservers drops a nil timings/rec; NewMonitor adds the stage-
 	// metrics observer itself when cfg.Metrics is set. The UpdateObserver
 	// field is an interface, so the nil recorder must not be assigned
@@ -414,9 +409,6 @@ func watchScene(sc phasebeat.Scenario, seconds float64, persons int, estimator s
 	h := m.Health()
 	if h.Degraded() {
 		fmt.Printf("ingest health: %s (accepted %d)\n", h, h.Accepted)
-	} else if h.ExactRefreshes > 0 || h.TrackerResets > 0 {
-		fmt.Printf("subspace tracker: %d exact refreshes, %d resets, residual %.3g\n",
-			h.ExactRefreshes, h.TrackerResets, h.SubspaceResidual)
 	}
 	for i, t := range sim.Truth() {
 		fmt.Printf("ground truth person %d: breathing %.2f bpm, heart %.2f bpm\n",

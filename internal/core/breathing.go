@@ -246,9 +246,3 @@ func prepareMusicSeries(calibrated [][]float64, fs float64, cfg *Config) ([][]fl
 	}
 	return out, musicFs, nil
 }
-
-// PrepareMusicSeriesForTest exposes prepareMusicSeries for debugging and
-// white-box experiments.
-func PrepareMusicSeriesForTest(calibrated [][]float64, fs float64, cfg *Config) ([][]float64, float64, error) {
-	return prepareMusicSeries(calibrated, fs, cfg)
-}

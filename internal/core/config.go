@@ -92,24 +92,6 @@ type Config struct {
 	// HeartEstimator selects the heart backend; empty selects "fft".
 	HeartEstimator string
 
-	// EstimateRefreshEvery enables the incremental estimate stage on the
-	// Monitor's stride path: streaming correlation updates, subspace
-	// tracking, and DWT boundary-state reuse, with the exact estimators
-	// re-run (and the tracker re-seeded) every K-th stride to bound drift.
-	// 0 disables the subsystem (the default — every stride runs the exact
-	// estimators, bit-identical to the batch pipeline); 1 keeps the
-	// streaming state warm but still produces exact output every stride;
-	// K ≥ 2 runs the tracked estimators on the K−1 strides between
-	// refreshes. 8 is the recommended setting for live monitoring. The
-	// batch Processor ignores this knob.
-	EstimateRefreshEvery int
-	// SubspaceResidualLimit bounds the subspace tracker's invariance
-	// residual ‖R·U − U·(UᵀRU)‖_F/‖R‖_F on tracked strides: above the
-	// limit the tracker is reset and the stride falls back to the exact
-	// estimators. 0 selects the default (0.15); negative disables the
-	// check.
-	SubspaceResidualLimit float64
-
 	// Observer, when non-nil, receives OnStageStart/OnStageEnd callbacks
 	// with per-stage durations and data shapes from every pipeline run.
 	// It must be safe for concurrent use if the processor is shared.
@@ -194,8 +176,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: bad MUSIC parameters (%d, %d)", c.MusicDecimate, c.MusicWindow)
 	case c.Parallelism < 0:
 		return fmt.Errorf("core: negative parallelism %d", c.Parallelism)
-	case c.EstimateRefreshEvery < 0:
-		return fmt.Errorf("core: estimate refresh interval %d < 0", c.EstimateRefreshEvery)
 	}
 	if c.Estimator != "" {
 		if _, err := LookupBreathingEstimator(c.Estimator); err != nil {

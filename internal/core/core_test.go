@@ -632,8 +632,8 @@ func TestCalibrateEndToEnd(t *testing.T) {
 			t.Errorf("subcarrier %d mean %v after calibration", s, m)
 		}
 	}
-	// PrepareMusicSeriesForTest covers the decimation path.
-	series, fs, err := PrepareMusicSeriesForTest(calibrated, 20, &cfg)
+	// prepareMusicSeries covers the decimation path.
+	series, fs, err := prepareMusicSeries(calibrated, 20, &cfg)
 	if err != nil {
 		t.Fatalf("prepareMusicSeries: %v", err)
 	}

@@ -30,11 +30,6 @@ type EstimatorInput struct {
 	Persons int
 	// Config is the processor configuration.
 	Config *Config
-
-	// inc is the Monitor's incremental estimate stage; nil on the batch
-	// path. Subspace backends consult it for a tracked estimate before
-	// falling back to the exact correlation + eigendecomposition.
-	inc *estimateState
 }
 
 // BreathingResult is a breathing backend's output: exactly one of Single
@@ -200,7 +195,6 @@ func runEstimate(st *pipelineState) error {
 		Rate:       res.EstimationRate,
 		Persons:    p.nPersons,
 		Config:     cfg,
-		inc:        st.inc,
 	}
 	if st.wantEvidence {
 		// Deferred so every exit — success, non-finite guard, best-effort
@@ -220,8 +214,6 @@ func runEstimate(st *pipelineState) error {
 			}
 			res.Breathing = breathing
 			breathingHz = breathing.RateBPM / 60
-		} else if multi, ok := st.inc.tryMusic(false); ok {
-			res.MultiPerson = multi
 		} else {
 			musicInput := filterEligible(res.Calibrated, res.Selection.Eligible)
 			multi, err := EstimateBreathingMultiRootMUSIC(musicInput, in.Rate, p.nPersons, cfg)
@@ -305,9 +297,6 @@ type rootMusicEstimator struct{}
 func (rootMusicEstimator) Name() string { return "root-music" }
 
 func (rootMusicEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, error) {
-	if multi, ok := in.inc.tryMusic(false); ok {
-		return &BreathingResult{Multi: multi, BreathingHz: soloHz(multi, in.Persons)}, nil
-	}
 	multi, err := EstimateBreathingMultiRootMUSIC(filterEligible(in.Calibrated, in.Eligible), in.Rate, in.Persons, in.Config)
 	if err != nil {
 		return nil, err
@@ -322,9 +311,6 @@ type espritEstimator struct{}
 func (espritEstimator) Name() string { return "esprit" }
 
 func (espritEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, error) {
-	if multi, ok := in.inc.tryMusic(true); ok {
-		return &BreathingResult{Multi: multi, BreathingHz: soloHz(multi, in.Persons)}, nil
-	}
 	multi, err := EstimateBreathingMultiESPRIT(filterEligible(in.Calibrated, in.Eligible), in.Rate, in.Persons, in.Config)
 	if err != nil {
 		return nil, err

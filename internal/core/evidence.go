@@ -109,15 +109,6 @@ type EstimateEvidence struct {
 	RatesBPM     []float64 `json:"rates_bpm,omitempty"`
 	// Estimator names the backend/method that produced the estimate.
 	Estimator string `json:"estimator,omitempty"`
-
-	// SubspaceTracked is true when the rates came from the incremental
-	// subspace tracker instead of a full eigendecomposition;
-	// SubspaceExactRefresh marks the periodic exact-refresh strides.
-	// SubspaceResidual is the tracker's invariance residual after this
-	// stride. All zero when Config.EstimateRefreshEvery is 0.
-	SubspaceTracked      bool    `json:"subspace_tracked,omitempty"`
-	SubspaceExactRefresh bool    `json:"subspace_exact_refresh,omitempty"`
-	SubspaceResidual     float64 `json:"subspace_residual,omitempty"`
 }
 
 // confidenceHalfSNR is the SNR at which EstimateEvidence.Confidence
@@ -167,11 +158,6 @@ func newEstimateEvidence(in *EstimatorInput, res *Result) *EstimateEvidence {
 	case res.MultiPerson != nil:
 		ev.RatesBPM = append([]float64(nil), res.MultiPerson.RatesBPM...)
 		ev.Estimator = res.MultiPerson.Method
-	}
-	if inc := in.inc; inc != nil && inc.engaged() {
-		ev.SubspaceTracked = inc.lastTracked
-		ev.SubspaceExactRefresh = inc.exactStride
-		ev.SubspaceResidual = inc.lastResidual
 	}
 	if len(in.Breathing) == 0 {
 		return ev

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 )
@@ -42,23 +41,6 @@ type Health struct {
 	// StageObserver or UpdateObserver: the run loop survives them, but the
 	// observer's view of those strides is incomplete.
 	ObserverPanics uint64
-
-	// ExactRefreshes counts strides on which the incremental estimate
-	// stage re-ran the exact estimators and re-seeded its subspace
-	// tracker (the scheduled K-refresh plus forced refreshes). Zero when
-	// Config.EstimateRefreshEvery is 0. Not a fault: it does not degrade
-	// health.
-	ExactRefreshes uint64
-	// TrackerResets counts subspace-tracker discards: gap re-anchors,
-	// residuals over Config.SubspaceResidualLimit, and rank collapses.
-	// Not a fault by itself — every reset falls back to the exact
-	// estimators, so accuracy is preserved at the cost of latency.
-	TrackerResets uint64
-	// SubspaceResidual is the tracker's most recent invariance residual
-	// ‖R·U − U·(UᵀRU)‖_F/‖R‖_F — a cheap proxy for how far the tracked
-	// subspace has drifted from the live correlation matrix. 0 until the
-	// tracker first runs.
-	SubspaceResidual float64
 }
 
 // Quarantined returns the total packets rejected across all causes.
@@ -90,9 +72,6 @@ func (h Health) Sub(prev Health) Health {
 		PacketsDropped:          satSub(h.PacketsDropped, prev.PacketsDropped),
 		UpdatesReplaced:         satSub(h.UpdatesReplaced, prev.UpdatesReplaced),
 		ObserverPanics:          satSub(h.ObserverPanics, prev.ObserverPanics),
-		ExactRefreshes:          satSub(h.ExactRefreshes, prev.ExactRefreshes),
-		TrackerResets:           satSub(h.TrackerResets, prev.TrackerResets),
-		SubspaceResidual:        h.SubspaceResidual,
 	}
 }
 
@@ -106,13 +85,9 @@ func satSub(a, b uint64) uint64 {
 
 // String renders the non-zero fault counts compactly, e.g.
 // "quarantined 3 (non-finite 2, non-monotonic 1), gap resets 1"; a clean
-// summary reads "ok". Subspace-tracker telemetry (not a fault) is
-// appended when present, e.g. "ok; subspace refreshes 4, residual 0.012".
+// summary reads "ok".
 func (h Health) String() string {
 	if !h.Degraded() {
-		if s := h.subspaceString(); s != "" {
-			return "ok; " + s
-		}
 		return "ok"
 	}
 	var parts []string
@@ -141,26 +116,7 @@ func (h Health) String() string {
 	if h.ObserverPanics > 0 {
 		parts = append(parts, fmt.Sprintf("observer panics %d", h.ObserverPanics))
 	}
-	if s := h.subspaceString(); s != "" {
-		return strings.Join(parts, ", ") + "; " + s
-	}
 	return strings.Join(parts, ", ")
-}
-
-// subspaceString renders the incremental-estimate telemetry, or "" when
-// the subsystem has never engaged.
-func (h Health) subspaceString() string {
-	if h.ExactRefreshes == 0 && h.TrackerResets == 0 && h.SubspaceResidual == 0 {
-		return ""
-	}
-	s := fmt.Sprintf("subspace refreshes %d", h.ExactRefreshes)
-	if h.TrackerResets > 0 {
-		s += fmt.Sprintf(", tracker resets %d", h.TrackerResets)
-	}
-	if h.SubspaceResidual > 0 {
-		s += fmt.Sprintf(", residual %.3g", h.SubspaceResidual)
-	}
-	return s
 }
 
 // healthCounters is the Monitor's live, concurrency-safe counter set.
@@ -175,14 +131,6 @@ type healthCounters struct {
 	dropped        atomic.Uint64
 	replaced       atomic.Uint64
 	observerPanics atomic.Uint64
-
-	// Incremental-estimate telemetry, republished by the worker after
-	// each stride (Store, not Add — the source counters live on the
-	// stride engine). residualBits carries the float64 residual as
-	// math.Float64bits.
-	exactRefreshes atomic.Uint64
-	trackerResets  atomic.Uint64
-	residualBits   atomic.Uint64
 }
 
 // snapshot reads a consistent-enough copy for reporting (counters only
@@ -197,8 +145,5 @@ func (c *healthCounters) snapshot() Health {
 		PacketsDropped:          c.dropped.Load(),
 		UpdatesReplaced:         c.replaced.Load(),
 		ObserverPanics:          c.observerPanics.Load(),
-		ExactRefreshes:          c.exactRefreshes.Load(),
-		TrackerResets:           c.trackerResets.Load(),
-		SubspaceResidual:        math.Float64frombits(c.residualBits.Load()),
 	}
 }

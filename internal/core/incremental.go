@@ -141,11 +141,6 @@ type strideEngine struct {
 	// last stride actually smoothed (the window length when it could not
 	// reuse the previous stride's smoothed interior).
 	lastSmoothedSamples int
-
-	// est is the incremental estimate stage (streaming correlation,
-	// subspace tracking, DWT boundary reuse); nil unless
-	// Config.EstimateRefreshEvery > 0.
-	est *estimateState
 }
 
 // newStrideEngine sizes the ring for cfg's window. cfg must already be
@@ -181,9 +176,6 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 	e.smoothed = e.smoothedM.Rows()
 	e.weaker = make([]float64, e.nSub)
 	e.eligible = make([]bool, e.nSub)
-	if proc.cfg.EstimateRefreshEvery > 0 {
-		e.est = newEstimateState(&proc.cfg, proc.nPersons)
-	}
 	return e
 }
 
@@ -274,7 +266,6 @@ func (e *strideEngine) resetWindow() {
 	e.haveSmoothed = false
 	e.prevPos = 0
 	e.ring.Reset()
-	e.est.reset()
 }
 
 // ready reports whether a full window is buffered and at least one stride of
@@ -291,7 +282,7 @@ func (e *strideEngine) process() (*Result, error) {
 	if err := e.strideSmooth(slide); err != nil {
 		return nil, err
 	}
-	return e.proc.finishSmoothed(e.smoothed, e.eligible, e.cfg.SampleRate, e.est)
+	return e.proc.finishSmoothed(e.smoothed, e.eligible, e.cfg.SampleRate)
 }
 
 // strideSmooth is the engine-owned prefix of a stride: extraction and
@@ -303,7 +294,6 @@ func (e *strideEngine) process() (*Result, error) {
 // caches. It is split from process so the allocation guards can measure
 // the columnar engine in isolation from the batch stages downstream.
 func (e *strideEngine) strideSmooth(slide int) error {
-	e.est.beginStride(slide)
 	n := e.window
 	pcfg := &e.proc.cfg
 	obs := pcfg.Observer

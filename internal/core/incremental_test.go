@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -11,6 +12,38 @@ import (
 	"phasebeat/internal/csisim"
 	"phasebeat/internal/trace"
 )
+
+// newFixedMultiSim is newFixedSim for several persons: a laboratory
+// simulator at an arbitrary sample rate whose persons breathe at exactly
+// the given rates (FixedRatesScenario pins 400 Hz).
+func newFixedMultiSim(t testing.TB, rate float64, bpm []float64, seed int64) *csisim.Simulator {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	env := csisim.Environment{
+		CarrierHz:       csisim.DefaultCarrierHz,
+		AntennaSpacingM: csisim.DefaultAntennaSpacingM,
+		StaticPaths:     csisim.RandomStaticPaths(rng, 6, 3),
+		TxRxDistanceM:   3,
+	}
+	persons := make([]csisim.Person, 0, len(bpm))
+	for _, b := range bpm {
+		pathDist := 4 + rng.Float64()*2
+		p := csisim.RandomPerson(rng, pathDist, csisim.ReflectionGainForPath(pathDist, false))
+		p.BreathingRateBPM = b
+		persons = append(persons, p)
+	}
+	sim, err := csisim.New(csisim.Config{
+		Env:         env,
+		Persons:     persons,
+		SampleRate:  rate,
+		NumAntennas: 3,
+		Seed:        rng.Int63(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
 
 // newFixedSim builds a laboratory simulator at an arbitrary sample rate with
 // one person breathing at exactly bpm (FixedRatesScenario pins 400 Hz).
@@ -38,23 +71,50 @@ func maxAbsDiff(a, b []float64) float64 {
 // and copied forward: their values are anchored to the unwrap constant of
 // the window that computed them, which the detrend cancels exactly in real
 // arithmetic but only to ulp precision in floating point (see DESIGN.md).
+//
+// The burst row swings each antenna's phase by a different amount for
+// 10 s, so the antenna phase difference moves and strides over the burst
+// fail (non-stationary window); the engine must fail exactly those strides
+// and match batch again as the burst slides out.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	cases := []struct {
 		estimator string
 		bpm       []float64
+		burst     bool
 	}{
-		{"peaks", []float64{16}},
-		{"root-music", []float64{12, 19}},
-		{"esprit", []float64{12, 19}},
+		{"peaks", []float64{16}, false},
+		{"root-music", []float64{12, 19}, false},
+		{"esprit", []float64{12, 19}, false},
+		{"root-music", []float64{12, 19}, true},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/%dp", tc.estimator, len(tc.bpm)), func(t *testing.T) {
-			testIncrementalMatchesBatch(t, tc.estimator, tc.bpm)
+		name := fmt.Sprintf("%s/%dp", tc.estimator, len(tc.bpm))
+		if tc.burst {
+			name += "/burst"
+		}
+		t.Run(name, func(t *testing.T) {
+			testIncrementalMatchesBatch(t, tc.estimator, tc.bpm, tc.burst)
 		})
 	}
 }
 
-func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64) {
+// antennaPhaseBurst rotates antenna a's CSI by a·2.5·sin(2π·1.5·t) rad.
+// Antenna 0 stays put, so the phase difference of any antenna pair swings.
+func antennaPhaseBurst(p trace.Packet) trace.Packet {
+	csi := make([][]complex128, len(p.CSI))
+	for a, row := range p.CSI {
+		theta := float64(a) * 2.5 * math.Sin(2*math.Pi*1.5*p.Time)
+		rot := complex(math.Cos(theta), math.Sin(theta))
+		csi[a] = make([]complex128, len(row))
+		for s, c := range row {
+			csi[a][s] = c * rot
+		}
+	}
+	p.CSI = csi
+	return p
+}
+
+func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64, burst bool) {
 	const rate = 100.0
 	cfg := DefaultMonitorConfig()
 	cfg.SampleRate = rate
@@ -84,12 +144,17 @@ func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64) 
 
 	sim := newFixedMultiSim(t, rate, bpm, 99)
 	total := int(80 * rate)
+	burstFrom, burstTo := int(40*rate), int(50*rate)
 	history := make([]trace.Packet, 0, total)
 	strides := 0
 	incremental := 0
 	estimated := 0
+	failed := 0
 	for i := 0; i < total; i++ {
 		p := sim.NextPacket()
+		if burst && i >= burstFrom && i < burstTo {
+			p = antennaPhaseBurst(p)
+		}
 		history = append(history, p)
 		eng.push(p)
 		if !eng.ready() {
@@ -112,6 +177,7 @@ func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64) 
 			t.Fatalf("stride %d: incremental err %v, batch err %v", strides, err, wantErr)
 		}
 		if err != nil {
+			failed++
 			continue
 		}
 		compareResults(t, strides, res, wantRes)
@@ -127,6 +193,9 @@ func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64) 
 	}
 	if estimated == 0 {
 		t.Fatalf("no stride of %d produced a %s estimate", strides, estimator)
+	}
+	if burst && failed == 0 {
+		t.Fatalf("burst failed none of %d strides: the row compares no failing stride", strides)
 	}
 }
 
@@ -410,4 +479,54 @@ func TestMonitorIngestConcurrentClose(t *testing.T) {
 	if m.Ingest(trace.Packet{}) {
 		t.Error("Ingest should refuse after Close")
 	}
+}
+
+// TestMultiMonitorRaceStress drives several two-person root-MUSIC Monitors
+// concurrently — feeding, draining, and closing from separate goroutines —
+// so the -race job exercises the stride engine and the estimate stage
+// alongside the Monitor's atomics.
+func TestMultiMonitorRaceStress(t *testing.T) {
+	const rate = 50.0
+	const monitors = 3
+	var wg sync.WaitGroup
+	for mi := 0; mi < monitors; mi++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			cfg := DefaultMonitorConfig()
+			cfg.SampleRate = rate
+			cfg.Pipeline = ConfigForRate(rate)
+			cfg.Pipeline.Estimator = "root-music"
+			cfg.Persons = 2
+			cfg.WindowSeconds = 20
+			cfg.UpdateEverySeconds = 2
+			m, err := NewMonitor(cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var drain sync.WaitGroup
+			drain.Add(1)
+			go func() {
+				defer drain.Done()
+				for range m.Updates() {
+				}
+			}()
+			go func() {
+				for m.Health().Accepted < uint64(25*rate) {
+					time.Sleep(time.Millisecond)
+				}
+				m.Close()
+			}()
+			sim := newFixedMultiSim(t, rate, []float64{12, 19}, seed)
+			for i := 0; i < int(40*rate); i++ {
+				if !m.Ingest(sim.NextPacket()) {
+					break
+				}
+			}
+			m.Close()
+			drain.Wait()
+		}(int64(mi + 1))
+	}
+	wg.Wait()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"sync"
 
@@ -20,9 +19,6 @@ const (
 	metricStrideSeconds  = "monitor.stride.seconds"
 	metricUpdatesEmitted = "monitor.updates.emitted"
 	metricHealthPrefix   = "monitor.health."
-
-	// Incremental estimate-stage gauges (Config.EstimateRefreshEvery > 0).
-	metricSubspacePrefix = "monitor.subspace."
 )
 
 // StageMetrics is a StageObserver that records every stage completion
@@ -181,12 +177,6 @@ func (m *Monitor) registerMetrics(r *metrics.Registry) monitorMetrics {
 		load := c.load
 		r.RegisterFunc(metricHealthPrefix+c.name, func() float64 { return float64(load()) })
 	}
-	r.RegisterFunc(metricSubspacePrefix+"exact_refreshes",
-		func() float64 { return float64(h.exactRefreshes.Load()) })
-	r.RegisterFunc(metricSubspacePrefix+"tracker_resets",
-		func() float64 { return float64(h.trackerResets.Load()) })
-	r.RegisterFunc(metricSubspacePrefix+"residual",
-		func() float64 { return math.Float64frombits(h.residualBits.Load()) })
 	return monitorMetrics{
 		strideSeconds: r.Histogram(metricStrideSeconds, metrics.DefLatencyBuckets),
 		updates:       r.Counter(metricUpdatesEmitted),

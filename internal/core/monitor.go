@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -67,7 +66,9 @@ type MonitorConfig struct {
 	// NumAntennas and NumSubcarriers describe the incoming packets.
 	NumAntennas, NumSubcarriers int
 	// WindowSeconds is the analysis window length; estimates use the most
-	// recent window (the paper uses about a minute of data).
+	// recent window (the paper uses about a minute of data). Every stride
+	// runs the batch pipeline's estimators on that window. NewMonitor
+	// refuses a window of more than 2²⁴ samples × NumSubcarriers.
 	WindowSeconds float64
 	// UpdateEverySeconds is the stride between successive estimates.
 	UpdateEverySeconds float64
@@ -194,6 +195,16 @@ func (c *stageCapture) snapshot() []otrace.Stage {
 	return append([]otrace.Stage(nil), c.stages...)
 }
 
+// maxWindowCells bounds window samples × subcarriers, the length of one
+// ring plane. The window storage is allocated on the worker goroutine,
+// after NewMonitor returns, so an unchecked size from a remote open frame
+// would surface there as a makeslice panic that kills the whole daemon,
+// or as a multi-gigabyte allocation. 2²⁴ cells is about 23× a paper-rate
+// session (60 s × 400 Hz × 30 subcarriers = 720 000 cells): room for
+// hour-long windows at low rates while capping one session's window
+// storage (five ring planes plus the smoothed matrix) near 805 MB.
+const maxWindowCells = 1 << 24
+
 // NewMonitor validates the configuration and starts the worker goroutine.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.SampleRate <= 0 {
@@ -208,6 +219,12 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.WindowSeconds <= 0 || cfg.UpdateEverySeconds <= 0 {
 		return nil, fmt.Errorf("core: monitor window %vs / stride %vs must be positive",
 			cfg.WindowSeconds, cfg.UpdateEverySeconds)
+	}
+	// Compared in float64 before any int conversion: int(1e300) wraps,
+	// and the negated test also rejects a NaN product.
+	if cells := cfg.WindowSeconds * cfg.SampleRate * float64(cfg.NumSubcarriers); !(cells <= maxWindowCells) {
+		return nil, fmt.Errorf("core: monitor window %vs × %v Hz × %d subcarriers exceeds %d samples",
+			cfg.WindowSeconds, cfg.SampleRate, cfg.NumSubcarriers, maxWindowCells)
 	}
 	if a, b := cfg.Pipeline.AntennaA, cfg.Pipeline.AntennaB; a >= cfg.NumAntennas || b >= cfg.NumAntennas || a < 0 || b < 0 {
 		return nil, fmt.Errorf("core: monitor antenna pair (%d, %d) outside [0, %d)", a, b, cfg.NumAntennas)
@@ -486,14 +503,6 @@ func (m *Monitor) handle(engine *strideEngine, ip inPacket, lastHealth *Health) 
 		if m.stageCap != nil {
 			ip.ot.Stages = m.stageCap.snapshot()
 		}
-	}
-	if engine.est != nil {
-		// Republish the stride engine's plain counters through
-		// the atomics so Health() and metrics gauges read them
-		// off the worker goroutine safely.
-		m.health.exactRefreshes.Store(engine.est.exactRefreshes)
-		m.health.trackerResets.Store(engine.est.trackerResets)
-		m.health.residualBits.Store(math.Float64bits(engine.est.lastResidual))
 	}
 	u := Update{
 		Time:    p.Time,

@@ -36,6 +36,38 @@ func TestMonitorValidation(t *testing.T) {
 	}
 }
 
+// TestMonitorRejectsOversizedWindow pins the synchronous window bound:
+// window storage is allocated on the worker goroutine, so a window whose
+// samples × subcarriers overflow an int or would take gigabytes must be
+// refused by NewMonitor itself, never reach the allocator.
+func TestMonitorRejectsOversizedWindow(t *testing.T) {
+	cases := []struct {
+		name         string
+		rate, window float64
+		subcarriers  int
+	}{
+		{"makeslice overflow", 400, 1e12, 30},
+		{"int conversion wrap", 400, 1e300, 30},
+		{"hundreds of GB", 400, 1e6, 30},
+		{"infinite rate", math.Inf(1), 60, 30},
+		{"NaN window", 400, math.NaN(), 30},
+		{"one cell over", 1, maxWindowCells + 1, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultMonitorConfig()
+			cfg.SampleRate = tc.rate
+			cfg.WindowSeconds = tc.window
+			cfg.NumSubcarriers = tc.subcarriers
+			m, err := NewMonitor(cfg)
+			if err == nil {
+				m.Close()
+				t.Fatal("oversized window accepted")
+			}
+		})
+	}
+}
+
 func TestMonitorStreamsEstimates(t *testing.T) {
 	sim, err := csisim.FixedRatesScenario([]float64{18}, 33)
 	if err != nil {

@@ -106,27 +106,23 @@ func BenchmarkDWTDenoise(b *testing.B) {
 }
 
 // BenchmarkEstimateStage isolates the estimate stage's per-stride cost
-// from smoothing: the exact estimators (full correlation + EigSym
-// root-MUSIC, full DWT) against the incremental path (streaming
-// correlation rank-one updates + subspace tracking, DWT boundary-state
-// reuse) at the default operating point — 60 s window, 5 s stride, 20 Hz
-// estimation rate, 30 subcarriers, 2 persons. Every variant pays the same
-// window-shift cost per iteration, so the deltas are pure estimator work.
+// from smoothing: full correlation + EigSym root-MUSIC, and the full DWT,
+// at the default operating point — 60 s window, 5 s stride, 20 Hz
+// estimation rate, 30 subcarriers, 2 persons. Both variants pay the same
+// window-shift cost per iteration, so the figures are pure estimator work.
 func BenchmarkEstimateStage(b *testing.B) {
 	const (
 		rows     = 30
 		nDec     = 1200 // 60 s at 20 Hz
-		dSettle  = 1149 // settled prefix at the default smoothing margin
 		slideDec = 100  // 5 s stride
 		fs       = 20.0
 	)
 	// 64 strides of signal, periodic so the window can wrap seamlessly:
 	// every tone's period divides the 320 s pool. The benchmark loop just
 	// re-slices window views into this pool, so iterations pay zero fixture
-	// cost and the deltas below are pure estimator work.
+	// cost and the figures below are pure estimator work.
 	const pool = 64 * slideDec
 	cfg := DefaultConfig()
-	cfg.EstimateRefreshEvery = 8
 
 	// Two stationary breathing tones plus measurement noise; each
 	// subcarrier sees them with its own phase and mix, like calibrated
@@ -166,34 +162,6 @@ func BenchmarkEstimateStage(b *testing.B) {
 			}
 		}
 	})
-	b.Run("music-incremental", func(b *testing.B) {
-		calib := make([][]float64, rows)
-		window(calib, 0)
-		es := newEstimateState(&cfg, 2)
-		if !es.music.advance(es, calib, nil, fs, nDec, dSettle, -1) {
-			b.Fatal("music stream failed to anchor")
-		}
-		r, err := es.music.sc.Matrix()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := es.music.tracker.Refresh(r); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			window(calib, i+1)
-			if !es.music.advance(es, calib, nil, fs, nDec, dSettle, slideDec) {
-				b.Fatal("music stream lost alignment")
-			}
-			es.music.usable = true
-			es.exactStride = false
-			if _, ok := es.tryMusic(false); !ok {
-				b.Fatal("tracked estimate fell back to exact")
-			}
-		}
-	})
 	b.Run("dwt-exact", func(b *testing.B) {
 		calib := make([][]float64, rows)
 		b.ReportAllocs()
@@ -202,27 +170,6 @@ func BenchmarkEstimateStage(b *testing.B) {
 			window(calib, i)
 			if _, err := DenoiseDWT(calib[0], fs, &cfg); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dwt-incremental", func(b *testing.B) {
-		calib := make([][]float64, rows)
-		window(calib, 0)
-		sel := &SubcarrierSelection{Selected: 0}
-		var ds dwtStream
-		if !ds.advance(&cfg, calib, sel, fs, nDec, dSettle, -1) {
-			b.Fatal("dwt stream failed to anchor")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			window(calib, i+1)
-			if !ds.advance(&cfg, calib, sel, fs, nDec, dSettle, slideDec) {
-				b.Fatal("dwt stream lost alignment")
-			}
-			ds.usable = true
-			if _, ok := ds.tryDWT(false); !ok {
-				b.Fatal("incremental bands unavailable")
 			}
 		}
 	})

@@ -149,13 +149,12 @@ func (p *Processor) Process(tr *trace.Trace) (*Result, error) {
 // subcarrier selection, DWT, and rate estimation — so the batch Processor
 // and the incremental Monitor share one stage list from this point on.
 // It follows the same partial-result contract as Process.
-func (p *Processor) finishSmoothed(smoothed [][]float64, eligible []bool, sampleRate float64, inc *estimateState) (*Result, error) {
+func (p *Processor) finishSmoothed(smoothed [][]float64, eligible []bool, sampleRate float64) (*Result, error) {
 	st := &pipelineState{
 		proc:       p,
 		smoothed:   smoothed,
 		eligible:   eligible,
 		sampleRate: sampleRate,
-		inc:        inc,
 		res:        &Result{},
 	}
 	st.gateFallback, st.rejected = gateStats(eligible)

@@ -154,10 +154,6 @@ type pipelineState struct {
 	wantEvidence bool
 	evidence     any
 
-	// inc is the Monitor's incremental estimate stage; nil on the batch
-	// path and when Config.EstimateRefreshEvery is 0.
-	inc *estimateState
-
 	// res accumulates the pipeline output; never nil.
 	res *Result
 }
@@ -347,24 +343,9 @@ func runSelect(st *pipelineState) error {
 
 func runDWT(st *pipelineState) error {
 	sel := st.res.Selection
-	// The incremental estimate stage observes every stride here — the
-	// first stage with segmentation, calibration, and selection all
-	// settled — and serves the bands from its streaming analyzers on
-	// tracked strides.
-	st.inc.observeStride(st)
-	var bands *DWTBands
-	if st.inc != nil {
-		if b, ok := st.inc.dwt.tryDWT(st.inc.exactStride); ok {
-			bands = b
-			st.note = "dwt incremental"
-		}
-	}
-	if bands == nil {
-		var err error
-		bands, err = DenoiseDWT(st.res.Calibrated[sel.Selected], st.res.EstimationRate, &st.proc.cfg)
-		if err != nil {
-			return err
-		}
+	bands, err := DenoiseDWT(st.res.Calibrated[sel.Selected], st.res.EstimationRate, &st.proc.cfg)
+	if err != nil {
+		return err
 	}
 	st.res.Bands = bands
 	if st.wantEvidence {

@@ -36,32 +36,24 @@ type Config struct {
 	// ring-full of context instead of one per stride. 0 selects the
 	// capacity; negative disables the cooldown.
 	CooldownStrides int
-	// SubspaceResidual is the subspace-tracker drift trigger: a dump
-	// fires when Health.SubspaceResidual exceeds it — the incremental
-	// estimate stage's tracked subspace no longer explains the live
-	// correlation matrix. 0 selects the default of 0.25; negative
-	// disables the trigger.
-	SubspaceResidual float64
 	// Logger, when non-nil, receives dump and write-failure events.
 	Logger *slog.Logger
 }
 
 const (
-	defaultCapacity         = 32
-	defaultJumpBPM          = 10.0
-	defaultQuarantineRate   = 0.05
-	defaultSubspaceResidual = 0.25
+	defaultCapacity       = 32
+	defaultJumpBPM        = 10.0
+	defaultQuarantineRate = 0.05
 )
 
 // Trigger names reported in FlightDump.Trigger and filenames.
 const (
-	TriggerGapReset         = "gap-reset"
-	TriggerQuarantineSpike  = "quarantine-spike"
-	TriggerEstimateJump     = "estimate-jump"
-	TriggerHealthDegraded   = "health-degraded"
-	TriggerSubspaceResidual = "subspace-residual"
-	TriggerSLOBurn          = "slo-burn"
-	TriggerManual           = "manual"
+	TriggerGapReset        = "gap-reset"
+	TriggerQuarantineSpike = "quarantine-spike"
+	TriggerEstimateJump    = "estimate-jump"
+	TriggerHealthDegraded  = "health-degraded"
+	TriggerSLOBurn         = "slo-burn"
+	TriggerManual          = "manual"
 )
 
 // Recorder is the flight recorder: a core.StageObserver that assembles
@@ -107,9 +99,6 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	}
 	if cfg.QuarantineRate == 0 {
 		cfg.QuarantineRate = defaultQuarantineRate
-	}
-	if cfg.SubspaceResidual == 0 {
-		cfg.SubspaceResidual = defaultSubspaceResidual
 	}
 	if cfg.CooldownStrides == 0 {
 		cfg.CooldownStrides = cfg.Capacity
@@ -250,8 +239,6 @@ func (r *Recorder) triggerLocked(tr *Trace) string {
 		return TriggerEstimateJump
 	case d.PacketsDropped > 0 || d.UpdatesReplaced > 0 || d.ObserverPanics > 0:
 		return TriggerHealthDegraded
-	case r.cfg.SubspaceResidual > 0 && tr.Health.SubspaceResidual > r.cfg.SubspaceResidual:
-		return TriggerSubspaceResidual
 	}
 	return ""
 }

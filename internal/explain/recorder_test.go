@@ -160,14 +160,12 @@ func TestTriggerMatrix(t *testing.T) {
 	step(breathingResult(15), func(h *core.Health) { h.QuarantinedNonFinite += 20 })
 	step(breathingResult(30), nil)                                          // 15 bpm jump
 	step(breathingResult(30), func(h *core.Health) { h.UpdatesReplaced++ }) // degraded only
-	step(breathingResult(30), func(h *core.Health) { h.SubspaceResidual = 0.4 })
 
 	want := []string{
 		"flight-000001-gap-reset.json",
 		"flight-000002-quarantine-spike.json",
 		"flight-000003-estimate-jump.json",
 		"flight-000004-health-degraded.json",
-		"flight-000005-subspace-residual.json",
 	}
 	for _, name := range want {
 		path := filepath.Join(dir, name)

@@ -520,8 +520,7 @@ func (m *Manager) register(reg *metrics.Registry) {
 	}
 }
 
-// addHealth sums two cumulative Health summaries field-wise (the residual
-// is a point-in-time reading, so the larger one is kept).
+// addHealth sums two cumulative Health summaries field-wise.
 func addHealth(a, b core.Health) core.Health {
 	a.Accepted += b.Accepted
 	a.QuarantinedMalformed += b.QuarantinedMalformed
@@ -531,11 +530,6 @@ func addHealth(a, b core.Health) core.Health {
 	a.PacketsDropped += b.PacketsDropped
 	a.UpdatesReplaced += b.UpdatesReplaced
 	a.ObserverPanics += b.ObserverPanics
-	a.ExactRefreshes += b.ExactRefreshes
-	a.TrackerResets += b.TrackerResets
-	if b.SubspaceResidual > a.SubspaceResidual {
-		a.SubspaceResidual = b.SubspaceResidual
-	}
 	return a
 }
 

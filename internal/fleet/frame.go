@@ -36,7 +36,7 @@ import (
 //	error  := message bytes (no length prefix; the frame length bounds it)
 //	update := key seq(u64) time(f64) flags(u8) breathingBPM(f64)
 //	          heartBPM(f64) health err
-//	health := 10 × u64 counters, residual(f64)   (field order below)
+//	health := 8 × u64 counters   (field order below)
 //	err    := len(u16) message bytes
 //
 // flags bit0 = breathing estimate present, bit1 = heart estimate present,
@@ -521,12 +521,11 @@ func appendHealth(b []byte, h core.Health) []byte {
 	for _, v := range []uint64{
 		h.Accepted, h.QuarantinedMalformed, h.QuarantinedNonFinite,
 		h.QuarantinedNonMonotonic, h.GapResets, h.PacketsDropped,
-		h.UpdatesReplaced, h.ObserverPanics, h.ExactRefreshes,
-		h.TrackerResets,
+		h.UpdatesReplaced, h.ObserverPanics,
 	} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	return appendF64(b, h.SubspaceResidual)
+	return b
 }
 
 // readHealth parses the counters appendHealth wrote.
@@ -535,8 +534,7 @@ func readHealth(c *cursor) (core.Health, error) {
 	fields := []*uint64{
 		&h.Accepted, &h.QuarantinedMalformed, &h.QuarantinedNonFinite,
 		&h.QuarantinedNonMonotonic, &h.GapResets, &h.PacketsDropped,
-		&h.UpdatesReplaced, &h.ObserverPanics, &h.ExactRefreshes,
-		&h.TrackerResets,
+		&h.UpdatesReplaced, &h.ObserverPanics,
 	}
 	for _, f := range fields {
 		v, err := c.u64()
@@ -545,7 +543,5 @@ func readHealth(c *cursor) (core.Health, error) {
 		}
 		*f = v
 	}
-	var err error
-	h.SubspaceResidual, err = c.f64()
-	return h, err
+	return h, nil
 }

@@ -181,9 +181,6 @@ func TestUpdateFrameRoundTrip(t *testing.T) {
 			PacketsDropped:          40,
 			UpdatesReplaced:         7,
 			ObserverPanics:          1,
-			ExactRefreshes:          5,
-			TrackerResets:           2,
-			SubspaceResidual:        0.03125,
 		},
 	}
 	got, err := decodeUpdate(encodeUpdate(want))

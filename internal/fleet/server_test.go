@@ -106,6 +106,62 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedWindow opens sessions whose window would
+// overflow the ring allocation over TCP: each open must come back as an
+// error frame on a still-usable connection, and the Manager must go on
+// serving a well-formed session afterwards instead of crashing on the
+// worker goroutine.
+func TestServerRejectsOversizedWindow(t *testing.T) {
+	hc := testHarnessConfig()
+	pkts, err := templatePackets(hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := testManager(t, 1, nil)
+	defer mgr.Close()
+	addr := startServer(t, mgr)
+	c, err := Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, window := range []float64{1e6, 1e12, 1e300} {
+		err := c.Open("bomb", SessionConfig{SampleRate: 400, WindowSeconds: window})
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("window %g s: open err %v, want an exceeds error", window, err)
+		}
+	}
+	if _, ok := mgr.Get("bomb"); ok {
+		t.Fatal("rejected session is registered")
+	}
+
+	if err := c.Open("ok", SessionConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkts {
+		if err := c.Ingest("ok", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		uf, ok, err := c.Subscribe("ok", 0, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			if uf.Health.Accepted == 0 {
+				t.Fatalf("update carries empty health: %+v", uf.Health)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no update from the well-formed session in 30s")
+		}
+	}
+}
+
 // TestServerDropsHostilePeers sends protocol garbage and expects the
 // connection to be refused cleanly: an error frame where the stream is
 // still well-formed, then EOF — and, critically, no large allocation or

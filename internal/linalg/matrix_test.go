@@ -205,9 +205,4 @@ func TestVectorHelpers(t *testing.T) {
 	if zero[0] != 0 || zero[1] != 0 {
 		t.Error("Normalize of zero vector should stay zero")
 	}
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Errorf("AXPY = %v, want [7 9]", y)
-	}
 }

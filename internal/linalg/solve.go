@@ -13,7 +13,6 @@ var ErrSingular = errors.New("linalg: singular matrix")
 type LU struct {
 	lu   *Matrix
 	perm []int
-	sign float64
 }
 
 // NewLU factorizes a square matrix.
@@ -27,7 +26,6 @@ func NewLU(a *Matrix) (*LU, error) {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1.0
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		pivot := col
@@ -47,7 +45,6 @@ func NewLU(a *Matrix) (*LU, error) {
 				lu.Set(pivot, c, tmp)
 			}
 			perm[col], perm[pivot] = perm[pivot], perm[col]
-			sign = -sign
 		}
 		inv := 1 / lu.At(col, col)
 		for r := col + 1; r < n; r++ {
@@ -58,7 +55,7 @@ func NewLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, perm: perm, sign: sign}, nil
+	return &LU{lu: lu, perm: perm}, nil
 }
 
 // SolveVec solves A·x = b.
@@ -104,15 +101,6 @@ func (f *LU) Solve(b *Matrix) (*Matrix, error) {
 		}
 	}
 	return out, nil
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	det := f.sign
-	for i := 0; i < f.lu.Rows(); i++ {
-		det *= f.lu.At(i, i)
-	}
-	return det
 }
 
 // Solve is a convenience wrapper: factorize A and solve A·X = B.

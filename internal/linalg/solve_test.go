@@ -74,17 +74,6 @@ func TestSolveResidualProperty(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 2, []float64{3, 1, 4, 2})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.Det()-2) > 1e-12 {
-		t.Errorf("det = %v, want 2", lu.Det())
-	}
-}
-
 func TestCharPolyKnown(t *testing.T) {
 	// [[2,1],[1,2]]: λ² − 4λ + 3.
 	a, _ := NewMatrixFrom(2, 2, []float64{2, 1, 1, 2})

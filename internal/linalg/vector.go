@@ -32,13 +32,3 @@ func Normalize(v []float64) []float64 {
 	}
 	return v
 }
-
-// AXPY computes y ← a·x + y in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i, xv := range x {
-		y[i] += a * xv
-	}
-}

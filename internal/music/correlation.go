@@ -1,14 +1,13 @@
 // Package music implements subspace frequency estimation for PhaseBeat's
 // multi-person breathing estimator: temporal correlation matrices built
 // from the 30 calibrated CSI phase-difference series (eq. (11)-(12) of the
-// paper), the root-MUSIC algorithm, and a spectral-MUSIC pseudospectrum
-// variant, plus eigenvalue-based model-order estimation.
+// paper), the root-MUSIC algorithm, and least-squares ESPRIT over the same
+// correlation front end.
 package music
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"phasebeat/internal/linalg"
 )
@@ -76,53 +75,21 @@ func CorrelationMatrix(series [][]float64, opts CorrelationOptions) (*linalg.Mat
 	return r, nil
 }
 
-// EstimateOrder guesses the number of complex-exponential components in a
-// correlation matrix from the eigenvalue profile using the minimum
-// description length (MDL) criterion with nSamples observations. It returns
-// at least 0 and at most m-1.
-func EstimateOrder(eigenvalues []float64, nSamples int) int {
-	m := len(eigenvalues)
-	if m < 2 || nSamples < 1 {
-		return 0
-	}
-	// Clamp tiny negatives from numerical noise.
-	vals := make([]float64, m)
-	for i, v := range eigenvalues {
-		if v < 1e-15 {
-			v = 1e-15
+// fbAverageInPlace replaces r with (R + J Rᵀ J)/2 (J the exchange matrix)
+// without scratch: the map (i, j) ↔ (m-1-i, m-1-j) is an involution, so
+// each pair is averaged once.
+func fbAverageInPlace(r *linalg.Matrix) {
+	m := r.Rows()
+	total := m * m
+	for idx := 0; idx < total; idx++ {
+		partner := total - 1 - idx
+		if partner <= idx {
+			break
 		}
-		vals[i] = v
+		i, j := idx/m, idx%m
+		pi, pj := partner/m, partner%m
+		avg := (r.At(i, j) + r.At(pi, pj)) / 2
+		r.Set(i, j, avg)
+		r.Set(pi, pj, avg)
 	}
-	best, bestMDL := 0, mdl(vals, 0, nSamples)
-	for k := 1; k < m; k++ {
-		if v := mdl(vals, k, nSamples); v < bestMDL {
-			best, bestMDL = k, v
-		}
-	}
-	return best
-}
-
-// mdl computes the MDL score for k signals.
-func mdl(vals []float64, k, n int) float64 {
-	m := len(vals)
-	q := m - k
-	var logSum, sum float64
-	for _, v := range vals[k:] {
-		logSum += logf(v)
-		sum += v
-	}
-	arith := sum / float64(q)
-	// -N(M-k)·log(geometric/arithmetic mean ratio) + penalty.
-	ll := float64(n) * (float64(q)*logf(arith) - logSum)
-	penalty := 0.5 * float64(k*(2*m-k)) * logf(float64(n))
-	return ll + penalty
-}
-
-// logf is a log that saturates instead of returning -Inf for non-positive
-// inputs produced by numerical noise.
-func logf(x float64) float64 {
-	if x <= 0 {
-		x = 1e-300
-	}
-	return math.Log(x)
 }

@@ -36,6 +36,42 @@ func ESPRIT(r *linalg.Matrix, nSignals int, fs float64) ([]float64, error) {
 	return espritFromBasis(eig.Vectors, nExp, nSignals, fs)
 }
 
+// espritFromBasis solves the shift-invariance least squares for the first
+// nExp columns of basis and converts the rotation eigenvalues to
+// frequencies.
+func espritFromBasis(basis *linalg.Matrix, nExp, nSignals int, fs float64) ([]float64, error) {
+	m := basis.Rows()
+	s1 := linalg.NewMatrix(m-1, nExp)
+	s2 := linalg.NewMatrix(m-1, nExp)
+	for c := 0; c < nExp; c++ {
+		for rr := 0; rr < m-1; rr++ {
+			s1.Set(rr, c, basis.At(rr, c))
+			s2.Set(rr, c, basis.At(rr+1, c))
+		}
+	}
+
+	// Least squares: Φ = (S1ᵀS1)⁻¹ S1ᵀ S2.
+	s1t := s1.Transpose()
+	gram, err := s1t.Mul(s1)
+	if err != nil {
+		return nil, err
+	}
+	rhs, err := s1t.Mul(s2)
+	if err != nil {
+		return nil, err
+	}
+	phi, err := linalg.Solve(gram, rhs)
+	if err != nil {
+		return nil, fmt.Errorf("music: ESPRIT least squares: %w", err)
+	}
+
+	vals, err := linalg.Eigenvalues(phi)
+	if err != nil {
+		return nil, fmt.Errorf("music: rotation eigenvalues: %w", err)
+	}
+	return freqsFromRoots(vals, nSignals, fs), nil
+}
+
 // EstimateFrequenciesESPRIT mirrors EstimateFrequencies with the ESPRIT
 // backend: build the temporal correlation matrix from the calibrated
 // subcarrier series, then run least-squares ESPRIT.

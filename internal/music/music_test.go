@@ -145,77 +145,6 @@ func TestRootMUSICErrors(t *testing.T) {
 	}
 }
 
-func TestSpectralMUSICMatchesRootMUSIC(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	want := []float64{0.2, 0.35}
-	fs := 2.0
-	series := makeSinusoids(rng, want, fs, 300, 10, 0.1)
-	r, err := CorrelationMatrix(series, CorrelationOptions{WindowLen: 16, ForwardBackward: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rootF, err := RootMUSIC(r, 2, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := SpectralMUSIC(r, 2, fs, 0.05, 0.8, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specF := ps.Peaks(2)
-	if len(specF) != 2 {
-		t.Fatalf("spectral peaks = %v", specF)
-	}
-	for i := range want {
-		if math.Abs(rootF[i]-want[i]) > 0.01 {
-			t.Errorf("rootMUSIC[%d] = %v, want %v", i, rootF[i], want[i])
-		}
-		if math.Abs(specF[i]-want[i]) > 0.01 {
-			t.Errorf("spectralMUSIC[%d] = %v, want %v", i, specF[i], want[i])
-		}
-		if math.Abs(rootF[i]-specF[i]) > 0.02 {
-			t.Errorf("root vs spectral disagree: %v vs %v", rootF[i], specF[i])
-		}
-	}
-}
-
-func TestSpectralMUSICErrors(t *testing.T) {
-	r := linalg.Identity(8)
-	if _, err := SpectralMUSIC(r, 0, 2, 0.1, 0.5, 100); err == nil {
-		t.Error("want error for zero signals")
-	}
-	if _, err := SpectralMUSIC(r, 1, 2, 0.5, 0.1, 100); err == nil {
-		t.Error("want error for inverted band")
-	}
-	if _, err := SpectralMUSIC(r, 1, 2, 0.1, 0.5, 1); err == nil {
-		t.Error("want error for single grid point")
-	}
-	if _, err := SpectralMUSIC(r, 1, 2, 0.1, 1.5, 100); err == nil {
-		t.Error("want error for band above Nyquist")
-	}
-}
-
-func TestEstimateOrder(t *testing.T) {
-	// Two strong components over a noise floor → order 2 pairs = 4 exps.
-	rng := rand.New(rand.NewSource(6))
-	series := makeSinusoids(rng, []float64{0.2, 0.4}, 2, 400, 10, 0.1)
-	r, err := CorrelationMatrix(series, CorrelationOptions{WindowLen: 16, ForwardBackward: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eig, err := linalg.EigSym(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := EstimateOrder(eig.Values, 400)
-	if order < 3 || order > 6 {
-		t.Errorf("estimated order = %d, want ~4", order)
-	}
-	if got := EstimateOrder(nil, 100); got != 0 {
-		t.Errorf("EstimateOrder(nil) = %d, want 0", got)
-	}
-}
-
 func BenchmarkRootMUSIC3Persons(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	series := makeSinusoids(rng, []float64{0.15, 0.22, 0.25}, 2, 360, 30, 0.15)

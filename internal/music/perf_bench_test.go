@@ -22,35 +22,3 @@ func BenchmarkRootMUSIC(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStreamingCorrelationAppend measures one rank-one streaming
-// correlation update (downdate of the evicted window plus update of the
-// entering one) on a warm engine at the production operating point:
-// 6 series, 96-sample view, window 32. This is the per-decimated-sample
-// cost the incremental estimate stage pays in place of the full
-// CorrelationMatrix rebuild.
-func BenchmarkStreamingCorrelationAppend(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	const nRows, view = 6, 96
-	fs := 20.0
-	series := makeSinusoids(rng, []float64{0.25, 0.40}, fs, view+4096, nRows, 0.05)
-	opts := CorrelationOptions{WindowLen: 32, ForwardBackward: true, DiagonalLoad: 1e-6}
-	sc, err := NewStreamingCorrelation(nRows, view, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for k := 0; k < view; k++ {
-		for r := 0; r < nRows; r++ {
-			sc.Append(r, series[r][k])
-		}
-	}
-	if !sc.Ready() {
-		b.Fatal("engine not warm after priming")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := i % nRows
-		sc.Append(r, series[r][view+(i/nRows)%4096])
-	}
-}

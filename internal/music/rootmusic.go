@@ -2,6 +2,9 @@ package music
 
 import (
 	"fmt"
+	"math"
+	"math/cmplx"
+	"sort"
 
 	"phasebeat/internal/linalg"
 )
@@ -69,6 +72,38 @@ func RootMUSIC(r *linalg.Matrix, nSignals int, fs float64) ([]float64, error) {
 	// Conjugate pairs collapse to the same |f|, leaving nSignals values
 	// after clustering.
 	return freqsFromRoots(selected, nSignals, fs), nil
+}
+
+// selectInsideRoots keeps the roots strictly inside the unit circle (one
+// of each reciprocal pair) and returns the nExp closest to the circle.
+func selectInsideRoots(roots []complex128, nExp int) ([]complex128, error) {
+	inside := make([]complex128, 0, len(roots))
+	for _, z := range roots {
+		if cmplx.Abs(z) < 1 {
+			inside = append(inside, z)
+		}
+	}
+	if len(inside) < nExp {
+		return nil, fmt.Errorf("music: only %d roots inside unit circle, need %d", len(inside), nExp)
+	}
+	sort.Slice(inside, func(i, j int) bool {
+		return 1-cmplx.Abs(inside[i]) < 1-cmplx.Abs(inside[j])
+	})
+	return inside[:nExp], nil
+}
+
+// freqsFromRoots converts selected unit-circle-adjacent roots (or rotation
+// eigenvalues) to nSignals positive frequencies in ascending order:
+// conjugate pairs collapse to the same |f| and are merged by clustering.
+func freqsFromRoots(selected []complex128, nSignals int, fs float64) []float64 {
+	freqs := make([]float64, 0, len(selected))
+	for _, z := range selected {
+		freqs = append(freqs, math.Abs(cmplx.Phase(z))*fs/(2*math.Pi))
+	}
+	sort.Float64s(freqs)
+	out := clusterFrequencies(freqs, nSignals, fs)
+	sort.Float64s(out)
+	return out
 }
 
 // clusterFrequencies merges the 2·nSignals magnitudes (conjugate pairs)

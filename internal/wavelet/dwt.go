@@ -230,15 +230,3 @@ func (d *Decomposition) reconstruct(keepApprox bool, keepDetails []bool) ([]floa
 	}
 	return cur, nil
 }
-
-// BandFrequencies returns the nominal frequency range [lo, hi] in Hz
-// covered by a coefficient band for data sampled at fs: the level-L
-// approximation covers [0, fs/2^(L+1)] and the level-l detail covers
-// [fs/2^(l+1), fs/2^l]. With fs = 20 Hz and L = 4 this reproduces the
-// paper's α4 ∈ [0, 0.625] Hz and β3+β4 ∈ [0.625, 2.5] Hz.
-func BandFrequencies(fs float64, level int, isApprox bool) (lo, hi float64) {
-	if isApprox {
-		return 0, fs / math.Pow(2, float64(level+1))
-	}
-	return fs / math.Pow(2, float64(level+1)), fs / math.Pow(2, float64(level))
-}

@@ -354,17 +354,6 @@ func TestMaxLevel(t *testing.T) {
 	}
 }
 
-func TestBandFrequencies(t *testing.T) {
-	lo, hi := BandFrequencies(20, 4, true)
-	if lo != 0 || math.Abs(hi-0.625) > 1e-12 {
-		t.Errorf("α4 band = [%v, %v], want [0, 0.625]", lo, hi)
-	}
-	lo, hi = BandFrequencies(20, 3, false)
-	if math.Abs(lo-1.25) > 1e-12 || math.Abs(hi-2.5) > 1e-12 {
-		t.Errorf("β3 band = [%v, %v], want [1.25, 2.5]", lo, hi)
-	}
-}
-
 func TestExtensionModeString(t *testing.T) {
 	if ModeSymmetric.String() != "symmetric" || ModeZero.String() != "zero" ||
 		ModePeriodic.String() != "periodic" {
