@@ -89,6 +89,15 @@ obs-smoke:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test .
 
+# Non-test Go lines per package (the root package, internal/*, cmd/*)
+# and their total: the line delta every simplicity change reports. Run it
+# before and after a change; not part of `make check`.
+.PHONY: loc
+loc:
+	@for d in . internal/* cmd/*; do \
+	  printf '%-20s %6d\n' "$$d" $$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l); \
+	done | awk '{ print; total += $$2 } END { printf "%-20s %6d\n", "total", total }'
+
 # The columnar memory-layout benchmarks on their own, with allocation
 # stats — the report CI uploads as the columnar-bench artifact.
 .PHONY: bench-columnar

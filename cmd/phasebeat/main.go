@@ -149,18 +149,20 @@ func run(args []string) error {
 
 	cfg := phasebeat.ConfigForRate(tr.SampleRate)
 	cfg.Estimator = *estimator
-	cfg.Observer = phasebeat.CombineObservers(timings, phasebeat.NewStageMetricsObserver(reg), rec)
+	// Observer and Sink are interfaces: assign only live values, since a
+	// typed nil would defeat the pipeline's enabled check.
 	if timings != nil {
+		cfg.Observer = timings
 		defer func() { fmt.Print(timings.Table()) }()
 	}
-	res, err := phasebeat.ProcessTrace(tr,
-		phasebeat.WithConfig(cfg), phasebeat.WithPersons(*persons))
 	if rec != nil {
-		rec.RecordResult(res, err)
+		cfg.Sink = rec
 		if *explainTrace {
 			defer printExplain(rec)
 		}
 	}
+	res, err := phasebeat.ProcessTrace(tr,
+		phasebeat.WithConfig(cfg), phasebeat.WithPersons(*persons))
 	if err != nil {
 		return err
 	}
@@ -329,8 +331,8 @@ func replayStored(dir, session string, reg *phasebeat.MetricsRegistry, logger *s
 // periodic estimate — the realtime deployment shape. A non-zero fault
 // plan routes the stream through the fault-injection harness; the ingest
 // health summary annotates each degraded estimate and is printed in full
-// at the end. A wired explain recorder rides the stage-observer and
-// update-observer hooks, dumping flight bundles when its triggers fire.
+// at the end. A wired explain recorder is the Monitor's stride sink,
+// dumping flight bundles when its triggers fire.
 func watchScene(sc phasebeat.Scenario, seconds float64, persons int, estimator string, timings *phasebeat.TimingObserver, reg *phasebeat.MetricsRegistry, rec *phasebeat.ExplainRecorder, logger *slog.Logger, printTrace bool, faults phasebeat.FaultPlan) error {
 	sim, err := phasebeat.NewSimulator(sc)
 	if err != nil {
@@ -348,20 +350,19 @@ func watchScene(sc phasebeat.Scenario, seconds float64, persons int, estimator s
 	cfg.WindowSeconds = 40
 	cfg.UpdateEverySeconds = 10
 	cfg.Pipeline.Estimator = estimator
-	// CombineObservers drops a nil timings/rec; NewMonitor adds the stage-
-	// metrics observer itself when cfg.Metrics is set. The UpdateObserver
-	// field is an interface, so the nil recorder must not be assigned
-	// directly (a typed nil would defeat the enabled check).
-	cfg.Pipeline.Observer = phasebeat.CombineObservers(timings, rec)
+	// NewMonitor feeds cfg.Metrics from each stride's record itself.
+	// Observer and Sink are interfaces, so only live values are assigned
+	// (a typed nil would defeat the enabled check).
 	cfg.Metrics = reg
 	cfg.Logger = logger
 	if rec != nil {
-		cfg.UpdateObserver = rec
+		cfg.Pipeline.Sink = rec
 		if printTrace {
 			defer printExplain(rec)
 		}
 	}
 	if timings != nil {
+		cfg.Pipeline.Observer = timings
 		defer func() { fmt.Print(timings.Table()) }()
 	}
 	m, err := phasebeat.NewMonitor(cfg)

@@ -90,7 +90,7 @@ func TestServeExplainEndpoints(t *testing.T) {
 		t.Fatalf("empty recorder: status %d, want 404", resp.StatusCode)
 	}
 
-	rec.RecordResult(nil, nil)
+	rec.OnStride(&phasebeat.StrideRecord{})
 	resp, err = http.Get(base + "/debug/explain")
 	if err != nil {
 		t.Fatal(err)

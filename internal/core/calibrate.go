@@ -28,18 +28,13 @@ type smoothScratch struct {
 	trend, detr []float64
 }
 
-// SmoothRange computes Smooth(series, cfg)[lo:hi] without evaluating the
-// rest of the series. The values are identical to the full evaluation's:
-// both Hampel passes are centered sliding windows, so sample i depends only
-// on series[i-m, i+m] with m = TrendWindow/2 + SmoothWindow/2, and the
+// smoothRangeInto computes Smooth(series, cfg)[lo:hi] into dst (grown as
+// needed) with caller-owned scratch, without evaluating the rest of the
+// series. The values are identical to the full evaluation's: both Hampel
+// passes are centered sliding windows, so sample i depends only on
+// series[i-m, i+m] with m = TrendWindow/2 + SmoothWindow/2, and the
 // strided trend's anchor grid is derived from len(series), not from the
 // requested range.
-func SmoothRange(series []float64, cfg *Config, lo, hi int) ([]float64, error) {
-	return smoothRangeInto(nil, series, cfg, lo, hi, &smoothScratch{})
-}
-
-// smoothRangeInto is SmoothRange writing into dst (grown as needed) with
-// caller-owned scratch.
 func smoothRangeInto(dst, series []float64, cfg *Config, lo, hi int, sc *smoothScratch) ([]float64, error) {
 	n := len(series)
 	if lo < 0 || hi > n || lo > hi {

@@ -92,10 +92,16 @@ type Config struct {
 	// HeartEstimator selects the heart backend; empty selects "fft".
 	HeartEstimator string
 
-	// Observer, when non-nil, receives OnStageStart/OnStageEnd callbacks
-	// with per-stage durations and data shapes from every pipeline run.
-	// It must be safe for concurrent use if the processor is shared.
+	// Observer, when non-nil, receives live OnStageStart/OnStageEnd
+	// callbacks with per-stage durations and data shapes from every
+	// pipeline run. It must be safe for concurrent use if the processor
+	// is shared.
 	Observer StageObserver
+	// Sink, when non-nil, receives one StrideRecord per pipeline run —
+	// every stage's stats with its evidence, the result, and on a Monitor
+	// the stride's Health and HealthDelta (the explain recorder is one).
+	// Nil (the default) computes no evidence and builds no record.
+	Sink StrideSink
 }
 
 // DefaultConfig returns the paper's operating point for a 400 Hz capture.
@@ -131,16 +137,24 @@ func DefaultConfig() Config {
 // scaling the raw-rate windows and the downsample factor so the estimation
 // rate stays 20 Hz where possible (Fig. 13's sampling-rate sweep).
 func ConfigForRate(sampleRate float64) Config {
-	cfg := DefaultConfig()
+	return DefaultConfig().ForRate(sampleRate)
+}
+
+// ForRate returns c with its four rate-scaled fields — TrendWindow,
+// SmoothWindow, EnvWindow and DownsampleFactor — re-derived from the
+// paper's 400 Hz values for sampleRate; every other field, the observer,
+// sink and estimator choices included, is kept. A non-positive rate
+// returns c unchanged.
+func (c Config) ForRate(sampleRate float64) Config {
 	if sampleRate <= 0 {
-		return cfg
+		return c
 	}
 	scale := sampleRate / 400.0
-	cfg.TrendWindow = maxInt(11, int(2000*scale))
-	cfg.SmoothWindow = maxInt(3, int(50*scale))
-	cfg.EnvWindow = maxInt(10, int(400*scale))
-	cfg.DownsampleFactor = maxInt(1, int(sampleRate/20.0))
-	return cfg
+	c.TrendWindow = maxInt(11, int(2000*scale))
+	c.SmoothWindow = maxInt(3, int(50*scale))
+	c.EnvWindow = maxInt(10, int(400*scale))
+	c.DownsampleFactor = maxInt(1, int(sampleRate/20.0))
+	return c
 }
 
 // Validate checks internal consistency.

@@ -196,7 +196,7 @@ func runEstimate(st *pipelineState) error {
 		Persons:    p.nPersons,
 		Config:     cfg,
 	}
-	if st.wantEvidence {
+	if st.wantEvidence() {
 		// Deferred so every exit — success, non-finite guard, best-effort
 		// heart bailout — leaves spectral evidence on the stage record.
 		defer func() { st.evidence = newEstimateEvidence(in, res) }()

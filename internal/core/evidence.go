@@ -8,27 +8,8 @@ import (
 
 // Stage evidence: compact, JSON-marshalable records of what each stage saw
 // and decided, attached to StageStats.Evidence. Evidence is only computed
-// when the configured observer opts in through the EvidenceCollector
-// interface, so ordinary observers (timings, metrics) and the disabled
-// path pay nothing for it.
-
-// EvidenceCollector is optionally implemented by a StageObserver that
-// wants stage evidence (the explain recorder). The stage runner checks it
-// once per pipeline run; stages then attach their evidence records to
-// StageStats.Evidence. Observers that do not implement it receive a nil
-// Evidence field and the pipeline skips every evidence computation.
-type EvidenceCollector interface {
-	StageObserver
-	// CollectEvidence reports whether evidence should be computed.
-	CollectEvidence() bool
-}
-
-// wantsEvidence reports whether obs opts into stage evidence. Wrappers
-// (multiObserver, safeObserver) forward the question to their members.
-func wantsEvidence(obs StageObserver) bool {
-	ec, ok := obs.(EvidenceCollector)
-	return ok && ec.CollectEvidence()
-}
+// when a StrideSink is configured (Config.Sink), so the live observer,
+// the metrics and the disabled path pay nothing for it.
 
 // CalibrationEvidence is the smoothing stage's evidence: how much trend
 // (plus outlier energy) the two Hampel passes removed, averaged over every

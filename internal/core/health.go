@@ -30,15 +30,14 @@ type Health struct {
 	// configured threshold discards the buffered window instead of
 	// splicing discontinuous data.
 	GapResets uint64
-	// PacketsDropped is the drop-on-backlog ingest shed count (the same
-	// number Update.Dropped reports).
+	// PacketsDropped is the drop-on-backlog ingest shed count.
 	PacketsDropped uint64
 	// UpdatesReplaced counts stale undelivered updates that were replaced
 	// by a newer one in drop-on-backlog mode — estimates a slow consumer
 	// never saw.
 	UpdatesReplaced uint64
 	// ObserverPanics counts panics recovered from a third-party
-	// StageObserver or UpdateObserver: the run loop survives them, but the
+	// StageObserver or StrideSink: the run loop survives them, but the
 	// observer's view of those strides is incomplete.
 	ObserverPanics uint64
 }

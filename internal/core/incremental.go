@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 	"sync"
-	"time"
 
 	"phasebeat/internal/arena"
 	"phasebeat/internal/dsp"
@@ -131,9 +130,12 @@ type strideEngine struct {
 	weaker   []float64
 	eligible []bool
 
-	// wantEvidence is latched per stride when the observer implements
-	// EvidenceCollector; trendAbs then accumulates each subcarrier's
-	// summed |unwrapped − smoothed| for the calibration evidence.
+	// rec is the current stride's observation record, set by the Monitor
+	// before each process call; nil when nothing observes the Monitor.
+	rec *StrideRecord
+	// wantEvidence is latched per stride when a Sink is configured;
+	// trendAbs then accumulates each subcarrier's summed
+	// |unwrapped − smoothed| for the calibration evidence.
 	wantEvidence bool
 	trendAbs     []float64
 
@@ -282,7 +284,7 @@ func (e *strideEngine) process() (*Result, error) {
 	if err := e.strideSmooth(slide); err != nil {
 		return nil, err
 	}
-	return e.proc.finishSmoothed(e.smoothed, e.eligible, e.cfg.SampleRate)
+	return e.proc.finishSmoothed(e.smoothed, e.eligible, e.cfg.SampleRate, e.rec)
 }
 
 // strideSmooth is the engine-owned prefix of a stride: extraction and
@@ -295,9 +297,9 @@ func (e *strideEngine) process() (*Result, error) {
 // the columnar engine in isolation from the batch stages downstream.
 func (e *strideEngine) strideSmooth(slide int) error {
 	n := e.window
-	pcfg := &e.proc.cfg
-	obs := pcfg.Observer
-	e.wantEvidence = obs != nil && wantsEvidence(obs)
+	proc, rec := e.proc, e.rec
+	pcfg := &proc.cfg
+	e.wantEvidence = rec != nil && pcfg.Sink != nil
 	if e.wantEvidence && e.trendAbs == nil {
 		e.trendAbs = make([]float64, e.nSub)
 	}
@@ -314,17 +316,13 @@ func (e *strideEngine) strideSmooth(slide int) error {
 	// linearize it oldest-first without copying.
 	wstart := e.ring.Head() - int64(n)
 
-	// The ring-cache loop fuses extraction and smoothing; it is reported
-	// to the observer as the smoothing stage, with a note marking the
-	// incremental reuse so stride timings read like batch timings. The
-	// fan-out splits on contiguous subcarrier ranges: adjacent subcarriers
-	// are adjacent columns of the slab, so each worker streams its own
-	// contiguous span, with one pooled scratch per range.
-	var t0 time.Time
-	if obs != nil {
-		obs.OnStageStart(StageSmooth)
-		t0 = time.Now()
-	}
+	// The ring-cache loop fuses extraction and smoothing; it is recorded
+	// as the smoothing stage, with a note marking the incremental reuse so
+	// stride timings read like batch timings. The fan-out splits on
+	// contiguous subcarrier ranges: adjacent subcarriers are adjacent
+	// columns of the slab, so each worker streams its own contiguous span,
+	// with one pooled scratch per range.
+	t0 := proc.beginStage(rec, StageSmooth)
 	err := parallelChunks(e.nSub, pcfg.Parallelism, func(lo, hi int) error {
 		ss := e.scratch.Get().(*subScratch)
 		defer e.scratch.Put(ss)
@@ -335,7 +333,7 @@ func (e *strideEngine) strideSmooth(slide int) error {
 		}
 		return nil
 	})
-	if obs != nil {
+	if proc.observed(rec) {
 		var ev any
 		if e.wantEvidence && err == nil {
 			var sum float64
@@ -344,9 +342,8 @@ func (e *strideEngine) strideSmooth(slide int) error {
 			}
 			ev = &CalibrationEvidence{TrendMagnitude: sum / float64(e.nSub*n)}
 		}
-		obs.OnStageEnd(StageStats{
+		proc.endStage(rec, t0, StageStats{
 			Stage:       StageSmooth,
-			Duration:    time.Since(t0),
 			Samples:     e.lastSmoothedSamples,
 			Subcarriers: e.nSub,
 			Note:        fmt.Sprintf("incremental extract+smooth: %d of %d samples re-smoothed", e.lastSmoothedSamples, n),
@@ -365,10 +362,7 @@ func (e *strideEngine) strideSmooth(slide int) error {
 
 	// Replicate AmplitudeGate from the cached per-packet amplitudes: the
 	// window-order sums match the batch gate's packet-order sums exactly.
-	if obs != nil {
-		obs.OnStageStart(StageGate)
-		t0 = time.Now()
-	}
+	t0 = proc.beginStage(rec, StageGate)
 	med := dsp.Median(e.weaker)
 	rejected := 0
 	for s, w := range e.weaker {
@@ -377,7 +371,7 @@ func (e *strideEngine) strideSmooth(slide int) error {
 			rejected++
 		}
 	}
-	if obs != nil {
+	if proc.observed(rec) {
 		var note string
 		if rejected > 0 {
 			note = fmt.Sprintf("gate rejected %d/%d subcarriers", rejected, e.nSub)
@@ -387,9 +381,8 @@ func (e *strideEngine) strideSmooth(slide int) error {
 			fallback, _ := gateStats(e.eligible)
 			ev = &GateEvidence{Fallback: fallback, Rejected: rejected, Total: e.nSub}
 		}
-		obs.OnStageEnd(StageStats{
+		proc.endStage(rec, t0, StageStats{
 			Stage:       StageGate,
-			Duration:    time.Since(t0),
 			Samples:     n,
 			Subcarriers: e.nSub,
 			Note:        note,
@@ -479,7 +472,7 @@ func viewSum(v arena.View) float64 {
 
 // accumTrend records subcarrier s's summed |unwrapped − smoothed| into
 // trendAbs for the stride's calibration evidence. Evidence-path only: the
-// benchmark operating point (no observer) never executes the loop.
+// benchmark operating point (no sink) never executes the loop.
 func (e *strideEngine) accumTrend(s int, unwrap []float64) {
 	if !e.wantEvidence {
 		return

@@ -377,7 +377,7 @@ func TestMonitorDropOnBacklogSheds(t *testing.T) {
 			t.Fatalf("Ingest %d refused", i)
 		}
 	}
-	if got := m.Dropped(); got != 3 {
+	if got := m.Health().PacketsDropped; got != 3 {
 		t.Fatalf("dropped = %d, want 3", got)
 	}
 	if len(m.in) != 2 {
@@ -420,9 +420,9 @@ func TestMonitorDropOnBacklogNeverBlocks(t *testing.T) {
 	}
 	// Give the worker a moment, then check that any produced update carries
 	// a drop count consistent with the monitor's counter.
-	for _, u := range m.DrainFor(200 * time.Millisecond) {
-		if u.Dropped > m.Dropped() {
-			t.Fatalf("update reports %d drops, monitor total is %d", u.Dropped, m.Dropped())
+	for _, u := range drainFor(m, 200*time.Millisecond) {
+		if total := m.Health().PacketsDropped; u.Health.PacketsDropped > total {
+			t.Fatalf("update reports %d drops, monitor total is %d", u.Health.PacketsDropped, total)
 		}
 	}
 }

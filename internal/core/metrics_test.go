@@ -3,97 +3,89 @@ package core
 import (
 	"errors"
 	"math"
-	"sync"
+	"math/cmplx"
 	"testing"
 	"time"
 
 	"phasebeat/internal/csisim"
 	"phasebeat/internal/metrics"
+	"phasebeat/internal/trace"
 )
 
-// countingObserver records callback counts for CombineObservers tests.
-type countingObserver struct {
-	mu           sync.Mutex
-	starts, ends int
-}
-
-func (c *countingObserver) OnStageStart(string) {
-	c.mu.Lock()
-	c.starts++
-	c.mu.Unlock()
-}
-
-func (c *countingObserver) OnStageEnd(StageStats) {
-	c.mu.Lock()
-	c.ends++
-	c.mu.Unlock()
-}
-
-func TestCombineObservers(t *testing.T) {
-	if got := CombineObservers(); got != nil {
-		t.Fatalf("no observers should combine to nil, got %T", got)
-	}
-	// Untyped and typed nils (a disabled *StageMetrics, an unset
-	// *TimingObserver) must all be dropped.
-	var sm *StageMetrics
-	var to *TimingObserver
-	if got := CombineObservers(nil, sm, to, NewStageMetrics(nil)); got != nil {
-		t.Fatalf("all-nil observers should combine to nil, got %T", got)
-	}
-	a := &countingObserver{}
-	if got := CombineObservers(nil, a, sm); got != StageObserver(a) {
-		t.Fatalf("single survivor should pass through unwrapped, got %T", got)
-	}
-	b := &countingObserver{}
-	combined := CombineObservers(a, b)
-	combined.OnStageStart(StageExtract)
-	combined.OnStageEnd(StageStats{Stage: StageExtract})
-	if a.starts != 1 || a.ends != 1 || b.starts != 1 || b.ends != 1 {
-		t.Fatalf("fan-out miscounted: a=%d/%d b=%d/%d", a.starts, a.ends, b.starts, b.ends)
-	}
-}
-
-func TestStageMetricsRecordsPipelineRun(t *testing.T) {
-	sim, err := csisim.FixedRatesScenario([]float64{17}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Generate(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Observer = NewStageMetrics(reg)
-	proc, err := NewProcessor(WithConfig(cfg), WithPersons(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proc.Process(tr); err != nil {
-		t.Fatal(err)
-	}
-	for _, stage := range StageNames() {
-		h := reg.Histogram(metricStagePrefix+stage+metricStageSecondsSuffix, metrics.DefLatencyBuckets)
-		if h.Count() != 1 {
-			t.Errorf("stage %s: %d observations, want 1", stage, h.Count())
+// staticPackets builds n packets of a scene with no phase motion at all:
+// environment detection sees no person, so every stride fails at the
+// segment stage.
+func staticPackets(n, ants, nSub int, rate float64) []trace.Packet {
+	out := make([]trace.Packet, n)
+	for i := range out {
+		p := trace.NewPacket(float64(i)/rate, ants, nSub)
+		for a := range p.CSI {
+			for s := range p.CSI[a] {
+				p.CSI[a][s] = cmplx.Rect(1, 0.3*float64(a)+0.05*float64(s))
+			}
 		}
-		if e := reg.Counter(metricStagePrefix + stage + metricStageErrorsSuffix); e.Value() != 0 {
-			t.Errorf("stage %s: %d errors on a clean run", stage, e.Value())
-		}
+		out[i] = p
 	}
+	return out
 }
 
+// TestStageMetricsCountsErrors: a Monitor stride whose stage fails lands
+// in that stage's pipeline.stage.<name>.errors counter — the metrics read
+// the stride's record, which keeps the failing stage.
 func TestStageMetricsCountsErrors(t *testing.T) {
 	reg := metrics.NewRegistry()
-	sm := NewStageMetrics(reg)
-	sm.OnStageEnd(StageStats{Stage: StageSegment, Duration: time.Millisecond, Err: errors.New("boom")})
-	// An unknown stage name must be adopted lazily, not dropped.
-	sm.OnStageEnd(StageStats{Stage: "custom", Duration: time.Microsecond})
-	if e := reg.Counter(metricStagePrefix + StageSegment + metricStageErrorsSuffix); e.Value() != 1 {
-		t.Fatalf("segment errors = %d, want 1", e.Value())
+	cfg := allocTestConfig()
+	cfg.NumSubcarriers = 8
+	cfg.Metrics = reg
+	m, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h := reg.Histogram(metricStagePrefix+"custom"+metricStageSecondsSuffix, metrics.DefLatencyBuckets); h.Count() != 1 {
-		t.Fatalf("custom stage observations = %d, want 1", h.Count())
+	done := make(chan []Update)
+	go func() {
+		var us []Update
+		for u := range m.Updates() {
+			us = append(us, u)
+		}
+		done <- us
+	}()
+	n := int((cfg.WindowSeconds + 2*cfg.UpdateEverySeconds) * cfg.SampleRate)
+	for _, p := range staticPackets(n, cfg.NumAntennas, cfg.NumSubcarriers, cfg.SampleRate) {
+		if !m.Ingest(p) {
+			t.Fatal("ingest refused mid-stream")
+		}
+	}
+	m.Drain()
+	updates := <-done
+	if len(updates) == 0 {
+		t.Fatal("no updates emitted")
+	}
+	for _, u := range updates {
+		var se *StageError
+		if !errors.As(u.Err, &se) || se.Stage != StageSegment {
+			t.Fatalf("update at t=%v: err %v, want a segment-stage failure", u.Time, u.Err)
+		}
+	}
+	stageErrors := func(stage string) uint64 {
+		return reg.Counter(metricStagePrefix + stage + metricStageErrorsSuffix).Value()
+	}
+	if got := stageErrors(StageSegment); got != uint64(len(updates)) {
+		t.Fatalf("segment errors = %d, want one per failed stride (%d)", got, len(updates))
+	}
+	for _, stage := range []string{StageSmooth, StageGate, StageEnvDetect, StageEstimate} {
+		if got := stageErrors(stage); got != 0 {
+			t.Errorf("stage %s errors = %d on strides it passed", stage, got)
+		}
+	}
+	// The failing stage is timed like any other; the stages after it
+	// never ran.
+	seg := reg.Histogram(metricStagePrefix+StageSegment+metricStageSecondsSuffix, metrics.DefLatencyBuckets)
+	if seg.Count() != uint64(len(updates)) {
+		t.Fatalf("segment histogram count = %d, want %d", seg.Count(), len(updates))
+	}
+	est := reg.Histogram(metricStagePrefix+StageEstimate+metricStageSecondsSuffix, metrics.DefLatencyBuckets)
+	if est.Count() != 0 {
+		t.Fatalf("estimate histogram count = %d after failed strides, want 0", est.Count())
 	}
 }
 
@@ -166,15 +158,14 @@ func TestMonitorMetricsEndToEnd(t *testing.T) {
 	if got := snap[metricUpdatesEmitted].(uint64); got != uint64(updates) {
 		t.Errorf("updates counter = %d, delivered %d", got, updates)
 	}
-	// Every delivered update implies a timed stride; the final stride may
-	// have been processed but lose its delivery race against Close, so
-	// the histogram can run at most one ahead of the delivered count.
+	// The stride histogram is fed from the same delivered records as the
+	// updates counter, so the two agree exactly.
 	stride := reg.Histogram(metricStrideSeconds, metrics.DefLatencyBuckets)
-	if c := stride.Count(); c < uint64(updates) || c > uint64(updates)+1 {
+	if c := stride.Count(); c != uint64(updates) {
 		t.Errorf("stride histogram count = %d, delivered %d", c, updates)
 	}
-	// The incremental engine reports smooth and gate through the stage
-	// observer; downstream stages run per stride through the shared graph.
+	// The incremental engine records smooth and gate itself; downstream
+	// stages run per stride through the shared graph.
 	for _, stage := range []string{StageSmooth, StageGate, StageEstimate} {
 		h := reg.Histogram(metricStagePrefix+stage+metricStageSecondsSuffix, metrics.DefLatencyBuckets)
 		if h.Count() == 0 {

@@ -13,19 +13,6 @@ import (
 	"phasebeat/internal/trace"
 )
 
-// UpdateObserver receives every Update the Monitor emits — the hook the
-// explain flight recorder uses to finalize a trace with the stride's
-// Result and Health delta. The observer runs on the worker goroutine
-// immediately after the update has been committed to the consumer
-// channel, and never for an update suppressed by Close: the set of
-// observed updates is exactly the set of delivered ones, so a consumer
-// that drains Updates until it closes sees one update per OnUpdate call.
-// Keep it cheap, and never block. Panics are recovered and counted in
-// Health.ObserverPanics.
-type UpdateObserver interface {
-	OnUpdate(u Update)
-}
-
 // Update is one realtime estimate emitted by a Monitor.
 type Update struct {
 	// Time is the trace timestamp (seconds) of the newest packet that
@@ -37,10 +24,6 @@ type Update struct {
 	// no stationary segment); Result may still carry the environment
 	// detection in that case.
 	Err error
-	// Dropped is the cumulative number of packets discarded by
-	// drop-on-backlog ingest at the time this update was produced (it
-	// mirrors Health.PacketsDropped).
-	Dropped uint64
 	// Health is the cumulative ingest-health summary at the time this
 	// update was produced: quarantine counts by cause, gap resets, and
 	// backlog shedding. Compare with the previous update's Health (see
@@ -78,9 +61,9 @@ type MonitorConfig struct {
 	IngestBuffer int
 	// DropOnBacklog makes Ingest non-blocking: when the ingest queue is
 	// full, the oldest queued packet is discarded to make room and counted
-	// in Update.Dropped. Updates are likewise replaced rather than awaited
-	// when the consumer lags (counted in Health.UpdatesReplaced). Off by
-	// default (lossless, blocking).
+	// in Health.PacketsDropped. Updates are likewise replaced rather than
+	// awaited when the consumer lags (counted in Health.UpdatesReplaced).
+	// Off by default (lossless, blocking).
 	DropOnBacklog bool
 	// MaxGapSeconds is the timestamp-gap threshold of the gap-degradation
 	// path: when consecutive accepted packets are separated by more than
@@ -89,17 +72,13 @@ type MonitorConfig struct {
 	// after an outage. Zero selects the default of one second (at least
 	// twenty packet intervals); negative disables gap detection.
 	MaxGapSeconds float64
-	// Metrics, when non-nil, receives the monitor's runtime metrics:
-	// per-stage latency histograms (via an implicit StageMetrics observer
-	// combined with any configured Pipeline.Observer), a stride-latency
-	// histogram, an updates counter, and callback gauges over the
-	// quarantine/health counters. Nil (the default) disables metrics with
-	// zero overhead — no observer is attached and no clock is read.
+	// Metrics, when non-nil, receives the monitor's runtime metrics, fed
+	// from each delivered stride's StrideRecord: per-stage latency
+	// histograms and error counters, a stride-latency histogram and an
+	// updates counter, plus callback gauges over the quarantine/health
+	// counters. Nil (the default) disables metrics with zero overhead —
+	// no record is built and no clock is read.
 	Metrics *metrics.Registry
-	// UpdateObserver, when non-nil, is invoked on the worker goroutine
-	// with every Update committed to the consumer channel (see the
-	// interface's contract). Nil (the default) adds no per-stride work.
-	UpdateObserver UpdateObserver
 	// Tracer, when non-nil, enables end-to-end latency spans: packets
 	// submitted through IngestCtx carry their trace context through the
 	// ingest queue, the worker stamps the dequeue and compute-end
@@ -156,9 +135,12 @@ type Monitor struct {
 
 	health    healthCounters
 	metrics   monitorMetrics
-	stageCap  *stageCapture
 	closeOnce sync.Once
 	drainOnce sync.Once
+
+	// lastHealth is the previous delivered update's Health, the base of
+	// each stride's HealthDelta; touched only by the worker.
+	lastHealth Health
 }
 
 // inPacket is the ingest-queue element: the packet plus its latency
@@ -167,32 +149,6 @@ type Monitor struct {
 type inPacket struct {
 	pkt trace.Packet
 	ot  otrace.Ctx
-}
-
-// stageCapture bridges the StageObserver hooks into span child stages:
-// it records each stage's duration during a stride so the completed
-// span can decompose its compute segment. It is attached only when a
-// Tracer is configured, and touched only on the worker goroutine (reset
-// before each stride, snapshotted after), so it needs no lock.
-type stageCapture struct {
-	stages []otrace.Stage
-}
-
-// OnStageStart implements StageObserver.
-func (c *stageCapture) OnStageStart(string) {}
-
-// OnStageEnd implements StageObserver.
-func (c *stageCapture) OnStageEnd(s StageStats) {
-	c.stages = append(c.stages, otrace.Stage{Name: s.Stage, Nanos: s.Duration.Nanoseconds()})
-}
-
-func (c *stageCapture) reset() { c.stages = c.stages[:0] }
-
-func (c *stageCapture) snapshot() []otrace.Stage {
-	if len(c.stages) == 0 {
-		return nil
-	}
-	return append([]otrace.Stage(nil), c.stages...)
 }
 
 // maxWindowCells bounds window samples × subcarriers, the length of one
@@ -235,31 +191,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.IngestBuffer < 1 {
 		cfg.IngestBuffer = 1
 	}
-	// A configured registry observes the stage graph too: stage latency
-	// histograms ride the same StageObserver hooks -stage-timings uses.
-	if cfg.Metrics != nil {
-		cfg.Pipeline.Observer = CombineObservers(cfg.Pipeline.Observer, NewStageMetrics(cfg.Metrics))
-	}
-	// The Monitor is allocated before the processor so the observer wrap
-	// below can point at its panic counter; every remaining field is
-	// filled in once the configuration is final.
-	m := &Monitor{}
-	// A configured tracer rides the same hooks: per-stage durations are
-	// captured during the stride and attached to the outgoing span as
-	// child stages.
-	if cfg.Tracer.Enabled() {
-		m.stageCap = &stageCapture{}
-		cfg.Pipeline.Observer = CombineObservers(cfg.Pipeline.Observer, m.stageCap)
-	}
-	// Third-party observers run on the worker goroutine; a panic in one
-	// must degrade observability, not kill the monitor. See safeObserver.
-	if cfg.Pipeline.Observer != nil {
-		cfg.Pipeline.Observer = &safeObserver{
-			obs:    cfg.Pipeline.Observer,
-			panics: &m.health.observerPanics,
-			logger: cfg.Logger,
-		}
-	}
 	proc, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(cfg.Persons))
 	if err != nil {
 		return nil, err
@@ -274,8 +205,10 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 				cfg.Pipeline.Estimator)
 		}
 	}
-	m.cfg = cfg
-	m.processor = proc
+	m := &Monitor{cfg: cfg, processor: proc}
+	// The observer and sink run on the worker goroutine; a panic in one
+	// must degrade observability, not kill the monitor.
+	proc.guard = &observerGuard{panics: &m.health.observerPanics, logger: cfg.Logger}
 	m.in = make(chan inPacket, cfg.IngestBuffer)
 	m.updates = make(chan Update, 1)
 	m.stop = make(chan struct{})
@@ -289,10 +222,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 // Updates returns the estimate stream. It is closed when the Monitor
 // stops.
 func (m *Monitor) Updates() <-chan Update { return m.updates }
-
-// Dropped returns the cumulative count of packets discarded by
-// drop-on-backlog ingest.
-func (m *Monitor) Dropped() uint64 { return m.health.dropped.Load() }
 
 // Health returns the current cumulative ingest-health summary. It is safe
 // to call from any goroutine at any time, including after Close.
@@ -415,13 +344,12 @@ func (m *Monitor) run() {
 	// On exit the window slabs go back to the configured arena so the
 	// next session of a shared-arena fleet reuses them (no-op unpooled).
 	defer engine.release()
-	var lastHealth Health
 	for {
 		select {
 		case <-m.stop:
 			return
 		case ip := <-m.in:
-			if !m.handle(engine, ip, &lastHealth) {
+			if !m.handle(engine, ip) {
 				return
 			}
 		case <-m.draining:
@@ -432,7 +360,7 @@ func (m *Monitor) run() {
 				case <-m.stop:
 					return
 				case ip := <-m.in:
-					if !m.handle(engine, ip, &lastHealth) {
+					if !m.handle(engine, ip) {
 						return
 					}
 				default:
@@ -446,7 +374,7 @@ func (m *Monitor) run() {
 // handle quarantines one packet, pushes it into the stride engine, and
 // emits an update when a stride completes. It returns false when the
 // worker should exit because Close refused the delivery.
-func (m *Monitor) handle(engine *strideEngine, ip inPacket, lastHealth *Health) bool {
+func (m *Monitor) handle(engine *strideEngine, ip inPacket) bool {
 	logger := m.cfg.Logger
 	p := ip.pkt
 	// Stamp the queue-dwell boundary only for traced packets — the
@@ -485,71 +413,66 @@ func (m *Monitor) handle(engine *strideEngine, ip inPacket, lastHealth *Health) 
 	if !engine.ready() {
 		return true
 	}
-	// Time the stride only when a registry is wired; the disabled
-	// path reads no clock.
+	// The stride is recorded, and timed, only when a consumer of the
+	// record is wired; the disabled path reads no clock.
+	var rec *StrideRecord
 	var t0 time.Time
-	if m.metrics.strideSeconds != nil {
+	if m.cfg.Metrics != nil || m.cfg.Tracer.Enabled() || m.cfg.Pipeline.Sink != nil {
+		rec = newStrideRecord()
 		t0 = time.Now()
 	}
-	if m.stageCap != nil {
-		m.stageCap.reset()
-	}
+	engine.rec = rec
 	res, err := engine.process()
-	if m.metrics.strideSeconds != nil {
-		m.metrics.strideSeconds.Observe(time.Since(t0).Seconds())
+	var took time.Duration
+	if rec != nil {
+		took = time.Since(t0)
 	}
 	if ip.ot.Live() {
 		ip.ot.ComputeEnd = otrace.Now()
-		if m.stageCap != nil {
-			ip.ot.Stages = m.stageCap.snapshot()
-		}
+		ip.ot.Stages = rec.spanStages()
 	}
 	u := Update{
-		Time:    p.Time,
-		Result:  res,
-		Err:     err,
-		Dropped: m.health.dropped.Load(),
-		Health:  m.health.snapshot(),
-		Trace:   ip.ot,
+		Time:   p.Time,
+		Result: res,
+		Err:    err,
+		Health: m.health.snapshot(),
+		Trace:  ip.ot,
 	}
 	// The channel send is the commit point: deliver refuses (with
-	// stop observed at priority) once Close has begun, and the
-	// observer, logger, and updates counter account only committed
-	// updates — so a consumer draining to channel close sees
-	// exactly the updates the observer saw, with no "±1 final
-	// update" race against Close.
-	if !m.deliver(u) {
+	// stop observed at priority) once Close has begun, and observe
+	// accounts only committed updates — so a consumer draining to
+	// channel close sees exactly the updates the sink saw, with no
+	// "±1 final update" race against Close.
+	if !m.deliver(&u) {
 		return false
 	}
-	if m.cfg.UpdateObserver != nil {
-		m.notifyUpdate(u)
-	}
-	if logger != nil {
-		if delta := u.Health.Sub(*lastHealth); delta.Degraded() {
-			logger.Warn("degraded stride", "time", u.Time, "delta", delta.String())
-		}
-		*lastHealth = u.Health
-		logger.Debug("update", "time", u.Time,
-			"breathing_bpm", breathingBPM(u.Result), "err", err)
-	}
-	m.metrics.updates.Inc()
+	m.observe(rec, u, took)
 	return true
 }
 
-// notifyUpdate runs the configured UpdateObserver under recover: a panic
-// in third-party code is counted in Health.ObserverPanics (and logged)
-// instead of killing the worker — the same contract safeObserver gives
-// stage observers.
-func (m *Monitor) notifyUpdate(u Update) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.health.observerPanics.Add(1)
-			if m.cfg.Logger != nil {
-				m.cfg.Logger.Error("update observer panicked", "panic", r)
-			}
+// observe feeds one delivered stride to every Monitor-side consumer: the
+// stage, stride and update metrics (read from the record), the
+// degraded-stride log line (from the Health delta) and the sink. The
+// record's stage timings already rode out on the update as span child
+// stages. rec is nil when no consumer of it is wired.
+func (m *Monitor) observe(rec *StrideRecord, u Update, took time.Duration) {
+	delta := u.Health.Sub(m.lastHealth)
+	m.lastHealth = u.Health
+	if m.cfg.Metrics != nil {
+		m.metrics.record(rec, took)
+	}
+	if logger := m.cfg.Logger; logger != nil {
+		if delta.Degraded() {
+			logger.Warn("degraded stride", "time", u.Time, "delta", delta.String())
 		}
-	}()
-	m.cfg.UpdateObserver.OnUpdate(u)
+		logger.Debug("update", "time", u.Time,
+			"breathing_bpm", breathingBPM(u.Result), "err", u.Err)
+	}
+	if m.cfg.Pipeline.Sink != nil {
+		rec.Update = u
+		rec.HealthDelta = delta
+		m.processor.emit(rec)
+	}
 }
 
 // breathingBPM extracts the single-person rate for log output; 0 when the
@@ -564,14 +487,14 @@ func breathingBPM(res *Result) float64 {
 // deliver hands one update to the consumer, or refuses it when the
 // monitor is stopping. Stop is observed with priority before any send is
 // attempted, making Close a hard barrier: once the worker sees stop, no
-// further update is committed (and the run loop then skips the observer
-// and the updates counter too, keeping emitted == observed exact).
+// further update is committed (and the run loop then skips observe too,
+// keeping emitted == observed exact).
 //
 // In drop-on-backlog mode a stale undelivered update is replaced by the
 // new one instead of blocking the worker; every replacement is counted in
 // Health.UpdatesReplaced so a slow consumer can tell estimates went
 // missing.
-func (m *Monitor) deliver(u Update) bool {
+func (m *Monitor) deliver(u *Update) bool {
 	select {
 	case <-m.stop:
 		return false
@@ -579,7 +502,7 @@ func (m *Monitor) deliver(u Update) bool {
 	}
 	if !m.cfg.DropOnBacklog {
 		select {
-		case m.updates <- u:
+		case m.updates <- *u:
 			return true
 		case <-m.stop:
 			return false
@@ -587,7 +510,7 @@ func (m *Monitor) deliver(u Update) bool {
 	}
 	// Fast path: room in the buffer.
 	select {
-	case m.updates <- u:
+	case m.updates <- *u:
 		return true
 	case <-m.stop:
 		return false
@@ -608,28 +531,9 @@ func (m *Monitor) deliver(u Update) bool {
 	default:
 	}
 	select {
-	case m.updates <- u:
+	case m.updates <- *u:
 		return true
 	case <-m.stop:
 		return false
-	}
-}
-
-// DrainFor reads updates for at most d, returning those received. It is a
-// convenience for tests and examples.
-func (m *Monitor) DrainFor(d time.Duration) []Update {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	var out []Update
-	for {
-		select {
-		case u, ok := <-m.updates:
-			if !ok {
-				return out
-			}
-			out = append(out, u)
-		case <-timer.C:
-			return out
-		}
 	}
 }

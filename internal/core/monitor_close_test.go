@@ -1,11 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"phasebeat/internal/metrics"
+	"phasebeat/internal/otrace"
 )
 
 // The tests in this file pin the Monitor's shutdown and backpressure
@@ -14,45 +18,80 @@ import (
 // drop-on-backlog deliver path stays off the CPU when a consumer races
 // its eviction.
 
-// countingUpdateObserver counts OnUpdate calls.
-type countingUpdateObserver struct{ n *atomic.Uint64 }
+// strideObserver is a live StageObserver grouping the stage stats it
+// receives into strides (each Monitor stride starts with smooth).
+type strideObserver struct {
+	mu      sync.Mutex
+	strides [][]StageStats
+}
 
-func (o countingUpdateObserver) OnUpdate(Update) { o.n.Add(1) }
+func (o *strideObserver) OnStageStart(string) {}
+
+func (o *strideObserver) OnStageEnd(s StageStats) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if s.Stage == StageSmooth || len(o.strides) == 0 {
+		o.strides = append(o.strides, nil)
+	}
+	last := len(o.strides) - 1
+	o.strides[last] = append(o.strides[last], s)
+}
+
+// durations lists stage durations in run order.
+func durations(stages []StageStats) []time.Duration {
+	out := make([]time.Duration, len(stages))
+	for i, s := range stages {
+		out[i] = s.Duration
+	}
+	return out
+}
 
 // TestCloseDeliverExactObserverAccounting races Close against the stride
-// cadence at shifting points and requires, every time, that the observer
-// saw exactly the updates the consumer received: delivery is the commit
-// point, so a final stride racing Close is either fully emitted or fully
-// suppressed — never observed without being delivered.
+// cadence at shifting points, with every observation consumer wired —
+// metrics, latency spans, a sink and a live observer — and requires, every
+// time, that the sink saw exactly the updates the consumer received, as
+// did the updates counter: delivery is the commit point, so a final stride
+// racing Close is either fully emitted or fully suppressed — never
+// observed without being delivered. Every delivered stride's record must
+// agree with its span child stages and with what the live observer got.
 func TestCloseDeliverExactObserverAccounting(t *testing.T) {
 	cfg := allocTestConfig()
 	cfg.NumSubcarriers = 16
 	pkts := syntheticPackets(1300, cfg.NumAntennas, cfg.NumSubcarriers, cfg.SampleRate)
+	tracer, err := otrace.New(otrace.Config{SampleEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Tracer = tracer
 
 	iters := 25
 	if testing.Short() {
 		iters = 5
 	}
 	for iter := 0; iter < iters; iter++ {
-		var observed atomic.Uint64
-		cfg.UpdateObserver = countingUpdateObserver{&observed}
+		reg := metrics.NewRegistry()
+		sink := &recordSink{}
+		obs := &strideObserver{}
+		cfg.Metrics = reg
+		cfg.Pipeline.Sink = sink
+		cfg.Pipeline.Observer = obs
 		m, err := NewMonitor(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var delivered uint64
+		var delivered []Update
 		drained := make(chan struct{})
 		go func() {
 			defer close(drained)
-			for range m.Updates() {
-				delivered++
+			for u := range m.Updates() {
+				delivered = append(delivered, u)
 			}
 		}()
 		fed := make(chan struct{})
 		go func() {
 			defer close(fed)
 			for _, p := range pkts {
-				if !m.Ingest(p) {
+				if !m.IngestCtx(p, tracer.Start(0)) {
 					return
 				}
 			}
@@ -73,9 +112,43 @@ func TestCloseDeliverExactObserverAccounting(t *testing.T) {
 		m.Close()
 		<-fed
 		<-drained
-		if got := observed.Load(); got != delivered {
-			t.Fatalf("iter %d: observer saw %d updates, consumer received %d — Close split an emission",
-				iter, got, delivered)
+		recs := sink.records()
+		if len(recs) != len(delivered) {
+			t.Fatalf("iter %d: sink saw %d strides, consumer received %d — Close split an emission",
+				iter, len(recs), len(delivered))
+		}
+		if got := reg.Counter(metricUpdatesEmitted).Value(); got != uint64(len(delivered)) {
+			t.Fatalf("iter %d: %s = %d, consumer received %d", iter, metricUpdatesEmitted, got, len(delivered))
+		}
+		// The live observer also saw the stride Close may have refused.
+		obs.mu.Lock()
+		strides := obs.strides
+		obs.mu.Unlock()
+		if len(strides) < len(recs) {
+			t.Fatalf("iter %d: observer saw %d strides, sink %d", iter, len(strides), len(recs))
+		}
+		for i, rec := range recs {
+			u := delivered[i]
+			if rec.Time != u.Time || rec.Health != u.Health {
+				t.Fatalf("iter %d stride %d: record is not the delivered update", iter, i)
+			}
+			want := durations(rec.Stages)
+			if len(want) == 0 {
+				t.Fatalf("iter %d stride %d: record has no stages", iter, i)
+			}
+			span := make([]time.Duration, len(u.Trace.Stages))
+			for j, s := range u.Trace.Stages {
+				if s.Name != rec.Stages[j].Stage {
+					t.Fatalf("iter %d stride %d: span stage %d is %s, record %s", iter, i, j, s.Name, rec.Stages[j].Stage)
+				}
+				span[j] = time.Duration(s.Nanos)
+			}
+			if !reflect.DeepEqual(span, want) {
+				t.Fatalf("iter %d stride %d: span stages %v, record %v", iter, i, span, want)
+			}
+			if got := durations(strides[i]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d stride %d: observer durations %v, record %v", iter, i, got, want)
+			}
 		}
 	}
 }

@@ -141,13 +141,31 @@ func TestMonitorCloseIsIdempotentAndStopsIngest(t *testing.T) {
 	}
 }
 
+// drainFor reads m's updates for at most d, returning those received.
+func drainFor(m *Monitor, d time.Duration) []Update {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	var out []Update
+	for {
+		select {
+		case u, ok := <-m.Updates():
+			if !ok {
+				return out
+			}
+			out = append(out, u)
+		case <-timer.C:
+			return out
+		}
+	}
+}
+
 func TestMonitorDrainFor(t *testing.T) {
 	m, err := NewMonitor(DefaultMonitorConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	got := m.DrainFor(50 * time.Millisecond)
+	got := drainFor(m, 50*time.Millisecond)
 	if len(got) != 0 {
 		t.Errorf("expected no updates, got %d", len(got))
 	}

@@ -2,52 +2,54 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"phasebeat/internal/metrics"
 )
 
-// evidenceCapture is a StageObserver that opts into evidence collection
-// and records every StageStats it sees.
-type evidenceCapture struct {
-	mu    sync.Mutex
-	stats []StageStats
+// recordSink is a StrideSink keeping every record it receives.
+type recordSink struct {
+	mu   sync.Mutex
+	recs []*StrideRecord
 }
 
-func (c *evidenceCapture) OnStageStart(string) {}
-
-func (c *evidenceCapture) OnStageEnd(s StageStats) {
-	c.mu.Lock()
-	c.stats = append(c.stats, s)
-	c.mu.Unlock()
+func (s *recordSink) OnStride(rec *StrideRecord) {
+	s.mu.Lock()
+	s.recs = append(s.recs, rec)
+	s.mu.Unlock()
 }
 
-func (c *evidenceCapture) CollectEvidence() bool { return true }
+// records returns a copy of the received records, in arrival order.
+func (s *recordSink) records() []*StrideRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]*StrideRecord(nil), s.recs...)
+}
 
-// byStage indexes the captured stats by stage name (last occurrence wins).
-func (c *evidenceCapture) byStage() map[string]StageStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]StageStats, len(c.stats))
-	for _, s := range c.stats {
+// byStage indexes a record's stages by stage name.
+func byStage(rec *StrideRecord) map[string]StageStats {
+	out := make(map[string]StageStats, len(rec.Stages))
+	for _, s := range rec.Stages {
 		out[s.Stage] = s
 	}
 	return out
 }
 
-// TestBatchEvidenceCollection runs the batch pipeline with an
-// evidence-collecting observer and checks that every evidence-bearing
-// stage attached its typed record with sane contents.
+// TestBatchEvidenceCollection runs the batch pipeline with a sink and
+// checks that every evidence-bearing stage of the record it receives
+// carries its typed evidence with sane contents.
 func TestBatchEvidenceCollection(t *testing.T) {
 	sim := newFixedSim(t, 100, 16, 21)
 	tr, err := sim.Generate(60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := &evidenceCapture{}
+	sink := &recordSink{}
 	cfg := ConfigForRate(100)
-	cfg.Observer = cap
+	cfg.Sink = sink
 	proc, err := NewProcessor(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +59,14 @@ func TestBatchEvidenceCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	by := cap.byStage()
+	recs := sink.records()
+	if len(recs) != 1 || recs[0].Result != res || recs[0].Err != nil {
+		t.Fatalf("sink received %d records, want the one run's", len(recs))
+	}
+	if recs[0].Health != (Health{}) || recs[0].HealthDelta != (Health{}) {
+		t.Fatalf("batch record carries health %+v / %+v, want zero", recs[0].Health, recs[0].HealthDelta)
+	}
+	by := byStage(recs[0])
 	cal, ok := by[StageSmooth].Evidence.(*CalibrationEvidence)
 	if !ok {
 		t.Fatalf("smooth evidence = %T, want *CalibrationEvidence", by[StageSmooth].Evidence)
@@ -111,19 +120,17 @@ func TestBatchEvidenceCollection(t *testing.T) {
 	}
 }
 
-// TestEvidenceSkippedWithoutCollector pins the opt-in contract: a plain
-// observer (no EvidenceCollector) must see nil Evidence on every stage.
+// TestEvidenceSkippedWithoutCollector pins the opt-in contract: without a
+// Sink, the live observer must see nil Evidence on every stage.
 func TestEvidenceSkippedWithoutCollector(t *testing.T) {
 	sim := newFixedSim(t, 100, 16, 21)
 	tr, err := sim.Generate(60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	timing := NewTimingObserver()
 	var got []StageStats
-	plain := &statsFunc{fn: func(s StageStats) { got = append(got, s) }}
 	cfg := ConfigForRate(100)
-	cfg.Observer = CombineObservers(timing, plain)
+	cfg.Observer = &statsFunc{fn: func(s StageStats) { got = append(got, s) }}
 	proc, err := NewProcessor(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +138,12 @@ func TestEvidenceSkippedWithoutCollector(t *testing.T) {
 	if _, err := proc.Process(tr); err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != len(batchStages) {
+		t.Fatalf("observer saw %d stages, want %d", len(got), len(batchStages))
+	}
 	for _, s := range got {
 		if s.Evidence != nil {
-			t.Fatalf("stage %s carried evidence %T without a collector", s.Stage, s.Evidence)
+			t.Fatalf("stage %s carried evidence %T without a sink", s.Stage, s.Evidence)
 		}
 	}
 }
@@ -145,13 +155,12 @@ func (o *statsFunc) OnStageStart(string)     {}
 func (o *statsFunc) OnStageEnd(s StageStats) { o.fn(s) }
 
 // TestIncrementalStrideEvidence drives the incremental engine directly
-// with an evidence collector and checks the ring-cache path's manual
-// stage reports carry calibration and gate evidence, including on the
-// margin-reuse stride.
+// with a sink configured and checks the ring-cache path's hand-built
+// smooth and gate stages carry calibration and gate evidence in the
+// stride's record, including on the margin-reuse stride.
 func TestIncrementalStrideEvidence(t *testing.T) {
 	cfg := faultMonitorConfig()
-	cap := &evidenceCapture{}
-	cfg.Pipeline.Observer = cap
+	cfg.Pipeline.Sink = &recordSink{}
 	proc, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(1))
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +174,7 @@ func TestIncrementalStrideEvidence(t *testing.T) {
 			t.Fatalf("packet %d rejected", i)
 		}
 	}
+	eng.rec = newStrideRecord()
 	if _, err := eng.process(); err != nil {
 		t.Fatalf("first stride: %v", err)
 	}
@@ -172,14 +182,19 @@ func TestIncrementalStrideEvidence(t *testing.T) {
 	for i := 0; i < stride; i++ {
 		eng.push(sim.NextPacket())
 	}
-	cap.mu.Lock()
-	cap.stats = nil
-	cap.mu.Unlock()
+	eng.rec = newStrideRecord()
 	if _, err := eng.process(); err != nil {
 		t.Fatalf("reuse stride: %v", err)
 	}
 
-	by := cap.byStage()
+	var names []string
+	for _, s := range eng.rec.Stages {
+		names = append(names, s.Stage)
+	}
+	if want := StageNames()[1:]; !reflect.DeepEqual(names, want) {
+		t.Fatalf("stride record stages = %v, want %v", names, want)
+	}
+	by := byStage(eng.rec)
 	cal, ok := by[StageSmooth].Evidence.(*CalibrationEvidence)
 	if !ok {
 		t.Fatalf("incremental smooth evidence = %T, want *CalibrationEvidence", by[StageSmooth].Evidence)
@@ -211,13 +226,12 @@ func (o *panicObserver) OnStageEnd(StageStats) {
 	}
 }
 
-// TestMonitorSurvivesPanickingStageObserver is the CombineObservers
-// interaction regression: a panicking third-party StageObserver must not
-// kill the Monitor run loop — strides keep completing, and every panic is
-// counted in Health.ObserverPanics.
+// TestMonitorSurvivesPanickingStageObserver: a panicking third-party
+// live StageObserver must not kill the Monitor run loop — strides keep
+// completing, and every panic is counted in Health.ObserverPanics.
 func TestMonitorSurvivesPanickingStageObserver(t *testing.T) {
 	cfg := allocTestConfig()
-	cfg.Pipeline.Observer = CombineObservers(NewTimingObserver(), &panicObserver{onStart: true, onEnd: true})
+	cfg.Pipeline.Observer = &panicObserver{onStart: true, onEnd: true}
 	m, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,25 +266,27 @@ func TestMonitorSurvivesPanickingStageObserver(t *testing.T) {
 	if len(updates) == 0 {
 		t.Fatal("no updates delivered with a panicking observer")
 	}
+	// Both callbacks of every stage of every stride panicked; the run
+	// loop kept going past each one.
 	h := m.Health()
-	if h.ObserverPanics == 0 {
-		t.Fatal("recovered panics not counted in Health.ObserverPanics")
+	if min := uint64(2 * len(updates)); h.ObserverPanics < min {
+		t.Fatalf("ObserverPanics = %d, want at least %d", h.ObserverPanics, min)
 	}
 	if !h.Degraded() {
 		t.Fatal("observer panics not reported as degraded health")
 	}
 }
 
-// panicUpdateObserver panics on every update.
-type panicUpdateObserver struct{}
+// panicSink panics on every record.
+type panicSink struct{}
 
-func (panicUpdateObserver) OnUpdate(Update) { panic("update boom") }
+func (panicSink) OnStride(*StrideRecord) { panic("sink boom") }
 
 // TestMonitorSurvivesPanickingUpdateObserver extends the contract to the
-// UpdateObserver hook.
+// StrideSink.
 func TestMonitorSurvivesPanickingUpdateObserver(t *testing.T) {
 	cfg := allocTestConfig()
-	cfg.UpdateObserver = panicUpdateObserver{}
+	cfg.Pipeline.Sink = panicSink{}
 	m, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -303,9 +319,9 @@ func TestMonitorSurvivesPanickingUpdateObserver(t *testing.T) {
 	<-done
 
 	if len(updates) == 0 {
-		t.Fatal("no updates delivered with a panicking update observer")
+		t.Fatal("no updates delivered with a panicking sink")
 	}
-	// Delivery is the commit point and the observer runs only for
+	// Delivery is the commit point and the sink runs only for
 	// committed updates, so Close racing the final stride either
 	// delivers-and-observes it or suppresses both: the panic count
 	// matches the delivered count exactly, with no "±1 final update"
@@ -358,7 +374,7 @@ func TestMonitorDeliverSlowConsumerAccounting(t *testing.T) {
 	const n = 25
 	for i := 1; i <= n; i++ {
 		u := Update{Time: float64(i), Health: m.health.snapshot()}
-		if !m.deliver(u) {
+		if !m.deliver(&u) {
 			t.Fatalf("deliver %d failed", i)
 		}
 	}
@@ -374,27 +390,86 @@ func TestMonitorDeliverSlowConsumerAccounting(t *testing.T) {
 	}
 }
 
-// TestCombineObserversEvidencePropagation pins wantsEvidence through the
-// wrappers: a fan-out collects when any member collects; plain observers
-// alone do not; a safeObserver wrap preserves the underlying answer.
-func TestCombineObserversEvidencePropagation(t *testing.T) {
-	plain := NewTimingObserver()
-	collector := &evidenceCapture{}
-	if wantsEvidence(plain) {
-		t.Fatal("TimingObserver reported as evidence collector")
+// TestSharedSinkConcurrentProcess pins the record contract under
+// concurrency: one sink shared by eight concurrent Process calls receives
+// eight whole records, each holding the nine stages in graph order with
+// evidence on every evidence-bearing stage — runs never interleave.
+func TestSharedSinkConcurrentProcess(t *testing.T) {
+	sim := newFixedSim(t, 100, 16, 21)
+	tr, err := sim.Generate(60)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !wantsEvidence(CombineObservers(plain, collector)) {
-		t.Fatal("fan-out with a collector does not collect")
+	sink := &recordSink{}
+	cfg := ConfigForRate(100)
+	cfg.Sink = sink
+	proc, err := NewProcessor(WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wantsEvidence(CombineObservers(plain, NewTimingObserver())) {
-		t.Fatal("fan-out of plain observers collects")
+	const runs = 8
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := proc.Process(tr); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	var panics atomic.Uint64
-	wrapped := &safeObserver{obs: collector, panics: &panics}
-	if !wantsEvidence(wrapped) {
-		t.Fatal("safeObserver hid the wrapped collector")
+	wg.Wait()
+
+	recs := sink.records()
+	if len(recs) != runs {
+		t.Fatalf("sink received %d records, want %d", len(recs), runs)
 	}
-	if wantsEvidence(&safeObserver{obs: plain, panics: &panics}) {
-		t.Fatal("safeObserver invented evidence collection")
+	withEvidence := map[string]bool{
+		StageSmooth: true, StageGate: true, StageSelect: true, StageDWT: true, StageEstimate: true,
+	}
+	for i, rec := range recs {
+		var names []string
+		for _, s := range rec.Stages {
+			names = append(names, s.Stage)
+			if (s.Evidence != nil) != withEvidence[s.Stage] {
+				t.Fatalf("record %d stage %s: evidence %T", i, s.Stage, s.Evidence)
+			}
+		}
+		if !reflect.DeepEqual(names, StageNames()) {
+			t.Fatalf("record %d stages = %v, want %v", i, names, StageNames())
+		}
+	}
+}
+
+// TestMetricsOnlyMonitorComputesNoEvidence: a Monitor with only Metrics
+// wired records its strides (the metrics read the record) but computes no
+// evidence — only a Sink turns evidence on.
+func TestMetricsOnlyMonitorComputesNoEvidence(t *testing.T) {
+	cfg := faultMonitorConfig()
+	cfg.Metrics = metrics.NewRegistry()
+	m, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stop the worker, then drive the Monitor's own stride path on a
+	// fresh engine: handle builds the stride's record exactly as the
+	// worker would (delivery is refused after Close).
+	m.Close()
+	eng := newStrideEngine(&m.cfg, m.processor)
+	defer eng.release()
+	sim := newFixedSim(t, faultMatrixRate, faultMatrixBPM, 3)
+	for eng.rec == nil {
+		m.handle(eng, inPacket{pkt: sim.NextPacket()})
+	}
+	if got, want := len(eng.rec.Stages), len(StageNames())-1; got != want {
+		t.Fatalf("stride record holds %d stages, want %d", got, want)
+	}
+	for _, s := range eng.rec.Stages {
+		if s.Evidence != nil {
+			t.Fatalf("stage %s computed evidence %T without a sink", s.Stage, s.Evidence)
+		}
+	}
+	if eng.trendAbs != nil {
+		t.Fatal("calibration evidence accumulator allocated without a sink")
 	}
 }

@@ -129,7 +129,7 @@ func TestSmoothRangeMatchesSmooth(t *testing.T) {
 	n := len(series)
 	for _, rc := range [][2]int{{0, n}, {0, 600}, {1200, 1800}, {n - 600, n}, {0, 0}, {n / 2, n/2 + 1}} {
 		lo, hi := rc[0], rc[1]
-		got, err := SmoothRange(series, &cfg, lo, hi)
+		got, err := smoothRangeInto(nil, series, &cfg, lo, hi, &smoothScratch{})
 		if err != nil {
 			t.Fatalf("range [%d,%d): %v", lo, hi, err)
 		}
@@ -142,7 +142,7 @@ func TestSmoothRangeMatchesSmooth(t *testing.T) {
 			}
 		}
 	}
-	if _, err := SmoothRange(series, &cfg, -1, 10); err == nil {
+	if _, err := smoothRangeInto(nil, series, &cfg, -1, 10, &smoothScratch{}); err == nil {
 		t.Fatal("want error for negative lo")
 	}
 }

@@ -48,6 +48,10 @@ type Processor struct {
 	// Matrices whose ownership escapes into the Result (Calibrated) are
 	// never arena-backed.
 	arena *arena.Arena
+
+	// guard recovers panics from the observer and sink; nil (batch)
+	// lets them propagate. The Monitor installs one.
+	guard *observerGuard
 }
 
 // Option customizes a Processor.
@@ -64,8 +68,8 @@ func WithPersons(n int) Option {
 	return func(p *Processor) { p.nPersons = n }
 }
 
-// WithObserver attaches a per-stage instrumentation hook (equivalent to
-// setting Config.Observer).
+// WithObserver attaches a live per-stage instrumentation hook (equivalent
+// to setting Config.Observer).
 func WithObserver(obs StageObserver) Option {
 	return func(p *Processor) { p.cfg.Observer = obs }
 }
@@ -105,7 +109,7 @@ const amplitudeGateFraction = 0.3
 // nil mask keeps everything; if the mask would reject every row, the input
 // is returned unchanged (an all-ineligible gate must not starve downstream
 // stages — the fallback is surfaced via SubcarrierSelection.GateFallback
-// and the stage observer).
+// and the gate stage's note).
 func filterEligible(series [][]float64, eligible []bool) [][]float64 {
 	if eligible == nil {
 		return series
@@ -129,11 +133,15 @@ func filterEligible(series [][]float64, eligible []bool) [][]float64 {
 // produced (for example the EnvironmentDetection when no stationary
 // segment exists), and the error is a *StageError naming the failed stage
 // while still matching the sentinel errors (ErrNoData, ErrNotStationary)
-// through errors.Is.
+// through errors.Is. A configured Sink receives the run's StrideRecord
+// before Process returns, success or failure.
 func (p *Processor) Process(tr *trace.Trace) (*Result, error) {
 	st := &pipelineState{proc: p, tr: tr, res: &Result{}}
 	if tr != nil {
 		st.sampleRate = tr.SampleRate
+	}
+	if p.cfg.Sink != nil {
+		st.rec = newStrideRecord()
 	}
 	err := p.runStages(st, batchStages)
 	// The phase-difference and smoothed slabs are internal to the run —
@@ -141,6 +149,10 @@ func (p *Processor) Process(tr *trace.Trace) (*Result, error) {
 	// for the next Process call (no-op without an arena).
 	st.phaseDiffM.Release(p.arena)
 	st.smoothedM.Release(p.arena)
+	if st.rec != nil {
+		st.rec.Result, st.rec.Err = st.res, err
+		p.emit(st.rec)
+	}
 	return st.res, err
 }
 
@@ -148,13 +160,15 @@ func (p *Processor) Process(tr *trace.Trace) (*Result, error) {
 // environment detection, stationary-segment selection, downsampling,
 // subcarrier selection, DWT, and rate estimation — so the batch Processor
 // and the incremental Monitor share one stage list from this point on.
-// It follows the same partial-result contract as Process.
-func (p *Processor) finishSmoothed(smoothed [][]float64, eligible []bool, sampleRate float64) (*Result, error) {
+// It follows the same partial-result contract as Process, and appends
+// its stages to rec (nil when the stride is not recorded).
+func (p *Processor) finishSmoothed(smoothed [][]float64, eligible []bool, sampleRate float64, rec *StrideRecord) (*Result, error) {
 	st := &pipelineState{
 		proc:       p,
 		smoothed:   smoothed,
 		eligible:   eligible,
 		sampleRate: sampleRate,
+		rec:        rec,
 		res:        &Result{},
 	}
 	st.gateFallback, st.rejected = gateStats(eligible)

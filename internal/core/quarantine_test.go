@@ -211,10 +211,10 @@ func TestMonitorDeliverReplacesStale(t *testing.T) {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	if !m.deliver(Update{Time: 1}) {
+	if !m.deliver(&Update{Time: 1}) {
 		t.Fatal("first deliver failed")
 	}
-	if !m.deliver(Update{Time: 2}) {
+	if !m.deliver(&Update{Time: 2}) {
 		t.Fatal("second deliver failed")
 	}
 	if got := m.Health().UpdatesReplaced; got != 1 {

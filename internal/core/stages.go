@@ -12,7 +12,7 @@ import (
 
 // Stage names, in pipeline order. The batch Processor runs all nine; the
 // streaming Monitor's incremental path replaces the first three with its
-// ring-buffer engine (which reports them through the same observer) and
+// ring-buffer engine (which records them through the same helper) and
 // runs the remaining six through the shared stage runner.
 const (
 	StageExtract    = "extract"    // phase-difference extraction + unwrap
@@ -95,18 +95,20 @@ type StageStats struct {
 	// backend, incremental reuse), empty when there is nothing to report.
 	Note string
 	// Evidence carries the stage's typed evidence record (one of the
-	// *Evidence structs in evidence.go). It is nil unless the configured
-	// observer implements EvidenceCollector and opted in — ordinary
-	// observers never pay for its computation.
+	// *Evidence structs in evidence.go). It is nil unless a StrideSink is
+	// configured — a run without one never pays for its computation.
 	Evidence any
 	// Err is the stage's error, nil on success.
 	Err error
 }
 
-// StageObserver receives per-stage instrumentation from every pipeline
-// run. Implementations must be safe for concurrent use when the processor
-// is shared across goroutines (the eval trial runner executes trials in
-// parallel). Callbacks run on the pipeline's goroutine: keep them cheap.
+// StageObserver receives per-stage instrumentation live, from every
+// pipeline run, as each stage starts and ends; the StageStats it receives
+// is the same value the run's StrideRecord keeps. Implementations must be
+// safe for concurrent use when the processor is shared across goroutines
+// (the eval trial runner executes trials in parallel). Callbacks run on
+// the pipeline's goroutine: keep them cheap. Inside a Monitor, panics are
+// recovered and counted in Health.ObserverPanics.
 type StageObserver interface {
 	// OnStageStart fires immediately before the stage runs.
 	OnStageStart(stage string)
@@ -146,16 +148,21 @@ type pipelineState struct {
 	segment [][]float64
 	// breathingHz feeds the heart stage's harmonic rejection.
 	breathingHz float64
-	// note is a per-stage diagnostic cleared after each observer callback.
-	note string
-	// wantEvidence is set once per run when the observer implements
-	// EvidenceCollector; evidence is the per-stage record, cleared like
-	// note after each observer callback.
-	wantEvidence bool
-	evidence     any
+	// rec is the run's observation record, nil when nothing records it.
+	rec *StrideRecord
+	// note is a per-stage diagnostic and evidence the per-stage evidence
+	// record, both cleared after each stage.
+	note     string
+	evidence any
 
 	// res accumulates the pipeline output; never nil.
 	res *Result
+}
+
+// wantEvidence reports whether the run's stages compute evidence: only
+// for a recorded run with a Sink configured.
+func (st *pipelineState) wantEvidence() bool {
+	return st.rec != nil && st.proc.cfg.Sink != nil
 }
 
 // dims reports the sample/subcarrier shape of the most processed matrix
@@ -174,26 +181,18 @@ func (st *pipelineState) dims() (samples, subcarriers int) {
 	return 0, 0
 }
 
-// runStages executes the stage list over the state, timing each stage for
-// the configured observer and tagging failures with the stage name. The
-// accumulated partial Result stays valid whether or not an error occurs.
+// runStages executes the stage list over the state, recording each stage
+// into the run's record and for the live observer, and tagging failures
+// with the stage name. The accumulated partial Result stays valid whether
+// or not an error occurs.
 func (p *Processor) runStages(st *pipelineState, stages []Stage) error {
-	obs := p.cfg.Observer
-	if obs != nil && !st.wantEvidence {
-		st.wantEvidence = wantsEvidence(obs)
-	}
 	for _, stage := range stages {
-		var start time.Time
-		if obs != nil {
-			obs.OnStageStart(stage.Name)
-			start = time.Now()
-		}
+		start := p.beginStage(st.rec, stage.Name)
 		err := stage.Run(st)
-		if obs != nil {
+		if p.observed(st.rec) {
 			samples, subs := st.dims()
-			obs.OnStageEnd(StageStats{
+			p.endStage(st.rec, start, StageStats{
 				Stage:       stage.Name,
-				Duration:    time.Since(start),
 				Samples:     samples,
 				Subcarriers: subs,
 				Note:        st.note,
@@ -249,7 +248,7 @@ func runSmooth(st *pipelineState) error {
 	}
 	st.smoothedM = m
 	st.smoothed = m.Rows()
-	if st.wantEvidence {
+	if st.wantEvidence() {
 		st.evidence = &CalibrationEvidence{TrendMagnitude: meanAbsDiff(st.phaseDiff, st.smoothed)}
 	}
 	return nil
@@ -265,7 +264,7 @@ func runGate(st *pipelineState) error {
 	if st.rejected > 0 {
 		st.note = fmt.Sprintf("gate rejected %d/%d subcarriers", st.rejected, len(st.eligible))
 	}
-	if st.wantEvidence {
+	if st.wantEvidence() {
 		st.evidence = &GateEvidence{Fallback: st.gateFallback, Rejected: st.rejected, Total: len(st.eligible)}
 	}
 	return nil
@@ -329,7 +328,7 @@ func runSelect(st *pipelineState) error {
 	if sel.GateFallback {
 		st.note = fmt.Sprintf("gate fallback: all %d subcarriers rejected, ranking ungated", sel.Rejected)
 	}
-	if st.wantEvidence {
+	if st.wantEvidence() {
 		st.evidence = &SelectionEvidence{
 			MAD:          append([]float64(nil), sel.MAD...),
 			TopK:         append([]int(nil), sel.TopK...),
@@ -348,7 +347,7 @@ func runDWT(st *pipelineState) error {
 		return err
 	}
 	st.res.Bands = bands
-	if st.wantEvidence {
+	if st.wantEvidence() {
 		st.evidence = &DWTEvidence{
 			BreathingEnergy: meanSquare(bands.Breathing),
 			HeartEnergy:     meanSquare(bands.Heart),

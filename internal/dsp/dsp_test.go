@@ -290,6 +290,18 @@ func TestSNRBands(t *testing.T) {
 	}
 }
 
+// firGain returns the filter's magnitude response at freq (Hz) for
+// sample rate fs, evaluated from its taps.
+func firGain(f *FIRFilter, freq, fs float64) float64 {
+	var re, im float64
+	w := 2 * math.Pi * freq / fs
+	for n, h := range f.Taps {
+		re += h * math.Cos(w*float64(n))
+		im -= h * math.Sin(w*float64(n))
+	}
+	return math.Hypot(re, im)
+}
+
 func TestFIRLowPass(t *testing.T) {
 	fs := 400.0
 	f, err := LowPassFIR(5, fs, 101)
@@ -297,10 +309,10 @@ func TestFIRLowPass(t *testing.T) {
 		t.Fatalf("LowPassFIR: %v", err)
 	}
 	// Passband gain ~1, stopband gain small.
-	if g := f.FrequencyResponse(0.5, fs); math.Abs(g-1) > 0.05 {
+	if g := firGain(f, 0.5, fs); math.Abs(g-1) > 0.05 {
 		t.Errorf("passband gain = %v", g)
 	}
-	if g := f.FrequencyResponse(50, fs); g > 0.05 {
+	if g := firGain(f, 50, fs); g > 0.05 {
 		t.Errorf("stopband gain = %v", g)
 	}
 }
@@ -311,13 +323,13 @@ func TestFIRBandPassHeartBand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BandPassFIR: %v", err)
 	}
-	if g := f.FrequencyResponse(1.2, fs); g < 0.8 {
+	if g := firGain(f, 1.2, fs); g < 0.8 {
 		t.Errorf("in-band gain = %v", g)
 	}
-	if g := f.FrequencyResponse(0.2, fs); g > 0.2 {
+	if g := firGain(f, 0.2, fs); g > 0.2 {
 		t.Errorf("breathing-band leakage = %v", g)
 	}
-	if g := f.FrequencyResponse(5, fs); g > 0.2 {
+	if g := firGain(f, 5, fs); g > 0.2 {
 		t.Errorf("high-band leakage = %v", g)
 	}
 }

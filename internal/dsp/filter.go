@@ -134,18 +134,6 @@ func reflectIndex(i, n int) int {
 	return i
 }
 
-// FrequencyResponse returns the magnitude response of the filter at
-// frequency f (Hz) for sample rate fs.
-func (f *FIRFilter) FrequencyResponse(freq, fs float64) float64 {
-	var re, im float64
-	w := 2 * math.Pi * freq / fs
-	for n, h := range f.Taps {
-		re += h * math.Cos(w*float64(n))
-		im -= h * math.Sin(w*float64(n))
-	}
-	return math.Hypot(re, im)
-}
-
 func validateFIRArgs(cutoff, fs float64, taps int) error {
 	if fs <= 0 {
 		return fmt.Errorf("dsp: sample rate must be positive, got %v", fs)

@@ -56,31 +56,26 @@ const (
 	TriggerManual          = "manual"
 )
 
-// Recorder is the flight recorder: a core.StageObserver that assembles
-// an ExplainTrace per pipeline run, keeps the last N in a ring with
-// signal snapshots, and writes a FlightDump bundle when an anomaly
-// trigger fires.
+// Recorder is the flight recorder: a core.StrideSink that turns each
+// pipeline run's StrideRecord into an ExplainTrace, keeps the last N in a
+// ring with signal snapshots, and writes a FlightDump bundle when an
+// anomaly trigger fires.
 //
-// Wire it into a Monitor as both Pipeline.Observer (via
-// core.CombineObservers with any other observers) and
-// MonitorConfig.UpdateObserver; on batch runs set it as the processor
-// observer and call RecordResult after Process. Stage callbacks and
-// OnUpdate run on the pipeline goroutine; Last, Dump and Entries are
-// safe from any goroutine.
+// Wire it as the pipeline's Config.Sink — MonitorConfig.Pipeline.Sink for
+// a Monitor, WithConfig for batch runs. OnStride may be called from
+// several pipeline goroutines at once; Last, Dump and Entries are safe
+// from any goroutine.
 type Recorder struct {
 	cfg Config
 
-	mu      sync.Mutex
-	pending *Trace  // trace being assembled by stage callbacks
-	ring    []Entry // finalized entries, ring[(head+i)%len] oldest-first
-	head    int     // index of the oldest entry
-	count   int     // live entries in the ring
-	seq     uint64  // finalized-trace counter
+	mu    sync.Mutex
+	ring  []Entry // finalized entries, ring[(head+i)%len] oldest-first
+	head  int     // index of the oldest entry
+	count int     // live entries in the ring
+	seq   uint64  // finalized-trace counter
 
-	prevHealth core.Health
-	haveHealth bool
-	prevBPM    float64
-	haveBPM    bool
+	prevBPM float64
+	haveBPM bool
 
 	dumpSeq       int    // dump files written, for unique names
 	lastDumpTrace uint64 // seq at the last automatic dump, for cooldown
@@ -111,89 +106,70 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	return &Recorder{cfg: cfg, ring: make([]Entry, cfg.Capacity)}, nil
 }
 
-// CollectEvidence implements core.EvidenceCollector: a wired Recorder
-// always wants stage evidence.
-func (r *Recorder) CollectEvidence() bool { return true }
-
-// OnStageStart implements core.StageObserver.
-func (r *Recorder) OnStageStart(string) {}
-
-// OnStageEnd implements core.StageObserver: append the stage record to
-// the trace under assembly.
-func (r *Recorder) OnStageEnd(s core.StageStats) {
-	rec := StageRecord{
-		Stage:       s.Stage,
-		Duration:    s.Duration,
-		Samples:     s.Samples,
-		Subcarriers: s.Subcarriers,
-		Note:        s.Note,
-	}
-	if s.Err != nil {
-		rec.Err = s.Err.Error()
-	}
-	switch ev := s.Evidence.(type) {
-	case *core.CalibrationEvidence:
-		rec.Calibration = ev
-	case *core.GateEvidence:
-		rec.Gate = ev
-	case *core.SelectionEvidence:
-		rec.Selection = ev
-	case *core.DWTEvidence:
-		rec.DWT = ev
-	case *core.EstimateEvidence:
-		rec.Estimate = ev
-	}
+// OnStride implements core.StrideSink: turn the run's record into a
+// trace, store it, and fire any triggered dump.
+func (r *Recorder) OnStride(rec *core.StrideRecord) {
+	tr := newTrace(rec)
+	snap := newSnapshot(rec.Result)
 	r.mu.Lock()
-	if r.pending == nil {
-		r.pending = &Trace{Schema: TraceSchema}
-	}
-	r.pending.Stages = append(r.pending.Stages, rec)
-	r.mu.Unlock()
-}
-
-// OnUpdate implements core.UpdateObserver: finalize the pending trace
-// with the stride's result, Health and Health delta, store it, and fire
-// any triggered dump.
-func (r *Recorder) OnUpdate(u core.Update) {
-	r.mu.Lock()
-	tr := r.finalizeLocked(u.Result, u.Err)
-	tr.Time = u.Time
-	tr.Health = u.Health
-	if r.haveHealth {
-		tr.HealthDelta = u.Health.Sub(r.prevHealth)
-	} else {
-		tr.HealthDelta = u.Health
-	}
-	tr.Degraded = tr.HealthDelta.Degraded()
-	r.prevHealth = u.Health
-	r.haveHealth = true
-	trigger := r.triggerLocked(tr)
-	dump, path := r.prepareDumpLocked(trigger, tr.Seq)
-	r.mu.Unlock()
-	r.writeDump(dump, path)
-}
-
-// RecordResult finalizes the pending trace for a batch run (no Monitor,
-// so no Health) and returns it.
-func (r *Recorder) RecordResult(res *core.Result, err error) *Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.finalizeLocked(res, err)
-}
-
-// finalizeLocked turns the pending stage records into a stored Entry.
-func (r *Recorder) finalizeLocked(res *core.Result, err error) *Trace {
-	tr := r.pending
-	if tr == nil {
-		tr = &Trace{Schema: TraceSchema}
-	}
-	r.pending = nil
 	r.seq++
 	tr.Seq = r.seq
-	if err != nil {
-		tr.Err = err.Error()
+	e := Entry{Trace: tr, Snapshot: snap}
+	if r.count < len(r.ring) {
+		r.ring[(r.head+r.count)%len(r.ring)] = e
+		r.count++
+	} else {
+		r.ring[r.head] = e
+		r.head = (r.head + 1) % len(r.ring)
 	}
-	if res != nil {
+	dump, path := r.prepareDumpLocked(r.triggerLocked(tr), tr.Seq)
+	r.mu.Unlock()
+	if dump != nil {
+		r.writeDump(dump, path) // a failure is logged; the stride goes on
+	}
+}
+
+// newTrace builds a run's trace (without its sequence number) from the
+// record: every stage with its evidence in its own slot, the final
+// estimates, and the Health and its delta.
+func newTrace(rec *core.StrideRecord) *Trace {
+	tr := &Trace{
+		Schema:      TraceSchema,
+		Time:        rec.Time,
+		Stages:      make([]StageRecord, len(rec.Stages)),
+		Health:      rec.Health,
+		HealthDelta: rec.HealthDelta,
+		Degraded:    rec.HealthDelta.Degraded(),
+	}
+	for i, s := range rec.Stages {
+		sr := StageRecord{
+			Stage:       s.Stage,
+			Duration:    s.Duration,
+			Samples:     s.Samples,
+			Subcarriers: s.Subcarriers,
+			Note:        s.Note,
+		}
+		if s.Err != nil {
+			sr.Err = s.Err.Error()
+		}
+		switch ev := s.Evidence.(type) {
+		case *core.CalibrationEvidence:
+			sr.Calibration = ev
+		case *core.GateEvidence:
+			sr.Gate = ev
+		case *core.SelectionEvidence:
+			sr.Selection = ev
+		case *core.DWTEvidence:
+			sr.DWT = ev
+		case *core.EstimateEvidence:
+			sr.Estimate = ev
+		}
+		tr.Stages[i] = sr
+	}
+	if rec.Err != nil {
+		tr.Err = rec.Err.Error()
+	}
+	if res := rec.Result; res != nil {
 		if res.Breathing != nil {
 			tr.BreathingBPM = res.Breathing.RateBPM
 		}
@@ -204,19 +180,12 @@ func (r *Recorder) finalizeLocked(res *core.Result, err error) *Trace {
 			tr.RatesBPM = append([]float64(nil), res.MultiPerson.RatesBPM...)
 		}
 	}
-	e := Entry{Trace: tr, Snapshot: newSnapshot(res)}
-	if r.count < len(r.ring) {
-		r.ring[(r.head+r.count)%len(r.ring)] = e
-		r.count++
-	} else {
-		r.ring[r.head] = e
-		r.head = (r.head + 1) % len(r.ring)
-	}
 	return tr
 }
 
 // triggerLocked evaluates the anomaly triggers against a finalized
-// streaming trace, most specific first, returning the trigger name or
+// trace, most specific first (a batch trace's zero Health fires none of
+// the health triggers), returning the trigger name or
 // "". The estimate-jump state updates even while other triggers fire,
 // so a jump is judged against the last estimate actually produced.
 func (r *Recorder) triggerLocked(tr *Trace) string {
@@ -286,26 +255,21 @@ func (r *Recorder) buildDumpLocked(trigger string, seq uint64) (*FlightDump, str
 	return d, filepath.Join(r.cfg.Dir, name)
 }
 
-// writeDump marshals and writes a prepared bundle; a nil dump is a no-op.
-func (r *Recorder) writeDump(d *FlightDump, path string) {
-	if d == nil {
-		return
-	}
+// writeDump marshals and writes a prepared bundle, logging the outcome.
+func (r *Recorder) writeDump(d *FlightDump, path string) error {
 	data, err := json.MarshalIndent(d, "", "  ")
 	if err == nil {
 		err = os.WriteFile(path, data, 0o644)
 	}
-	log := r.cfg.Logger
-	if err != nil {
-		if log != nil {
+	if log := r.cfg.Logger; log != nil {
+		if err != nil {
 			log.Error("flight dump failed", "path", path, "trigger", d.Trigger, "err", err)
+		} else {
+			log.Info("flight dump written", "path", path, "trigger", d.Trigger,
+				"seq", d.Seq, "traces", len(d.Entries), "spans", len(d.Spans))
 		}
-		return
 	}
-	if log != nil {
-		log.Info("flight dump written",
-			"path", path, "trigger", d.Trigger, "seq", d.Seq, "traces", len(d.Entries))
-	}
+	return err
 }
 
 // Dump writes the current ring as a bundle with the given trigger name
@@ -313,32 +277,7 @@ func (r *Recorder) writeDump(d *FlightDump, path string) {
 // path. It fails when no dump directory is configured or the ring is
 // empty.
 func (r *Recorder) Dump(trigger string) (string, error) {
-	if trigger == "" {
-		trigger = TriggerManual
-	}
-	r.mu.Lock()
-	if r.cfg.Dir == "" {
-		r.mu.Unlock()
-		return "", fmt.Errorf("explain: no flight-dump directory configured")
-	}
-	if r.count == 0 {
-		r.mu.Unlock()
-		return "", fmt.Errorf("explain: no traces recorded yet")
-	}
-	d, path := r.buildDumpLocked(trigger, r.seq)
-	r.mu.Unlock()
-	data, err := json.MarshalIndent(d, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, data, 0o644)
-	}
-	if err != nil {
-		return "", err
-	}
-	if r.cfg.Logger != nil {
-		r.cfg.Logger.Info("flight dump written",
-			"path", path, "trigger", trigger, "seq", d.Seq, "traces", len(d.Entries))
-	}
-	return path, nil
+	return r.dumpNow(trigger, true, nil, "")
 }
 
 // DumpSpans writes a bundle for an externally detected condition —
@@ -350,28 +289,29 @@ func (r *Recorder) Dump(trigger string) (string, error) {
 // cooldown is bypassed: the external trigger owns its own rate limit
 // (the SLO tracker's BurnCooldown).
 func (r *Recorder) DumpSpans(trigger string, spans []otrace.SpanRecord, note string) (string, error) {
+	return r.dumpNow(trigger, false, spans, note)
+}
+
+// dumpNow writes the ring, plus spans and a note, as a bundle outside
+// the cooldown; needTraces refuses an empty ring.
+func (r *Recorder) dumpNow(trigger string, needTraces bool, spans []otrace.SpanRecord, note string) (string, error) {
 	if trigger == "" {
 		trigger = TriggerManual
 	}
 	r.mu.Lock()
-	if r.cfg.Dir == "" {
+	switch {
+	case r.cfg.Dir == "":
 		r.mu.Unlock()
 		return "", fmt.Errorf("explain: no flight-dump directory configured")
+	case needTraces && r.count == 0:
+		r.mu.Unlock()
+		return "", fmt.Errorf("explain: no traces recorded yet")
 	}
 	d, path := r.buildDumpLocked(trigger, r.seq)
 	r.mu.Unlock()
-	d.Spans = spans
-	d.Note = note
-	data, err := json.MarshalIndent(d, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, data, 0o644)
-	}
-	if err != nil {
+	d.Spans, d.Note = spans, note
+	if err := r.writeDump(d, path); err != nil {
 		return "", err
-	}
-	if r.cfg.Logger != nil {
-		r.cfg.Logger.Info("flight dump written",
-			"path", path, "trigger", trigger, "traces", len(d.Entries), "spans", len(spans))
 	}
 	return path, nil
 }

@@ -72,7 +72,7 @@ func TestRingBounding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		r.RecordResult(nil, errors.New("no window"))
+		r.OnStride(&core.StrideRecord{Update: core.Update{Err: errors.New("no window")}})
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
@@ -91,25 +91,27 @@ func TestRingBounding(t *testing.T) {
 	}
 }
 
-// TestStageEvidenceSlots routes each typed evidence kind through
-// OnStageEnd into its own JSON slot.
+// TestStageEvidenceSlots routes each typed evidence kind of a record's
+// stages through OnStride into its own JSON slot.
 func TestStageEvidenceSlots(t *testing.T) {
 	r, err := NewRecorder(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.OnStageEnd(core.StageStats{Stage: core.StageSmooth,
-		Evidence: &core.CalibrationEvidence{TrendMagnitude: 0.4}})
-	r.OnStageEnd(core.StageStats{Stage: core.StageGate,
-		Evidence: &core.GateEvidence{Fallback: true, Rejected: 30, Total: 30}})
-	r.OnStageEnd(core.StageStats{Stage: core.StageSelect,
-		Evidence: &core.SelectionEvidence{Selected: 7, MAD: []float64{1, 2}}})
-	r.OnStageEnd(core.StageStats{Stage: core.StageDWT,
-		Evidence: &core.DWTEvidence{BreathingEnergy: 2, HeartEnergy: 1}})
-	r.OnStageEnd(core.StageStats{Stage: core.StageEstimate,
-		Evidence: &core.EstimateEvidence{SNR: 9, Confidence: 0.26},
-		Err:      errors.New("weak peak")})
-	tr := r.RecordResult(nil, nil)
+	r.OnStride(&core.StrideRecord{Stages: []core.StageStats{
+		{Stage: core.StageSmooth,
+			Evidence: &core.CalibrationEvidence{TrendMagnitude: 0.4}},
+		{Stage: core.StageGate,
+			Evidence: &core.GateEvidence{Fallback: true, Rejected: 30, Total: 30}},
+		{Stage: core.StageSelect,
+			Evidence: &core.SelectionEvidence{Selected: 7, MAD: []float64{1, 2}}},
+		{Stage: core.StageDWT,
+			Evidence: &core.DWTEvidence{BreathingEnergy: 2, HeartEnergy: 1}},
+		{Stage: core.StageEstimate,
+			Evidence: &core.EstimateEvidence{SNR: 9, Confidence: 0.26},
+			Err:      errors.New("weak peak")},
+	}})
+	tr := r.Last()
 	if len(tr.Stages) != 5 {
 		t.Fatalf("stage count = %d, want 5", len(tr.Stages))
 	}
@@ -138,7 +140,16 @@ func breathingResult(bpm float64) *core.Result {
 	return &core.Result{Breathing: &core.BreathingEstimate{RateBPM: bpm, Method: "fft"}}
 }
 
-// TestTriggerMatrix drives OnUpdate with synthetic health counters and
+// strideRecord builds the record a Monitor delivers for an update with
+// cumulative health h, given the previous update's health prev.
+func strideRecord(res *core.Result, h, prev core.Health) *core.StrideRecord {
+	return &core.StrideRecord{
+		Update:      core.Update{Time: 1, Result: res, Health: h},
+		HealthDelta: h.Sub(prev),
+	}
+}
+
+// TestTriggerMatrix drives OnStride with synthetic health counters and
 // checks each anomaly condition fires its named dump, in priority order.
 func TestTriggerMatrix(t *testing.T) {
 	dir := t.TempDir()
@@ -146,16 +157,18 @@ func TestTriggerMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var prev core.Health
 	h := core.Health{Accepted: 100}
 	step := func(res *core.Result, mut func(*core.Health)) {
 		h.Accepted += 100
 		if mut != nil {
 			mut(&h)
 		}
-		r.OnUpdate(core.Update{Time: 1, Result: res, Health: h})
+		r.OnStride(strideRecord(res, h, prev))
+		prev = h
 	}
 
-	step(breathingResult(15), nil) // baseline: sets prevHealth and prevBPM
+	step(breathingResult(15), nil) // baseline: sets prevBPM
 	step(breathingResult(15), func(h *core.Health) { h.GapResets++ })
 	step(breathingResult(15), func(h *core.Health) { h.QuarantinedNonFinite += 20 })
 	step(breathingResult(30), nil)                                          // 15 bpm jump
@@ -209,11 +222,12 @@ func TestTriggerCooldown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := core.Health{}
+	var prev, h core.Health
 	for i := 0; i < 6; i++ {
 		h.Accepted += 100
 		h.QuarantinedNonFinite += 50 // every stride spikes
-		r.OnUpdate(core.Update{Health: h})
+		r.OnStride(strideRecord(nil, h, prev))
+		prev = h
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
 	// Strides 1..6 all trigger; dumps land on 1 and 4 (cooldown 3).
@@ -241,7 +255,7 @@ func TestDumpErrors(t *testing.T) {
 	if _, err := r.Dump(""); err == nil {
 		t.Fatal("dump with an empty ring succeeded")
 	}
-	r.RecordResult(nil, nil)
+	r.OnStride(&core.StrideRecord{})
 	path, err := r.Dump("")
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +356,8 @@ func TestFlightRecorderCapturesNaNFault(t *testing.T) {
 	cfg.WindowSeconds = window
 	cfg.UpdateEverySeconds = stride
 	cfg.IngestBuffer = 64
-	cfg.Pipeline.Observer = core.CombineObservers(core.NewTimingObserver(), rec)
-	cfg.UpdateObserver = rec
+	cfg.Pipeline.Observer = core.NewTimingObserver()
+	cfg.Pipeline.Sink = rec
 
 	sim := newLabSim(t, rate, 16, 11)
 	fi, err := csisim.NewFaultInjector(sim, csisim.FaultPlan{

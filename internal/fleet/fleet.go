@@ -66,7 +66,8 @@ type Config struct {
 	// Monitor is the template session configuration. The zero value means
 	// core.DefaultMonitorConfig. Per-session parameters from SessionConfig
 	// override it; DropOnBacklog, IngestBuffer and Arena are always owned
-	// by the fleet (see Open).
+	// by the fleet, and Metrics is cleared (see Open). A template
+	// Pipeline.Observer or Sink is shared by every session.
 	Monitor core.MonitorConfig
 	// Metrics, when non-nil, receives the fleet gauges: fleet.sessions,
 	// fleet.sessions.opened/closed, fleet.ingested, fleet.unrouted,
@@ -118,7 +119,8 @@ type Recorder interface {
 // request. Zero fields inherit the Manager's template.
 type SessionConfig struct {
 	// SampleRate is the session's packet rate in Hz. Setting it also
-	// rescales the pipeline windows via core.ConfigForRate.
+	// re-derives the template pipeline's rate-scaled windows (see
+	// core.Config.ForRate); every other pipeline setting is kept.
 	SampleRate float64
 	// NumAntennas and NumSubcarriers describe the session's packets.
 	NumAntennas, NumSubcarriers int
@@ -242,7 +244,7 @@ func (m *Manager) Open(key string, sc SessionConfig) (*Session, error) {
 	mc := m.cfg.Monitor
 	if sc.SampleRate > 0 {
 		mc.SampleRate = sc.SampleRate
-		mc.Pipeline = core.ConfigForRate(sc.SampleRate)
+		mc.Pipeline = mc.Pipeline.ForRate(sc.SampleRate)
 	}
 	if sc.NumAntennas > 0 {
 		mc.NumAntennas = sc.NumAntennas
@@ -263,7 +265,6 @@ func (m *Manager) Open(key string, sc SessionConfig) (*Session, error) {
 	mc.IngestBuffer = m.cfg.SessionBuffer
 	mc.Arena = sh.arena
 	mc.Metrics = nil
-	mc.UpdateObserver = nil
 	mc.Tracer = m.cfg.Tracer
 
 	sh.mu.Lock()

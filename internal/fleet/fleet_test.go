@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -367,5 +368,61 @@ func TestSharedArenaChurnStress(t *testing.T) {
 	if agg.Accepted != wantClean || agg.QuarantinedMalformed != wantBad {
 		t.Fatalf("aggregate accepted %d/%d, quarantined %d/%d",
 			agg.Accepted, wantClean, agg.QuarantinedMalformed, wantBad)
+	}
+}
+
+// countingObserver counts live stage callbacks.
+type countingObserver struct{ ends atomic.Uint64 }
+
+func (o *countingObserver) OnStageStart(string)        {}
+func (o *countingObserver) OnStageEnd(core.StageStats) { o.ends.Add(1) }
+
+// TestOpenWithSampleRateKeepsTemplatePipeline: a session that states its
+// sample rate re-derives only the rate-scaled windows; the template's
+// estimator and observer survive.
+func TestOpenWithSampleRateKeepsTemplatePipeline(t *testing.T) {
+	hc := HarnessConfig{SampleRate: 400, Seconds: 24, WindowSeconds: 20, StrideSeconds: 2,
+		Antennas: 3, Subcarriers: 16, Seed: 7}
+	pkts, err := templatePackets(hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &countingObserver{}
+	mc := core.DefaultMonitorConfig()
+	mc.NumSubcarriers = hc.Subcarriers
+	mc.WindowSeconds = hc.WindowSeconds
+	mc.UpdateEverySeconds = hc.StrideSeconds
+	mc.Pipeline.Estimator = "esprit"
+	mc.Pipeline.Observer = obs
+	mgr, err := New(Config{Shards: 1, SessionBuffer: 1024, Monitor: mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	s, err := mgr.Open("esprit", SessionConfig{SampleRate: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, mgr, "esprit", pkts)
+	snap, ok := s.Wait(0, 10*time.Second)
+	if !ok {
+		t.Fatalf("no update: %+v", s.Health())
+	}
+	if obs.ends.Load() == 0 {
+		t.Fatal("template observer never called")
+	}
+	res := snap.Update.Result
+	if res == nil {
+		t.Fatalf("update carries no result (err %v)", snap.Update.Err)
+	}
+	var method string
+	switch {
+	case res.Breathing != nil:
+		method = res.Breathing.Method
+	case res.MultiPerson != nil:
+		method = res.MultiPerson.Method
+	}
+	if method != "esprit" {
+		t.Fatalf("estimate method %q (err %v), want esprit from the template", method, snap.Update.Err)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEigSymDiagonal(t *testing.T) {
-	a, _ := NewMatrixFrom(3, 3, []float64{
+	a := matrixFrom(3, 3, []float64{
 		3, 0, 0,
 		0, 1, 0,
 		0, 0, 2,
@@ -27,7 +27,7 @@ func TestEigSymDiagonal(t *testing.T) {
 
 func TestEigSymKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	a, _ := NewMatrixFrom(2, 2, []float64{2, 1, 1, 2})
+	a := matrixFrom(2, 2, []float64{2, 1, 1, 2})
 	e, err := EigSym(a)
 	if err != nil {
 		t.Fatalf("EigSym: %v", err)
@@ -43,7 +43,7 @@ func TestEigSymKnown2x2(t *testing.T) {
 }
 
 func TestEigSymRejectsAsymmetric(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 2, []float64{1, 5, 0, 1})
+	a := matrixFrom(2, 2, []float64{1, 5, 0, 1})
 	if _, err := EigSym(a); err == nil {
 		t.Error("want error for asymmetric matrix")
 	}

@@ -28,17 +28,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFrom builds a rows×cols matrix from data in row-major order.
-// The slice is copied.
-func NewMatrixFrom(rows, cols int, data []float64) (*Matrix, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("%w: want %d values, got %d", ErrDimensionMismatch, rows*cols, len(data))
-	}
-	m := NewMatrix(rows, cols)
-	copy(m.data, data)
-	return m, nil
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)

@@ -8,28 +8,19 @@ import (
 	"testing/quick"
 )
 
-func TestNewMatrixFrom(t *testing.T) {
-	m, err := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	if err != nil {
-		t.Fatalf("NewMatrixFrom: %v", err)
+// matrixFrom builds a rows×cols test matrix from row-major data.
+func matrixFrom(rows, cols int, data []float64) *Matrix {
+	if len(data) != rows*cols {
+		panic("matrixFrom: data length does not match the shape")
 	}
-	if got := m.At(0, 2); got != 3 {
-		t.Errorf("At(0,2) = %v, want 3", got)
-	}
-	if got := m.At(1, 0); got != 4 {
-		t.Errorf("At(1,0) = %v, want 4", got)
-	}
-}
-
-func TestNewMatrixFromBadLength(t *testing.T) {
-	if _, err := NewMatrixFrom(2, 2, []float64{1, 2, 3}); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("want ErrDimensionMismatch, got %v", err)
-	}
+	m := NewMatrix(rows, cols)
+	copy(m.data, data)
+	return m
 }
 
 func TestMatrixMul(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b, _ := NewMatrixFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
+	a := matrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	b := matrixFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	c, err := a.Mul(b)
 	if err != nil {
 		t.Fatalf("Mul: %v", err)
@@ -53,7 +44,7 @@ func TestMatrixMulDimensionMismatch(t *testing.T) {
 }
 
 func TestMatrixTranspose(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	a := matrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	at := a.Transpose()
 	if at.Rows() != 3 || at.Cols() != 2 {
 		t.Fatalf("transpose shape = %dx%d, want 3x2", at.Rows(), at.Cols())
@@ -68,8 +59,8 @@ func TestMatrixTranspose(t *testing.T) {
 }
 
 func TestMatrixAddSub(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 2, []float64{1, 2, 3, 4})
-	b, _ := NewMatrixFrom(2, 2, []float64{5, 6, 7, 8})
+	a := matrixFrom(2, 2, []float64{1, 2, 3, 4})
+	b := matrixFrom(2, 2, []float64{5, 6, 7, 8})
 	s, err := a.Add(b)
 	if err != nil {
 		t.Fatalf("Add: %v", err)
@@ -88,7 +79,7 @@ func TestMatrixAddSub(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 3, []float64{1, 0, -1, 2, 1, 0})
+	a := matrixFrom(2, 3, []float64{1, 0, -1, 2, 1, 0})
 	got, err := a.MulVec([]float64{3, 4, 5})
 	if err != nil {
 		t.Fatalf("MulVec: %v", err)
@@ -128,11 +119,11 @@ func TestIdentityTrace(t *testing.T) {
 }
 
 func TestIsSymmetric(t *testing.T) {
-	sym, _ := NewMatrixFrom(2, 2, []float64{1, 2, 2, 3})
+	sym := matrixFrom(2, 2, []float64{1, 2, 2, 3})
 	if !sym.IsSymmetric(0) {
 		t.Error("symmetric matrix reported as asymmetric")
 	}
-	asym, _ := NewMatrixFrom(2, 2, []float64{1, 2, 2.5, 3})
+	asym := matrixFrom(2, 2, []float64{1, 2, 2.5, 3})
 	if asym.IsSymmetric(1e-9) {
 		t.Error("asymmetric matrix reported as symmetric")
 	}
@@ -193,16 +184,5 @@ func matricesClose(a, b *Matrix, tol float64) bool {
 func TestVectorHelpers(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
-	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	v := Normalize([]float64{0, 10})
-	if math.Abs(Norm2(v)-1) > 1e-15 {
-		t.Errorf("Normalize norm = %v, want 1", Norm2(v))
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Error("Normalize of zero vector should stay zero")
 	}
 }

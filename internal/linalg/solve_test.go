@@ -10,8 +10,8 @@ import (
 )
 
 func TestSolveKnownSystem(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 2, []float64{2, 1, 1, 3})
-	b, _ := NewMatrixFrom(2, 1, []float64{5, 10})
+	a := matrixFrom(2, 2, []float64{2, 1, 1, 3})
+	b := matrixFrom(2, 1, []float64{5, 10})
 	x, err := Solve(a, b)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -23,7 +23,7 @@ func TestSolveKnownSystem(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 2, []float64{1, 2, 2, 4})
+	a := matrixFrom(2, 2, []float64{1, 2, 2, 4})
 	b := NewMatrix(2, 1)
 	if _, err := Solve(a, b); !errors.Is(err, ErrSingular) {
 		t.Errorf("want ErrSingular, got %v", err)
@@ -76,7 +76,7 @@ func TestSolveResidualProperty(t *testing.T) {
 
 func TestCharPolyKnown(t *testing.T) {
 	// [[2,1],[1,2]]: λ² − 4λ + 3.
-	a, _ := NewMatrixFrom(2, 2, []float64{2, 1, 1, 2})
+	a := matrixFrom(2, 2, []float64{2, 1, 1, 2})
 	coeffs, err := CharPoly(a)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestEigenvaluesMatchEigSym(t *testing.T) {
 // Eigenvalues of a rotation matrix are e^{±jθ}.
 func TestEigenvaluesRotation(t *testing.T) {
 	theta := 0.7
-	a, _ := NewMatrixFrom(2, 2, []float64{
+	a := matrixFrom(2, 2, []float64{
 		math.Cos(theta), -math.Sin(theta),
 		math.Sin(theta), math.Cos(theta),
 	})

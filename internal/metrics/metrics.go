@@ -220,7 +220,7 @@ func (b Bucket) MarshalJSON() ([]byte, error) {
 
 // HistogramSnapshot is a histogram's point-in-time value as exposed in
 // registry snapshots. Empty buckets are omitted. P50/P95/P99 are
-// bucket-interpolated quantile estimates (see Quantile); zero when the
+// bucket-interpolated quantile estimates (see quantile); zero when the
 // histogram is empty.
 type HistogramSnapshot struct {
 	Count   uint64   `json:"count"`
@@ -260,29 +260,15 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) by locating the bucket
-// containing the target rank and interpolating linearly inside it — the
-// same estimate Prometheus's histogram_quantile computes from the
-// bucket series. Observations in the +Inf overflow bucket clamp to the
-// highest finite bound. Returns 0 for an empty or nil histogram or an
+// quantile interpolates the q-quantile (0 < q < 1) from a fixed-bucket
+// count vector by locating the bucket containing the target rank and
+// interpolating linearly inside it — the same estimate Prometheus's
+// histogram_quantile computes from the bucket series. Each bucket's
+// observations are assumed uniform between its lower and upper bound
+// (the first bucket's lower bound is 0 — these histograms hold
+// non-negative durations); the +Inf overflow bucket clamps to the
+// highest finite bound. Returns 0 for an empty count vector or an
 // out-of-range q.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	return quantile(h.bounds, counts, total, q)
-}
-
-// quantile interpolates the q-quantile from a fixed-bucket count
-// vector. Each bucket's observations are assumed uniform between its
-// lower and upper bound (the first bucket's lower bound is 0 — these
-// histograms hold non-negative durations).
 func quantile(bounds []float64, counts []uint64, total uint64, q float64) float64 {
 	if total == 0 || q <= 0 || q >= 1 {
 		return 0

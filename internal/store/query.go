@@ -292,7 +292,7 @@ func (s *Store) ReplayThroughMonitor(key string, base core.MonitorConfig) (*core
 	mc := base
 	if meta.SampleRate > 0 {
 		mc.SampleRate = meta.SampleRate
-		mc.Pipeline = core.ConfigForRate(meta.SampleRate)
+		mc.Pipeline = mc.Pipeline.ForRate(meta.SampleRate)
 	}
 	if meta.NumAntennas > 0 {
 		mc.NumAntennas = meta.NumAntennas

@@ -76,10 +76,17 @@ type (
 	// StageError tags a pipeline failure with the stage that produced it;
 	// match the stage with errors.As and the cause with errors.Is.
 	StageError = core.StageError
-	// StageStats is one per-stage record delivered to a StageObserver.
+	// StageStats is one stage's record: delivered live to a
+	// StageObserver and kept in the run's StrideRecord.
 	StageStats = core.StageStats
-	// StageObserver receives start/end callbacks from every pipeline run.
+	// StageObserver receives live start/end callbacks from every
+	// pipeline run.
 	StageObserver = core.StageObserver
+	// StrideRecord is one pipeline run's observation record: the update,
+	// its Health delta, and every stage with its evidence.
+	StrideRecord = core.StrideRecord
+	// StrideSink receives one StrideRecord per pipeline run (Config.Sink).
+	StrideSink = core.StrideSink
 	// TimingObserver is a concurrency-safe StageObserver that aggregates
 	// per-stage durations across runs.
 	TimingObserver = core.TimingObserver
@@ -90,12 +97,6 @@ type (
 	MetricsRegistry = metrics.Registry
 	// MetricsHistogram is a fixed-bucket, lock-free latency histogram.
 	MetricsHistogram = metrics.Histogram
-	// StageMetricsObserver is a StageObserver recording per-stage latency
-	// histograms and error counters into a MetricsRegistry.
-	StageMetricsObserver = core.StageMetrics
-	// UpdateObserver receives every delivered Monitor update — the hook
-	// the explain flight recorder rides on.
-	UpdateObserver = core.UpdateObserver
 	// ExplainConfig configures an ExplainRecorder; ExplainTrace is one
 	// pipeline run's per-stage explanation; FlightDump is the bundle the
 	// recorder writes when an anomaly trigger fires.
@@ -197,31 +198,19 @@ func WithObserver(obs StageObserver) ProcessorOption { return core.WithObserver(
 func NewTimingObserver() *TimingObserver { return core.NewTimingObserver() }
 
 // NewMetricsRegistry returns an empty metrics registry. Mount it on an
-// HTTP mux (it implements http.Handler), hand it to
-// MonitorConfig.Metrics, attach NewStageMetricsObserver for batch runs,
+// HTTP mux (it implements http.Handler), hand it to MonitorConfig.Metrics
+// for the per-stage, stride and health metrics of a streaming Monitor,
 // and export the trace-codec counters with RegisterTraceMetrics.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// NewStageMetricsObserver returns a StageObserver that records each
-// stage completion into r as a latency histogram
-// (pipeline.stage.<name>.seconds) and an error counter. A nil registry
-// yields a disabled observer that CombineObservers drops.
-func NewStageMetricsObserver(r *MetricsRegistry) *StageMetricsObserver {
-	return core.NewStageMetrics(r)
-}
-
-// CombineObservers merges stage observers into one, skipping nils; it
-// returns nil when nothing remains.
-func CombineObservers(obs ...StageObserver) StageObserver { return core.CombineObservers(obs...) }
 
 // RegisterTraceMetrics exports the trace codec's counters (traces and
 // packets read/written, decode errors) into r under "trace.".
 func RegisterTraceMetrics(r *MetricsRegistry) { trace.RegisterMetrics(r) }
 
-// NewExplainRecorder returns a flight recorder assembling per-update
-// explain traces. Wire it into a Monitor as both Pipeline.Observer (via
-// CombineObservers) and MonitorConfig.UpdateObserver; for batch runs
-// attach it with WithObserver and call RecordResult after ProcessTrace.
+// NewExplainRecorder returns a flight recorder assembling one explain
+// trace per pipeline run. It is a StrideSink: set it as Config.Sink —
+// MonitorConfig.Pipeline.Sink for a Monitor, or through WithConfig for
+// ProcessTrace, which hands it the run's record before returning.
 func NewExplainRecorder(cfg ExplainConfig) (*ExplainRecorder, error) {
 	return explain.NewRecorder(cfg)
 }
