@@ -198,7 +198,7 @@ func estimateFromMatrix(matrix [][]float64, sampleRate float64, cfg *core.Config
 	if err != nil {
 		return 0, err
 	}
-	sel, err := core.SelectSubcarrier(calibrated, cfg.TopK, nil)
+	sel, err := core.SelectSubcarrier(calibrated, core.TopK, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -207,7 +207,7 @@ func estimateFromMatrix(matrix [][]float64, sampleRate float64, cfg *core.Config
 	if err != nil {
 		return 0, err
 	}
-	est, err := core.EstimateBreathingPeaks(bands.Breathing, estRate, cfg)
+	est, err := core.EstimateBreathingPeaks(bands.Breathing, estRate)
 	if err != nil {
 		return 0, err
 	}
@@ -242,7 +242,7 @@ func BenchmarkAblationDetrend(b *testing.B) {
 				}
 				matrix[i] = down
 			}
-			sel, serr := core.SelectSubcarrier(matrix, cfg.TopK, nil)
+			sel, serr := core.SelectSubcarrier(matrix, core.TopK, nil)
 			if serr != nil {
 				return 0, serr
 			}
@@ -251,7 +251,7 @@ func BenchmarkAblationDetrend(b *testing.B) {
 			if derr != nil {
 				return 0, derr
 			}
-			est, eerr := core.EstimateBreathingPeaks(bands.Breathing, estRate, &cfg)
+			est, eerr := core.EstimateBreathingPeaks(bands.Breathing, estRate)
 			if eerr != nil {
 				return 0, eerr
 			}
@@ -286,7 +286,7 @@ func BenchmarkAblationSubcarrierSelection(b *testing.B) {
 			if err != nil {
 				return 0, err
 			}
-			est, err := core.EstimateBreathingPeaks(bands.Breathing, estRate, &cfg)
+			est, err := core.EstimateBreathingPeaks(bands.Breathing, estRate)
 			if err != nil {
 				return 0, err
 			}
@@ -296,7 +296,7 @@ func BenchmarkAblationSubcarrierSelection(b *testing.B) {
 	var medianErr, fixedErr, maxErr float64
 	for i := 0; i < b.N; i++ {
 		medianErr = meanAbsErr(trials, variant(func(c [][]float64) (int, error) {
-			sel, err := core.SelectSubcarrier(c, cfg.TopK, nil)
+			sel, err := core.SelectSubcarrier(c, core.TopK, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -339,17 +339,17 @@ func BenchmarkAblationDWTVsFIR(b *testing.B) {
 			if err != nil {
 				return 0, err
 			}
-			sel, err := core.SelectSubcarrier(calibrated, cfg.TopK, nil)
+			sel, err := core.SelectSubcarrier(calibrated, core.TopK, nil)
 			if err != nil {
 				return 0, err
 			}
 			estRate := t.trace.SampleRate / float64(cfg.DownsampleFactor)
-			bp, err := dsp.BandPassFIR(cfg.BreathBandLow*0.8, cfg.BreathBandHigh*1.1, estRate, 161)
+			bp, err := dsp.BandPassFIR(core.BreathBandLow*0.8, core.BreathBandHigh*1.1, estRate, 161)
 			if err != nil {
 				return 0, err
 			}
 			breathing := bp.Apply(calibrated[sel.Selected])
-			est, err := core.EstimateBreathingPeaks(breathing, estRate, &cfg)
+			est, err := core.EstimateBreathingPeaks(breathing, estRate)
 			if err != nil {
 				return 0, err
 			}
@@ -364,7 +364,6 @@ func BenchmarkAblationDWTVsFIR(b *testing.B) {
 // plain FFT peak for single-person breathing.
 func BenchmarkAblationPeakVsFFT(b *testing.B) {
 	trials := ablationTraces(b, 4, false)
-	cfg := core.DefaultConfig()
 	var peakErr, fftErr float64
 	for i := 0; i < b.N; i++ {
 		peakErr = meanAbsErr(trials, func(t ablationTrial) (float64, error) {
@@ -379,7 +378,7 @@ func BenchmarkAblationPeakVsFFT(b *testing.B) {
 			if err != nil || res.Bands == nil {
 				return 0, errFrom(err)
 			}
-			est, err := core.EstimateBreathingFFT(res.Bands.Breathing, res.EstimationRate, &cfg)
+			est, err := core.EstimateBreathingFFT(res.Bands.Breathing, res.EstimationRate)
 			if err != nil {
 				return 0, err
 			}

@@ -51,10 +51,27 @@ func run(args []string) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve runtime metrics (JSON at /debug/metrics, pprof at /debug/pprof/) on this address, e.g. :9090")
 	explainTrace := fs.Bool("explain", false, "record per-stage explain traces and print the last one as JSON at exit")
 	flightDir := fs.String("flight-dir", "", "write flight-recorder dumps into this directory when an anomaly trigger fires")
-	flightJump := fs.Float64("flight-jump-bpm", 0, "flight recorder: estimate-jump trigger threshold in BPM (0 = default 10, negative disables)")
+	flightJump := fs.Float64("flight-jump-bpm", 0, "flight recorder (with -flight-dir): estimate-jump trigger threshold in BPM (0 = default 10, negative disables)")
 	logLevel := fs.String("log", "", "structured event logging to stderr at this level: debug, info, warn or error (empty = silent)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Refuse flags that would be accepted but ignored.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, dep := range []struct {
+		flag, needs string
+		ok          bool
+	}{
+		{"flight-jump-bpm", "flight-dir", *flightDir != ""},
+		{"fault-loss", "watch", *watch > 0},
+		{"fault-reorder", "watch", *watch > 0},
+		{"fault-nan", "watch", *watch > 0},
+		{"replay-session", "replay-from", *replayFrom != ""},
+	} {
+		if set[dep.flag] && !dep.ok {
+			return fmt.Errorf("-%s has no effect without -%s", dep.flag, dep.needs)
+		}
 	}
 
 	var timings *phasebeat.TimingObserver

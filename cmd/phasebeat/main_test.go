@@ -62,6 +62,23 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-simulate", "-log", "bogus"}); err == nil {
 		t.Error("want error for unknown log level")
 	}
+	// Flags that would be silently ignored are refused, naming the flag
+	// they depend on.
+	for _, tc := range []struct {
+		args  []string
+		needs string
+	}{
+		{[]string{"-simulate", "-explain", "-flight-jump-bpm", "5"}, "-flight-dir"},
+		{[]string{"-simulate", "-fault-loss", "0.1"}, "-watch"},
+		{[]string{"-simulate", "-fault-reorder", "0.1"}, "-watch"},
+		{[]string{"-simulate", "-fault-nan", "0.1"}, "-watch"},
+		{[]string{"-simulate", "-replay-session", "bed-17"}, "-replay-from"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.needs) {
+			t.Errorf("run %v: error %v, want one naming %s", tc.args, err, tc.needs)
+		}
+	}
 	// The amplitude baseline reads the raw trace, which the streaming
 	// Monitor never retains: watch mode must refuse it up front.
 	if err := run([]string{"-watch", "42", "-estimator", "amplitude"}); err == nil {

@@ -93,6 +93,22 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The tracer and the flight recorder exist only with an SLO target:
+	// refuse their flags without one instead of ignoring them.
+	if *sloTargetMS <= 0 {
+		var stray string
+		fs.Visit(func(f *flag.Flag) {
+			switch {
+			case stray != "" || f.Name == "slo-target-ms":
+			case f.Name == "flight-dir", f.Name == "spans",
+				strings.HasPrefix(f.Name, "span-"), strings.HasPrefix(f.Name, "slo-"):
+				stray = f.Name
+			}
+		})
+		if stray != "" {
+			return fmt.Errorf("-%s has no effect without -slo-target-ms", stray)
+		}
+	}
 
 	logger, err := buildLogger(*logLevel)
 	if err != nil {

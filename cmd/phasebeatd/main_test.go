@@ -104,4 +104,21 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	if err := run([]string{"-log", "loud"}, &out, nil); err == nil {
 		t.Fatal("unknown log level accepted")
 	}
+	// Tracing flags are ignored without an SLO target: refuse them,
+	// naming the missing flag.
+	for _, args := range [][]string{
+		{"-selftest", "-flight-dir", "x"},
+		{"-selftest", "-span-sample", "4"},
+		{"-selftest", "-span-slow-ms", "100"},
+		{"-selftest", "-spans", "64"},
+		{"-selftest", "-slo-objective", "0.99"},
+		{"-selftest", "-slo-fast-window", "1m"},
+		{"-selftest", "-slo-slow-window", "2h"},
+		{"-selftest", "-slo-target-ms", "0", "-flight-dir", "x"},
+	} {
+		err := run(args, &out, nil)
+		if err == nil || !strings.Contains(err.Error(), "-slo-target-ms") {
+			t.Errorf("run %v: error %v, want one naming -slo-target-ms", args, err)
+		}
+	}
 }

@@ -28,8 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := phasebeat.DefaultConfig()
-		count, err := core.EstimatePersonCount(res.Calibrated, res.EstimationRate, 5, &cfg)
+		count, err := core.EstimatePersonCount(res.Calibrated, res.EstimationRate, 5)
 		if err != nil {
 			log.Fatal(err)
 		}

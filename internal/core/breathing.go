@@ -24,11 +24,11 @@ type BreathingEstimate struct {
 // breathing signal (sampled at fs) with PhaseBeat's sliding-window peak
 // detection: identify true peaks, average the peak-to-peak intervals into
 // the period P, and report 60/P bpm.
-func EstimateBreathingPeaks(breathing []float64, fs float64, cfg *Config) (*BreathingEstimate, error) {
+func EstimateBreathingPeaks(breathing []float64, fs float64) (*BreathingEstimate, error) {
 	if len(breathing) == 0 {
 		return nil, fmt.Errorf("%w: empty breathing signal", ErrNoData)
 	}
-	peaks, err := dsp.FindPeaks(breathing, cfg.PeakWindow, cfg.PeakMinDistance)
+	peaks, err := dsp.FindPeaks(breathing, peakWindow, peakMinDistance)
 	if err != nil {
 		return nil, fmt.Errorf("core: peak detection: %w", err)
 	}
@@ -36,7 +36,7 @@ func EstimateBreathingPeaks(breathing []float64, fs float64, cfg *Config) (*Brea
 	if !ok {
 		// Too few peaks for an interval estimate — fall back to the FFT
 		// path rather than failing (short segments).
-		est, ferr := EstimateBreathingFFT(breathing, fs, cfg)
+		est, ferr := EstimateBreathingFFT(breathing, fs)
 		if ferr != nil {
 			return nil, fmt.Errorf("core: %d peaks and FFT fallback failed: %w", len(peaks), ferr)
 		}
@@ -51,10 +51,10 @@ func EstimateBreathingPeaks(breathing []float64, fs float64, cfg *Config) (*Brea
 	// autocorrelation vote between themselves.
 	const agree = 0.12 // relative agreement threshold
 	fftBPM := math.NaN()
-	if coarse, err := EstimateBreathingFFT(breathing, fs, cfg); err == nil {
+	if coarse, err := EstimateBreathingFFT(breathing, fs); err == nil {
 		fftBPM = coarse.RateBPM
 	}
-	acBPM, acOK := autocorrRate(breathing, fs, cfg)
+	acBPM, acOK := autocorrRate(breathing, fs)
 	close := func(a, b float64) bool {
 		return !math.IsNaN(a) && !math.IsNaN(b) && math.Abs(a-b) <= agree*math.Max(a, b)
 	}
@@ -74,9 +74,9 @@ func EstimateBreathingPeaks(breathing []float64, fs float64, cfg *Config) (*Brea
 
 // autocorrRate estimates the breathing rate from the first major
 // autocorrelation peak within the plausible period range.
-func autocorrRate(breathing []float64, fs float64, cfg *Config) (float64, bool) {
-	minLag := int(fs / cfg.BreathBandHigh)
-	maxLag := int(fs / cfg.BreathBandLow)
+func autocorrRate(breathing []float64, fs float64) (float64, bool) {
+	minLag := int(fs / BreathBandHigh)
+	maxLag := int(fs / BreathBandLow)
 	if maxLag >= len(breathing) {
 		maxLag = len(breathing) - 1
 	}
@@ -107,8 +107,8 @@ func autocorrRate(breathing []float64, fs float64, cfg *Config) (float64, bool) 
 // EstimateBreathingFFT estimates the breathing rate from the strongest
 // spectral peak in the breathing band — the baseline the paper argues has
 // limited resolution at practical window sizes.
-func EstimateBreathingFFT(breathing []float64, fs float64, cfg *Config) (*BreathingEstimate, error) {
-	f, err := dsp.DominantFrequency(breathing, fs, cfg.BreathBandLow, cfg.BreathBandHigh, 4096)
+func EstimateBreathingFFT(breathing []float64, fs float64) (*BreathingEstimate, error) {
+	f, err := dsp.DominantFrequency(breathing, fs, BreathBandLow, BreathBandHigh, 4096)
 	if err != nil {
 		return nil, fmt.Errorf("core: breathing FFT: %w", err)
 	}
@@ -127,16 +127,16 @@ type MultiPersonEstimate struct {
 // the calibrated phase-difference matrix (all 30 subcarriers, sampled at
 // fs) using the paper's root-MUSIC method: the subcarrier series act as
 // snapshots for the temporal correlation matrix R̂ = H Hᵀ (eq. (11)).
-func EstimateBreathingMultiRootMUSIC(calibrated [][]float64, fs float64, nPersons int, cfg *Config) (*MultiPersonEstimate, error) {
+func EstimateBreathingMultiRootMUSIC(calibrated [][]float64, fs float64, nPersons int) (*MultiPersonEstimate, error) {
 	if nPersons < 1 {
 		return nil, fmt.Errorf("core: person count %d < 1", nPersons)
 	}
-	series, musicFs, err := prepareMusicSeries(calibrated, fs, cfg)
+	series, musicFs, err := prepareMusicSeries(calibrated, fs)
 	if err != nil {
 		return nil, err
 	}
 	freqs, err := music.EstimateFrequencies(series, nPersons, musicFs, music.CorrelationOptions{
-		WindowLen:       cfg.MusicWindow,
+		WindowLen:       musicWindow,
 		ForwardBackward: true,
 		DiagonalLoad:    1e-6,
 	})
@@ -159,16 +159,16 @@ func EstimateBreathingMultiRootMUSIC(calibrated [][]float64, fs float64, nPerson
 // least-squares ESPRIT over the same band-limited, decimated correlation
 // front end as the root-MUSIC path — an alternative subspace backend with
 // no spectral search and no high-degree polynomial rooting.
-func EstimateBreathingMultiESPRIT(calibrated [][]float64, fs float64, nPersons int, cfg *Config) (*MultiPersonEstimate, error) {
+func EstimateBreathingMultiESPRIT(calibrated [][]float64, fs float64, nPersons int) (*MultiPersonEstimate, error) {
 	if nPersons < 1 {
 		return nil, fmt.Errorf("core: person count %d < 1", nPersons)
 	}
-	series, musicFs, err := prepareMusicSeries(calibrated, fs, cfg)
+	series, musicFs, err := prepareMusicSeries(calibrated, fs)
 	if err != nil {
 		return nil, err
 	}
 	freqs, err := music.EstimateFrequenciesESPRIT(series, nPersons, musicFs, music.CorrelationOptions{
-		WindowLen:       cfg.MusicWindow,
+		WindowLen:       musicWindow,
 		ForwardBackward: true,
 		DiagonalLoad:    1e-6,
 	})
@@ -186,7 +186,7 @@ func EstimateBreathingMultiESPRIT(calibrated [][]float64, fs float64, nPersons i
 // EstimateBreathingMultiFFT estimates nPersons breathing rates as the
 // nPersons highest spectral peaks of the selected subcarrier — the
 // baseline that fails for close rates (Fig. 8).
-func EstimateBreathingMultiFFT(breathing []float64, fs float64, nPersons int, cfg *Config) (*MultiPersonEstimate, error) {
+func EstimateBreathingMultiFFT(breathing []float64, fs float64, nPersons int) (*MultiPersonEstimate, error) {
 	if nPersons < 1 {
 		return nil, fmt.Errorf("core: person count %d < 1", nPersons)
 	}
@@ -195,7 +195,7 @@ func EstimateBreathingMultiFFT(breathing []float64, fs float64, nPersons int, cf
 	if err != nil {
 		return nil, fmt.Errorf("core: multi-person FFT: %w", err)
 	}
-	peaks := sp.TopPeaks(cfg.BreathBandLow, cfg.BreathBandHigh, nPersons)
+	peaks := sp.TopPeaks(BreathBandLow, BreathBandHigh, nPersons)
 	if len(peaks) == 0 {
 		return nil, fmt.Errorf("%w: no spectral peaks in breathing band", ErrNoData)
 	}
@@ -212,7 +212,7 @@ func EstimateBreathingMultiFFT(breathing []float64, fs float64, nPersons int, cf
 // residual trend below the breathing band otherwise dominates the
 // correlation matrix and the signal subspace locks onto it instead of the
 // breathing sinusoids.
-func prepareMusicSeries(calibrated [][]float64, fs float64, cfg *Config) ([][]float64, float64, error) {
+func prepareMusicSeries(calibrated [][]float64, fs float64) ([][]float64, float64, error) {
 	if len(calibrated) == 0 || len(calibrated[0]) == 0 {
 		return nil, 0, fmt.Errorf("%w: empty calibrated matrix", ErrNoData)
 	}
@@ -222,7 +222,7 @@ func prepareMusicSeries(calibrated [][]float64, fs float64, cfg *Config) ([][]fl
 	}
 	var bp *dsp.FIRFilter
 	if taps >= 31 {
-		f, err := dsp.BandPassFIR(cfg.BreathBandLow*0.8, cfg.BreathBandHigh*1.05, fs, taps)
+		f, err := dsp.BandPassFIR(BreathBandLow*0.8, BreathBandHigh*1.05, fs, taps)
 		if err == nil {
 			bp = f
 		}
@@ -233,16 +233,16 @@ func prepareMusicSeries(calibrated [][]float64, fs float64, cfg *Config) ([][]fl
 		if bp != nil {
 			filtered = bp.Apply(series)
 		}
-		dec, err := dsp.Decimate(filtered, cfg.MusicDecimate)
+		dec, err := dsp.Decimate(filtered, musicDecimate)
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: MUSIC decimate: %w", err)
 		}
 		out[i] = dsp.RemoveMean(dec)
 	}
-	musicFs := fs / float64(cfg.MusicDecimate)
-	if len(out[0]) < cfg.MusicWindow+1 {
+	musicFs := fs / musicDecimate
+	if len(out[0]) < musicWindow+1 {
 		return nil, 0, fmt.Errorf("%w: %d samples after decimation, need > %d",
-			ErrNoData, len(out[0]), cfg.MusicWindow)
+			ErrNoData, len(out[0]), musicWindow)
 	}
 	return out, musicFs, nil
 }

@@ -11,11 +11,11 @@ import (
 // rate: subtract the large-window trend (DC removal) and suppress
 // high-frequency outliers with the small window.
 func Smooth(series []float64, cfg *Config) ([]float64, error) {
-	detrended, err := dsp.DetrendHampelStrided(series, cfg.TrendWindow, cfg.TrendStride)
+	detrended, err := dsp.DetrendHampelStrided(series, cfg.TrendWindow, trendStride)
 	if err != nil {
 		return nil, fmt.Errorf("core: detrend: %w", err)
 	}
-	smoothed, err := dsp.Hampel(detrended, cfg.SmoothWindow, cfg.HampelThreshold)
+	smoothed, err := dsp.Hampel(detrended, cfg.SmoothWindow, hampelThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("core: smooth: %w", err)
 	}
@@ -51,7 +51,7 @@ func smoothRangeInto(dst, series []float64, cfg *Config, lo, hi int, sc *smoothS
 	if dhi > n {
 		dhi = n
 	}
-	trend, err := dsp.RunningMedianStridedRange(sc.trend, series, cfg.TrendWindow, cfg.TrendStride, dlo, dhi)
+	trend, err := dsp.RunningMedianStridedRange(sc.trend, series, cfg.TrendWindow, trendStride, dlo, dhi)
 	if err != nil {
 		return nil, fmt.Errorf("core: detrend: %w", err)
 	}
@@ -63,7 +63,7 @@ func smoothRangeInto(dst, series []float64, cfg *Config, lo, hi int, sc *smoothS
 	for j := dlo; j < dhi; j++ {
 		detr[j-dlo] = series[j] - trend[j-dlo]
 	}
-	out, err := dsp.HampelRange(dst, detr, dlo, n, cfg.SmoothWindow, cfg.HampelThreshold, lo, hi)
+	out, err := dsp.HampelRange(dst, detr, dlo, n, cfg.SmoothWindow, hampelThreshold, lo, hi)
 	if err != nil {
 		return nil, fmt.Errorf("core: smooth: %w", err)
 	}

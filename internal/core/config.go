@@ -6,26 +6,70 @@ import (
 	"phasebeat/internal/wavelet"
 )
 
-// Config holds every tunable of the PhaseBeat pipeline. The zero value is
-// not usable; start from DefaultConfig and override with the With* options.
-type Config struct {
-	// AntennaA and AntennaB are the receive antennas whose phase
-	// difference is used.
-	AntennaA, AntennaB int
+// The paper's fixed operating point (Wang, Yang, Mao, ICDCS 2017). These
+// are constants, not Config fields: the paper never varies them, and
+// neither does any caller of the pipeline. The fractional ones are typed
+// float64 so that a product such as HeartBandLow*0.92 rounds like float64
+// arithmetic at run time rather than folding at arbitrary precision.
+const (
+	// AntennaA and AntennaB are the receive antennas whose CSI phase
+	// difference the pipeline uses (paper: data extraction, eq. (6)).
+	AntennaA, AntennaB = 0, 1
+	// hampelThreshold is the Hampel nsigma threshold of both calibration
+	// filters; at 0.01 they act as running medians (paper: data
+	// calibration).
+	hampelThreshold float64 = 0.01
+	// trendStride evaluates the 2000-sample trend median every trendStride
+	// samples with linear interpolation in between — a speedup that loses
+	// nothing because the trend is slow by construction.
+	trendStride = 10
+	// EnvMinV and EnvMaxV bound the stationary band of the environment
+	// statistic V of eq. (8): V below EnvMinV means no person, above
+	// EnvMaxV large motion (paper: environment detection).
+	EnvMinV, EnvMaxV float64 = 0.25, 6
+	// minStationaryWindows is the number of consecutive stationary
+	// environment windows required before estimation is attempted.
+	minStationaryWindows = 5
+	// TopK is the number of max-MAD subcarriers considered in selection;
+	// the pipeline picks the median of the top three (paper: subcarrier
+	// selection).
+	TopK = 3
+	// waveletOrder and waveletLevel are the Daubechies order (db4) and the
+	// decomposition depth L = 4 of the discrete wavelet transform, with
+	// symmetric boundary extension (waveletMode).
+	waveletOrder, waveletLevel = 4, 4
+	waveletMode                = wavelet.ModeSymmetric
+	// peakWindow is the sliding window (20 Hz samples) of breathing peak
+	// detection, sized by the longest human breathing period (paper:
+	// breathing rate estimation); peaks closer than peakMinDistance
+	// samples, slightly under the shortest plausible breathing period,
+	// are suppressed.
+	peakWindow, peakMinDistance = 51, 35
+	// BreathBandLow and BreathBandHigh bound the breathing search band in
+	// Hz (0.17-0.62 Hz, as the paper cites).
+	BreathBandLow, BreathBandHigh float64 = 0.17, 0.62
+	// HeartBandLow and HeartBandHigh bound the heart search band in Hz:
+	// 0.625-2.5 Hz, the β3+β4 DWT band at 20 Hz.
+	HeartBandLow, HeartBandHigh float64 = 0.625, 2.5
+	// musicDecimate further decimates the calibrated data before
+	// root-MUSIC so breathing frequencies spread around the unit circle;
+	// musicWindow is the temporal correlation window M of eq. (11)
+	// (paper: multi-person breathing estimation).
+	musicDecimate, musicWindow = 10, 32
+)
 
+// Config holds the settable parameters of the PhaseBeat pipeline: the four
+// rate-scaled windows, the parallelism, the breathing backend, the SWT
+// ablation switch and the observability hooks. The paper's fixed
+// parameters are the constants above. The zero value is not usable; start
+// from DefaultConfig and override with the With* options.
+type Config struct {
 	// TrendWindow is the large Hampel window (samples at the raw rate)
 	// used to estimate and remove the DC trend. The paper uses 2000.
 	TrendWindow int
 	// SmoothWindow is the small Hampel window used to suppress
 	// high-frequency outliers. The paper uses 50.
 	SmoothWindow int
-	// HampelThreshold is the Hampel nsigma threshold; the paper uses 0.01
-	// so both filters act as running medians.
-	HampelThreshold float64
-	// TrendStride evaluates the trend median every TrendStride samples
-	// with linear interpolation in between — a large speedup that loses
-	// nothing because the trend is slow by construction. 1 disables.
-	TrendStride int
 	// DownsampleFactor reduces the raw rate for estimation; the paper
 	// downsamples 400 Hz → 20 Hz with factor 20.
 	DownsampleFactor int
@@ -33,49 +77,12 @@ type Config struct {
 	// EnvWindow is the sliding-window length (raw-rate samples) for the
 	// environment-detection statistic V of eq. (8).
 	EnvWindow int
-	// EnvMinV and EnvMaxV bound the stationary band: V below EnvMinV means
-	// no person; above EnvMaxV means large motion. The paper uses
-	// [0.25, 6].
-	EnvMinV, EnvMaxV float64
-	// MinStationaryWindows is the minimum number of consecutive stationary
-	// windows required before estimation is attempted.
-	MinStationaryWindows int
 
-	// TopK is the number of max-MAD subcarriers considered in selection;
-	// the paper uses 3 and picks the median of those.
-	TopK int
-
-	// WaveletOrder is the Daubechies order (db4 by default) and
-	// WaveletLevel the decomposition depth L (4 in the paper).
-	WaveletOrder, WaveletLevel int
-	// WaveletMode is the boundary extension mode.
-	WaveletMode wavelet.ExtensionMode
 	// UseSWT switches band extraction to the stationary (undecimated)
 	// wavelet transform: shift-invariant and free of the aliasing images a
 	// decimated single-band reconstruction produces, at 2× the cost per
 	// level. Off by default to stay faithful to the paper's DWT.
 	UseSWT bool
-
-	// PeakWindow is the sliding window (downsampled-rate samples) for
-	// breathing peak detection; the paper uses 51 (sized by the maximum
-	// human breathing period).
-	PeakWindow int
-	// PeakMinDistance suppresses peaks closer than this many samples;
-	// slightly under the minimum plausible breathing period.
-	PeakMinDistance int
-
-	// BreathBandLow/High bound the breathing search band in Hz (the paper
-	// cites 0.17-0.62 Hz).
-	BreathBandLow, BreathBandHigh float64
-	// HeartBandLow/High bound the heart search band in Hz (0.625-2.5 Hz,
-	// the β3+β4 band at 20 Hz).
-	HeartBandLow, HeartBandHigh float64
-
-	// MusicDecimate further decimates the calibrated data before
-	// root-MUSIC so breathing frequencies spread around the unit circle.
-	MusicDecimate int
-	// MusicWindow is the temporal correlation window M.
-	MusicWindow int
 
 	// Parallelism bounds the worker goroutines used to fan the
 	// per-subcarrier stages (phase extraction, smoothing, downsampling)
@@ -85,12 +92,10 @@ type Config struct {
 	Parallelism int
 
 	// Estimator selects the breathing backend behind the estimation stage
-	// ("peaks", "root-music", "esprit", "amplitude" or any registered
-	// backend). Empty keeps the historical person-count dispatch: peaks
-	// for one person, root-MUSIC for more.
+	// ("peaks", "root-music", "esprit" or "amplitude"). Empty selects the
+	// paper's person-count dispatch: peaks for one person, root-MUSIC for
+	// more.
 	Estimator string
-	// HeartEstimator selects the heart backend; empty selects "fft".
-	HeartEstimator string
 
 	// Observer, when non-nil, receives live OnStageStart/OnStageEnd
 	// callbacks with per-stage durations and data shapes from every
@@ -107,29 +112,10 @@ type Config struct {
 // DefaultConfig returns the paper's operating point for a 400 Hz capture.
 func DefaultConfig() Config {
 	return Config{
-		AntennaA:             0,
-		AntennaB:             1,
-		TrendWindow:          2000,
-		SmoothWindow:         50,
-		HampelThreshold:      0.01,
-		TrendStride:          10,
-		DownsampleFactor:     20,
-		EnvWindow:            400,
-		EnvMinV:              0.25,
-		EnvMaxV:              6,
-		MinStationaryWindows: 5,
-		TopK:                 3,
-		WaveletOrder:         4,
-		WaveletLevel:         4,
-		WaveletMode:          wavelet.ModeSymmetric,
-		PeakWindow:           51,
-		PeakMinDistance:      35,
-		BreathBandLow:        0.17,
-		BreathBandHigh:       0.62,
-		HeartBandLow:         0.625,
-		HeartBandHigh:        2.5,
-		MusicDecimate:        10,
-		MusicWindow:          32,
+		TrendWindow:      2000,
+		SmoothWindow:     50,
+		DownsampleFactor: 20,
+		EnvWindow:        400,
 	}
 }
 
@@ -160,44 +146,17 @@ func (c Config) ForRate(sampleRate float64) Config {
 // Validate checks internal consistency.
 func (c *Config) Validate() error {
 	switch {
-	case c.AntennaA == c.AntennaB:
-		return fmt.Errorf("core: antennas must differ")
 	case c.TrendWindow < 3 || c.SmoothWindow < 1:
 		return fmt.Errorf("core: Hampel windows too small (%d, %d)", c.TrendWindow, c.SmoothWindow)
-	case c.HampelThreshold < 0:
-		return fmt.Errorf("core: negative Hampel threshold")
-	case c.TrendStride < 1:
-		return fmt.Errorf("core: trend stride %d < 1", c.TrendStride)
-	case c.MinStationaryWindows < 1:
-		return fmt.Errorf("core: min stationary windows %d < 1", c.MinStationaryWindows)
 	case c.DownsampleFactor < 1:
 		return fmt.Errorf("core: downsample factor %d < 1", c.DownsampleFactor)
 	case c.EnvWindow < 2:
 		return fmt.Errorf("core: environment window %d < 2", c.EnvWindow)
-	case c.EnvMinV < 0 || c.EnvMaxV <= c.EnvMinV:
-		return fmt.Errorf("core: bad environment thresholds [%v, %v]", c.EnvMinV, c.EnvMaxV)
-	case c.TopK < 1:
-		return fmt.Errorf("core: TopK %d < 1", c.TopK)
-	case c.WaveletOrder < 1 || c.WaveletLevel < 1:
-		return fmt.Errorf("core: bad wavelet order/level (%d, %d)", c.WaveletOrder, c.WaveletLevel)
-	case c.PeakWindow < 3:
-		return fmt.Errorf("core: peak window %d < 3", c.PeakWindow)
-	case c.BreathBandLow <= 0 || c.BreathBandHigh <= c.BreathBandLow:
-		return fmt.Errorf("core: bad breathing band [%v, %v]", c.BreathBandLow, c.BreathBandHigh)
-	case c.HeartBandLow <= 0 || c.HeartBandHigh <= c.HeartBandLow:
-		return fmt.Errorf("core: bad heart band [%v, %v]", c.HeartBandLow, c.HeartBandHigh)
-	case c.MusicDecimate < 1 || c.MusicWindow < 4:
-		return fmt.Errorf("core: bad MUSIC parameters (%d, %d)", c.MusicDecimate, c.MusicWindow)
 	case c.Parallelism < 0:
 		return fmt.Errorf("core: negative parallelism %d", c.Parallelism)
 	}
 	if c.Estimator != "" {
 		if _, err := LookupBreathingEstimator(c.Estimator); err != nil {
-			return err
-		}
-	}
-	if c.HeartEstimator != "" {
-		if _, err := LookupHeartEstimator(c.HeartEstimator); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"phasebeat/internal/csisim"
@@ -85,24 +87,49 @@ func TestWrappedPhaseDifferenceValidation(t *testing.T) {
 	}
 }
 
+// TestConfigKnobs pins the settable fields of Config and MonitorConfig.
+// The paper's fixed parameters are constants (config.go); a new option
+// must be added here on purpose, where review sees it.
+func TestConfigKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(Config{}), []string{
+			"DownsampleFactor", "EnvWindow", "Estimator", "Observer", "Parallelism",
+			"Sink", "SmoothWindow", "TrendWindow", "UseSWT",
+		}},
+		{reflect.TypeOf(MonitorConfig{}), []string{
+			"Arena", "DropOnBacklog", "IngestBuffer", "Logger", "Metrics",
+			"NumAntennas", "NumSubcarriers", "Persons", "Pipeline", "SampleRate",
+			"Tracer", "UpdateEverySeconds", "WindowSeconds",
+		}},
+	} {
+		var got []string
+		for i := 0; i < tc.typ.NumField(); i++ {
+			if f := tc.typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s fields = %v, want %v", tc.typ.Name(), got, tc.want)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	mutations := []func(*Config){
-		func(c *Config) { c.AntennaB = c.AntennaA },
 		func(c *Config) { c.TrendWindow = 1 },
-		func(c *Config) { c.HampelThreshold = -1 },
+		func(c *Config) { c.SmoothWindow = 0 },
 		func(c *Config) { c.DownsampleFactor = 0 },
 		func(c *Config) { c.EnvWindow = 1 },
-		func(c *Config) { c.EnvMaxV = c.EnvMinV },
-		func(c *Config) { c.TopK = 0 },
-		func(c *Config) { c.WaveletLevel = 0 },
-		func(c *Config) { c.PeakWindow = 1 },
-		func(c *Config) { c.BreathBandHigh = 0.1 },
-		func(c *Config) { c.HeartBandLow = -1 },
-		func(c *Config) { c.MusicWindow = 1 },
+		func(c *Config) { c.Parallelism = -1 },
+		func(c *Config) { c.Estimator = "bogus" },
 	}
 	for i, mut := range mutations {
 		cfg := DefaultConfig()
@@ -362,7 +389,7 @@ func TestProcessorOptionValidation(t *testing.T) {
 		t.Error("want error for zero persons")
 	}
 	bad := DefaultConfig()
-	bad.TopK = 0
+	bad.EnvWindow = 1
 	if _, err := NewProcessor(WithConfig(bad)); err == nil {
 		t.Error("want error for invalid config")
 	}
@@ -444,28 +471,26 @@ func TestDenoiseDWTBandSplit(t *testing.T) {
 }
 
 func TestEstimateBreathingFallsBackToFFT(t *testing.T) {
-	cfg := DefaultConfig()
 	// 10 s at 20 Hz of 0.25 Hz — only ~2 peaks, triggering the fallback.
 	fs := 20.0
 	x := make([]float64, 200)
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * 0.25 * float64(i) / fs)
 	}
-	est, err := EstimateBreathingPeaks(x, fs, &cfg)
+	est, err := EstimateBreathingPeaks(x, fs)
 	if err != nil {
 		t.Fatalf("EstimateBreathingPeaks: %v", err)
 	}
 	if math.Abs(est.RateBPM-15) > 1.5 {
 		t.Errorf("rate = %v, want ~15", est.RateBPM)
 	}
-	if _, err := EstimateBreathingPeaks(nil, fs, &cfg); !errors.Is(err, ErrNoData) {
+	if _, err := EstimateBreathingPeaks(nil, fs); !errors.Is(err, ErrNoData) {
 		t.Errorf("want ErrNoData, got %v", err)
 	}
 }
 
 func TestEstimateHeartRateValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	if _, err := EstimateHeartRate(nil, 20, 0, &cfg); !errors.Is(err, ErrNoData) {
+	if _, err := EstimateHeartRate(nil, 20, 0); !errors.Is(err, ErrNoData) {
 		t.Errorf("want ErrNoData, got %v", err)
 	}
 	fs := 20.0
@@ -474,7 +499,7 @@ func TestEstimateHeartRateValidation(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * f0 * float64(i) / fs)
 	}
-	est, err := EstimateHeartRate(x, fs, 0, &cfg)
+	est, err := EstimateHeartRate(x, fs, 0)
 	if err != nil {
 		t.Fatalf("EstimateHeartRate: %v", err)
 	}
@@ -484,18 +509,17 @@ func TestEstimateHeartRateValidation(t *testing.T) {
 }
 
 func TestEstimateBreathingMultiValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	if _, err := EstimateBreathingMultiRootMUSIC(nil, 20, 1, &cfg); !errors.Is(err, ErrNoData) {
+	if _, err := EstimateBreathingMultiRootMUSIC(nil, 20, 1); !errors.Is(err, ErrNoData) {
 		t.Errorf("want ErrNoData, got %v", err)
 	}
-	if _, err := EstimateBreathingMultiRootMUSIC([][]float64{{1, 2}}, 20, 0, &cfg); err == nil {
+	if _, err := EstimateBreathingMultiRootMUSIC([][]float64{{1, 2}}, 20, 0); err == nil {
 		t.Error("want error for zero persons")
 	}
 	short := [][]float64{make([]float64, 30)}
-	if _, err := EstimateBreathingMultiRootMUSIC(short, 20, 1, &cfg); !errors.Is(err, ErrNoData) {
+	if _, err := EstimateBreathingMultiRootMUSIC(short, 20, 1); !errors.Is(err, ErrNoData) {
 		t.Errorf("want ErrNoData for short series, got %v", err)
 	}
-	if _, err := EstimateBreathingMultiFFT(nil, 20, 0, &cfg); err == nil {
+	if _, err := EstimateBreathingMultiFFT(nil, 20, 0); err == nil {
 		t.Error("want error for zero persons (FFT)")
 	}
 }
@@ -559,7 +583,6 @@ func TestPipelineWithSWT(t *testing.T) {
 }
 
 func TestEstimatePersonCount(t *testing.T) {
-	cfg := DefaultConfig()
 	for _, tc := range []struct {
 		rates []float64
 		want  int
@@ -583,7 +606,7 @@ func TestEstimatePersonCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Process: %v", err)
 		}
-		got, err := EstimatePersonCount(res.Calibrated, res.EstimationRate, 5, &cfg)
+		got, err := EstimatePersonCount(res.Calibrated, res.EstimationRate, 5)
 		if err != nil {
 			t.Fatalf("EstimatePersonCount: %v", err)
 		}
@@ -593,10 +616,10 @@ func TestEstimatePersonCount(t *testing.T) {
 			t.Errorf("%d persons estimated as %d", tc.want, got)
 		}
 	}
-	if _, err := EstimatePersonCount(nil, 20, 3, &cfg); err == nil {
+	if _, err := EstimatePersonCount(nil, 20, 3); err == nil {
 		t.Error("want error for empty input")
 	}
-	if _, err := EstimatePersonCount([][]float64{{1}}, 20, 0, &cfg); err == nil {
+	if _, err := EstimatePersonCount([][]float64{{1}}, 20, 0); err == nil {
 		t.Error("want error for zero maxPersons")
 	}
 }
@@ -633,7 +656,7 @@ func TestCalibrateEndToEnd(t *testing.T) {
 		}
 	}
 	// prepareMusicSeries covers the decimation path.
-	series, fs, err := prepareMusicSeries(calibrated, 20, &cfg)
+	series, fs, err := prepareMusicSeries(calibrated, 20)
 	if err != nil {
 		t.Fatalf("prepareMusicSeries: %v", err)
 	}
@@ -643,7 +666,6 @@ func TestCalibrateEndToEnd(t *testing.T) {
 }
 
 func TestEstimateBreathingMultiFFTTwoTones(t *testing.T) {
-	cfg := DefaultConfig()
 	fs := 20.0
 	n := 1200
 	x := make([]float64, n)
@@ -651,7 +673,7 @@ func TestEstimateBreathingMultiFFTTwoTones(t *testing.T) {
 		ti := float64(i) / fs
 		x[i] = math.Sin(2*math.Pi*0.2*ti) + 0.8*math.Sin(2*math.Pi*0.35*ti)
 	}
-	est, err := EstimateBreathingMultiFFT(x, fs, 2, &cfg)
+	est, err := EstimateBreathingMultiFFT(x, fs, 2)
 	if err != nil {
 		t.Fatalf("EstimateBreathingMultiFFT: %v", err)
 	}
@@ -665,20 +687,20 @@ func TestEstimateBreathingMultiFFTTwoTones(t *testing.T) {
 		t.Errorf("method = %q", est.Method)
 	}
 	// A flat signal has no in-band local maxima.
-	if _, err := EstimateBreathingMultiFFT(make([]float64, 600), fs, 2, &cfg); err == nil {
+	if _, err := EstimateBreathingMultiFFT(make([]float64, 600), fs, 2); err == nil {
 		t.Error("want error for flat signal")
 	}
 }
 
 func TestProcessorConfigAccessor(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.TopK = 5
+	cfg.Estimator = "esprit"
 	p, err := NewProcessor(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Config(); got.TopK != 5 {
-		t.Errorf("Config().TopK = %d, want 5", got.TopK)
+	if got := p.Config(); got.Estimator != "esprit" {
+		t.Errorf("Config().Estimator = %q, want esprit", got.Estimator)
 	}
 }
 

@@ -24,14 +24,14 @@ type DWTBands struct {
 // configured Daubechies wavelet at level L and reconstructs the breathing
 // and heart bands.
 func DenoiseDWT(series []float64, fs float64, cfg *Config) (*DWTBands, error) {
-	w, err := wavelet.Daubechies(cfg.WaveletOrder)
+	w, err := wavelet.Daubechies(waveletOrder)
 	if err != nil {
 		return nil, fmt.Errorf("core: wavelet: %w", err)
 	}
 	if cfg.UseSWT {
-		return denoiseSWT(series, w, cfg)
+		return denoiseSWT(series, w)
 	}
-	level := cfg.WaveletLevel
+	level := waveletLevel
 	if maxL := wavelet.MaxLevel(len(series), w.Len()); level > maxL {
 		if maxL < 1 {
 			return nil, fmt.Errorf("%w: %d samples cannot support a DWT with %s",
@@ -39,7 +39,7 @@ func DenoiseDWT(series []float64, fs float64, cfg *Config) (*DWTBands, error) {
 		}
 		level = maxL
 	}
-	dec, err := wavelet.Wavedec(series, w, cfg.WaveletMode, level)
+	dec, err := wavelet.Wavedec(series, w, waveletMode, level)
 	if err != nil {
 		return nil, fmt.Errorf("core: wavedec: %w", err)
 	}
@@ -59,8 +59,8 @@ func DenoiseDWT(series []float64, fs float64, cfg *Config) (*DWTBands, error) {
 	// instead a zero-phase FIR high-pass (double pass, ~-60 dB below the
 	// band) on the clean calibrated series removes the breathing energy
 	// before the detail channels ever see it.
-	residual := suppressBreathingLeakage(series, fs, cfg)
-	dec2, err := wavelet.Wavedec(residual, w, cfg.WaveletMode, level)
+	residual := suppressBreathingLeakage(series, fs)
+	dec2, err := wavelet.Wavedec(residual, w, waveletMode, level)
 	if err != nil {
 		return nil, fmt.Errorf("core: residual wavedec: %w", err)
 	}
@@ -80,7 +80,7 @@ func DenoiseDWT(series []float64, fs float64, cfg *Config) (*DWTBands, error) {
 // band with a zero-phase windowed-sinc FIR (~-53 dB stopband). The tap
 // count adapts to short segments; if no valid filter fits, the residual is
 // returned unchanged.
-func suppressBreathingLeakage(residual []float64, fs float64, cfg *Config) []float64 {
+func suppressBreathingLeakage(residual []float64, fs float64) []float64 {
 	taps := 201
 	if limit := len(residual)/3 | 1; limit < taps {
 		taps = limit
@@ -88,7 +88,7 @@ func suppressBreathingLeakage(residual []float64, fs float64, cfg *Config) []flo
 	if taps < 31 {
 		return residual
 	}
-	cutoff := cfg.HeartBandLow * 0.92
+	cutoff := HeartBandLow * 0.92
 	hp, err := dsp.HighPassFIR(cutoff, fs, taps)
 	if err != nil {
 		return residual
@@ -103,8 +103,8 @@ func suppressBreathingLeakage(residual []float64, fs float64, cfg *Config) []flo
 // denoiseSWT extracts the breathing and heart bands with the stationary
 // wavelet transform. Its single-band reconstructions are alias-free, so no
 // pre-filtering of the heart path is needed.
-func denoiseSWT(series []float64, w *wavelet.Wavelet, cfg *Config) (*DWTBands, error) {
-	level := cfg.WaveletLevel
+func denoiseSWT(series []float64, w *wavelet.Wavelet) (*DWTBands, error) {
+	level := waveletLevel
 	for level >= 1 {
 		if len(series) >= (w.Len()-1)*(1<<(level-1))+1 {
 			break

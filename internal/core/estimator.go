@@ -3,23 +3,22 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"phasebeat/internal/baseline"
 	"phasebeat/internal/trace"
 )
 
 // EstimatorInput bundles everything the estimation stage can hand a
-// backend: the wavelet bands of the selected subcarrier, the full
-// calibrated matrix with its eligibility mask, and — on batch runs — the
-// raw trace for amplitude-domain methods.
+// breathing backend: the wavelet breathing band of the selected
+// subcarrier, the full calibrated matrix with its eligibility mask, and —
+// on batch runs — the raw trace for amplitude-domain methods.
 type EstimatorInput struct {
 	// Trace is the raw capture; nil on Monitor strides, whose engine keeps
 	// only the quantities derived from CSI at ingest.
 	Trace *trace.Trace
-	// Breathing and Heart are the DWT band reconstructions of the selected
+	// Breathing is the DWT breathing-band reconstruction of the selected
 	// subcarrier, sampled at Rate.
-	Breathing, Heart []float64
+	Breathing []float64
 	// Calibrated is the full calibrated matrix [subcarrier][sample] at
 	// Rate; Eligible is its amplitude-gate mask (nil = ungated).
 	Calibrated [][]float64
@@ -28,8 +27,6 @@ type EstimatorInput struct {
 	Rate float64
 	// Persons is the monitored person count.
 	Persons int
-	// Config is the processor configuration.
-	Config *Config
 }
 
 // BreathingResult is a breathing backend's output: exactly one of Single
@@ -40,28 +37,15 @@ type BreathingResult struct {
 	// Multi holds per-person rates from subspace backends.
 	Multi *MultiPersonEstimate
 	// BreathingHz is the dominant breathing frequency handed to the heart
-	// stage for harmonic rejection; 0 when unknown.
+	// estimate for harmonic rejection; 0 when unknown.
 	BreathingHz float64
 }
 
-// BreathingEstimator is a pluggable breathing-rate backend behind the
-// estimation stage. Select one with Config.Estimator; register new ones
-// with RegisterBreathingEstimator.
+// BreathingEstimator is a breathing-rate backend behind the estimation
+// stage, selected by name with Config.Estimator.
 type BreathingEstimator interface {
-	// Name is the registry key ("peaks", "root-music", ...).
-	Name() string
 	// EstimateBreathing produces the breathing estimate for one window.
 	EstimateBreathing(in *EstimatorInput) (*BreathingResult, error)
-}
-
-// HeartEstimator is the pluggable heart-rate backend. Select one with
-// Config.HeartEstimator; register new ones with RegisterHeartEstimator.
-type HeartEstimator interface {
-	// Name is the registry key ("fft").
-	Name() string
-	// EstimateHeart produces the heart estimate; breathingHz (0 = unknown)
-	// enables breathing-harmonic rejection.
-	EstimateHeart(in *EstimatorInput, breathingHz float64) (*HeartEstimate, error)
 }
 
 // RawTraceEstimator is optionally implemented by backends that need the
@@ -77,60 +61,17 @@ func needsRawTrace(e any) bool {
 	return ok && r.NeedsRawTrace()
 }
 
-var (
-	estimatorMu       sync.RWMutex
-	breathingBackends = map[string]BreathingEstimator{}
-	heartBackends     = map[string]HeartEstimator{}
-)
-
-func init() {
-	for _, e := range []BreathingEstimator{
-		peaksEstimator{}, rootMusicEstimator{}, espritEstimator{}, amplitudeEstimator{},
-	} {
-		if err := RegisterBreathingEstimator(e); err != nil {
-			panic(err)
-		}
-	}
-	if err := RegisterHeartEstimator(fftHeartEstimator{}); err != nil {
-		panic(err)
-	}
+// breathingBackends is the fixed set of breathing backends, keyed by the
+// names Config.Estimator accepts.
+var breathingBackends = map[string]BreathingEstimator{
+	"peaks":      peaksEstimator{},
+	"root-music": rootMusicEstimator{},
+	"esprit":     espritEstimator{},
+	"amplitude":  amplitudeEstimator{},
 }
 
-// RegisterBreathingEstimator adds a backend to the registry. It fails on
-// an empty or duplicate name.
-func RegisterBreathingEstimator(e BreathingEstimator) error {
-	estimatorMu.Lock()
-	defer estimatorMu.Unlock()
-	name := e.Name()
-	if name == "" {
-		return fmt.Errorf("core: breathing estimator with empty name")
-	}
-	if _, dup := breathingBackends[name]; dup {
-		return fmt.Errorf("core: breathing estimator %q already registered", name)
-	}
-	breathingBackends[name] = e
-	return nil
-}
-
-// RegisterHeartEstimator adds a heart backend to the registry.
-func RegisterHeartEstimator(e HeartEstimator) error {
-	estimatorMu.Lock()
-	defer estimatorMu.Unlock()
-	name := e.Name()
-	if name == "" {
-		return fmt.Errorf("core: heart estimator with empty name")
-	}
-	if _, dup := heartBackends[name]; dup {
-		return fmt.Errorf("core: heart estimator %q already registered", name)
-	}
-	heartBackends[name] = e
-	return nil
-}
-
-// BreathingEstimatorNames lists the registered breathing backends, sorted.
+// BreathingEstimatorNames lists the breathing backends, sorted.
 func BreathingEstimatorNames() []string {
-	estimatorMu.RLock()
-	defer estimatorMu.RUnlock()
 	out := make([]string, 0, len(breathingBackends))
 	for name := range breathingBackends {
 		out = append(out, name)
@@ -139,22 +80,8 @@ func BreathingEstimatorNames() []string {
 	return out
 }
 
-// HeartEstimatorNames lists the registered heart backends, sorted.
-func HeartEstimatorNames() []string {
-	estimatorMu.RLock()
-	defer estimatorMu.RUnlock()
-	out := make([]string, 0, len(heartBackends))
-	for name := range heartBackends {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LookupBreathingEstimator resolves a registry name.
+// LookupBreathingEstimator resolves a backend name.
 func LookupBreathingEstimator(name string) (BreathingEstimator, error) {
-	estimatorMu.RLock()
-	defer estimatorMu.RUnlock()
 	e, ok := breathingBackends[name]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown breathing estimator %q (have %v)", name, BreathingEstimatorNames())
@@ -162,39 +89,34 @@ func LookupBreathingEstimator(name string) (BreathingEstimator, error) {
 	return e, nil
 }
 
-// LookupHeartEstimator resolves a heart backend; "" selects the default.
-func LookupHeartEstimator(name string) (HeartEstimator, error) {
-	if name == "" {
-		name = "fft" // the default backend
+// estimatorName resolves Config.Estimator for a person count: an empty
+// name selects the paper's dispatch, sliding-window peaks for one person
+// and root-MUSIC over the SNR-gated subcarrier snapshots for more.
+func estimatorName(name string, persons int) string {
+	switch {
+	case name != "":
+		return name
+	case persons == 1:
+		return "peaks"
+	default:
+		return "root-music"
 	}
-	estimatorMu.RLock()
-	defer estimatorMu.RUnlock()
-	e, ok := heartBackends[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown heart estimator %q (have %v)", name, HeartEstimatorNames())
-	}
-	return e, nil
 }
 
-// runEstimate is the estimation stage. With Config.Estimator empty it
-// keeps the historical person-count dispatch (peaks for one person,
-// root-MUSIC above) with outputs byte-identical to the pre-stage-graph
-// pipeline; otherwise the named backend runs. Heart estimation is
-// best-effort either way: breathing results remain valid even when the
-// heart band is too weak (omnidirectional antenna).
+// runEstimate is the estimation stage: the breathing backend named by
+// Config.Estimator (resolved by estimatorName), then the heart-band FFT
+// estimate. Heart estimation is best-effort: breathing results remain
+// valid even when the heart band is too weak (omnidirectional antenna).
 func runEstimate(st *pipelineState) error {
 	p := st.proc
-	cfg := &p.cfg
 	res := st.res
 	in := &EstimatorInput{
 		Trace:      st.tr,
 		Breathing:  res.Bands.Breathing,
-		Heart:      res.Bands.Heart,
 		Calibrated: res.Calibrated,
 		Eligible:   res.Selection.Eligible,
 		Rate:       res.EstimationRate,
 		Persons:    p.nPersons,
-		Config:     cfg,
 	}
 	if st.wantEvidence() {
 		// Deferred so every exit — success, non-finite guard, best-effort
@@ -202,53 +124,30 @@ func runEstimate(st *pipelineState) error {
 		defer func() { st.evidence = newEstimateEvidence(in, res) }()
 	}
 
-	breathingHz := 0.0
-	if cfg.Estimator == "" {
-		// Legacy dispatch: single person -> sliding-window peaks, several
-		// -> root-MUSIC over the SNR-gated subcarrier snapshots. The call
-		// sequence matches the monolithic pipeline exactly.
-		if p.nPersons == 1 {
-			breathing, err := EstimateBreathingPeaks(res.Bands.Breathing, in.Rate, cfg)
-			if err != nil {
-				return fmt.Errorf("breathing estimation: %w", err)
-			}
-			res.Breathing = breathing
-			breathingHz = breathing.RateBPM / 60
-		} else {
-			musicInput := filterEligible(res.Calibrated, res.Selection.Eligible)
-			multi, err := EstimateBreathingMultiRootMUSIC(musicInput, in.Rate, p.nPersons, cfg)
-			if err != nil {
-				return fmt.Errorf("multi-person estimation: %w", err)
-			}
-			res.MultiPerson = multi
-		}
-	} else {
-		be, err := LookupBreathingEstimator(cfg.Estimator)
-		if err != nil {
-			return err
-		}
-		out, err := be.EstimateBreathing(in)
-		if err != nil {
-			return fmt.Errorf("estimator %s: %w", be.Name(), err)
-		}
-		res.Breathing = out.Single
-		res.MultiPerson = out.Multi
-		breathingHz = out.BreathingHz
-		// A subspace backend monitoring one person yields a single rate;
-		// surface it as Result.Breathing too so single-person consumers
-		// (CLI summary, eval figures) read any backend uniformly.
-		if res.Breathing == nil && out.Multi != nil && p.nPersons == 1 && len(out.Multi.RatesBPM) == 1 {
-			res.Breathing = &BreathingEstimate{RateBPM: out.Multi.RatesBPM[0], Method: out.Multi.Method}
-		}
-		st.note = "estimator " + be.Name()
+	name := estimatorName(p.cfg.Estimator, p.nPersons)
+	be, err := LookupBreathingEstimator(name)
+	if err != nil {
+		return err
 	}
-	st.breathingHz = breathingHz
+	out, err := be.EstimateBreathing(in)
+	if err != nil {
+		return fmt.Errorf("estimator %s: %w", name, err)
+	}
+	res.Breathing = out.Single
+	res.MultiPerson = out.Multi
+	// A subspace backend monitoring one person yields a single rate;
+	// surface it as Result.Breathing too so single-person consumers (CLI
+	// summary, eval figures) read any backend uniformly.
+	if res.Breathing == nil && out.Multi != nil && p.nPersons == 1 && len(out.Multi.RatesBPM) == 1 {
+		res.Breathing = &BreathingEstimate{RateBPM: out.Multi.RatesBPM[0], Method: out.Multi.Method}
+	}
+	st.note = "estimator " + name
+	st.breathingHz = out.BreathingHz
 
 	// Non-finite guard: corrupt input (Inf amplitudes survive phase
-	// extraction finite, NaNs can enter through custom backends) must not
-	// become a "successful" NaN estimate. Breathing failing the guard is
-	// an error; a non-finite heart estimate is dropped like any other
-	// heart failure (best-effort).
+	// extraction finite) must not become a "successful" NaN estimate.
+	// Breathing failing the guard is an error; a non-finite heart estimate
+	// is dropped like any other heart failure (best-effort).
 	if res.Breathing != nil && !isFinite(res.Breathing.RateBPM) {
 		return fmt.Errorf("%w: breathing estimate %v bpm", ErrNonFinite, res.Breathing.RateBPM)
 	}
@@ -260,12 +159,8 @@ func runEstimate(st *pipelineState) error {
 		}
 	}
 
-	he, err := LookupHeartEstimator(cfg.HeartEstimator)
-	if err != nil {
-		return err
-	}
-	heart, err := he.EstimateHeart(in, breathingHz)
-	if err != nil || (heart != nil && !isFinite(heart.RateBPM)) {
+	heart, err := EstimateHeartRate(res.Bands.Heart, in.Rate, out.BreathingHz)
+	if err != nil || !isFinite(heart.RateBPM) {
 		// Best-effort: a weak heart band must not invalidate breathing.
 		return nil
 	}
@@ -280,10 +175,8 @@ func isFinite(v float64) bool { return v == v && v-v == 0 }
 // detection over the DWT breathing band with FFT/autocorrelation guards.
 type peaksEstimator struct{}
 
-func (peaksEstimator) Name() string { return "peaks" }
-
 func (peaksEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, error) {
-	est, err := EstimateBreathingPeaks(in.Breathing, in.Rate, in.Config)
+	est, err := EstimateBreathingPeaks(in.Breathing, in.Rate)
 	if err != nil {
 		return nil, err
 	}
@@ -294,10 +187,8 @@ func (peaksEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, e
 // the temporal correlation of the SNR-gated subcarrier snapshots.
 type rootMusicEstimator struct{}
 
-func (rootMusicEstimator) Name() string { return "root-music" }
-
 func (rootMusicEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, error) {
-	multi, err := EstimateBreathingMultiRootMUSIC(filterEligible(in.Calibrated, in.Eligible), in.Rate, in.Persons, in.Config)
+	multi, err := EstimateBreathingMultiRootMUSIC(filterEligible(in.Calibrated, in.Eligible), in.Rate, in.Persons)
 	if err != nil {
 		return nil, err
 	}
@@ -308,10 +199,8 @@ func (rootMusicEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResul
 // front end as root-MUSIC: no spectral search, no polynomial rooting.
 type espritEstimator struct{}
 
-func (espritEstimator) Name() string { return "esprit" }
-
 func (espritEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, error) {
-	multi, err := EstimateBreathingMultiESPRIT(filterEligible(in.Calibrated, in.Eligible), in.Rate, in.Persons, in.Config)
+	multi, err := EstimateBreathingMultiESPRIT(filterEligible(in.Calibrated, in.Eligible), in.Rate, in.Persons)
 	if err != nil {
 		return nil, err
 	}
@@ -331,8 +220,6 @@ func soloHz(multi *MultiPersonEstimate, persons int) float64 {
 // paper's Fig. 11 comparison system — run from the raw trace.
 type amplitudeEstimator struct{}
 
-func (amplitudeEstimator) Name() string { return "amplitude" }
-
 func (amplitudeEstimator) NeedsRawTrace() bool { return true }
 
 func (amplitudeEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, error) {
@@ -340,23 +227,13 @@ func (amplitudeEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResul
 		return nil, fmt.Errorf("core: amplitude estimator is batch-only (it reads the raw trace); run it through Processor.Process")
 	}
 	bcfg := baseline.ConfigForRate(in.Trace.SampleRate)
-	bcfg.Antenna = in.Config.AntennaA
-	bcfg.BreathBandLow = in.Config.BreathBandLow
-	bcfg.BreathBandHigh = in.Config.BreathBandHigh
+	bcfg.Antenna = AntennaA
+	bcfg.BreathBandLow = BreathBandLow
+	bcfg.BreathBandHigh = BreathBandHigh
 	est, err := baseline.EstimateBreathing(in.Trace, bcfg)
 	if err != nil {
 		return nil, err
 	}
 	single := &BreathingEstimate{RateBPM: est.BreathingBPM, Method: "amplitude"}
 	return &BreathingResult{Single: single, BreathingHz: est.BreathingBPM / 60}, nil
-}
-
-// fftHeartEstimator is the default heart backend: heart-band FFT peak with
-// breathing-harmonic rejection and Vital-Radio 3-bin phase refinement.
-type fftHeartEstimator struct{}
-
-func (fftHeartEstimator) Name() string { return "fft" }
-
-func (fftHeartEstimator) EstimateHeart(in *EstimatorInput, breathingHz float64) (*HeartEstimate, error) {
-	return EstimateHeartRate(in.Heart, in.Rate, breathingHz, in.Config)
 }

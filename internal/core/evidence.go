@@ -148,11 +148,10 @@ func newEstimateEvidence(in *EstimatorInput, res *Result) *EstimateEvidence {
 	if err != nil {
 		return ev
 	}
-	cfg := in.Config
-	for _, p := range sp.TopPeaksDetailed(cfg.BreathBandLow, cfg.BreathBandHigh, 5) {
+	for _, p := range sp.TopPeaksDetailed(BreathBandLow, BreathBandHigh, 5) {
 		ev.Peaks = append(ev.Peaks, SpectrumPeak{FreqHz: p.Freq, BPM: p.Freq * 60, Magnitude: p.Mag})
 	}
-	ev.SNR = bandPeakSNR(sp, cfg.BreathBandLow, cfg.BreathBandHigh)
+	ev.SNR = bandPeakSNR(sp, BreathBandLow, BreathBandHigh)
 	ev.Confidence = ev.SNR / (ev.SNR + confidenceHalfSNR)
 	return ev
 }

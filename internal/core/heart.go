@@ -23,7 +23,7 @@ type HeartEstimate struct {
 // Vital-Radio 3-bin inverse-FFT phase method. breathingHz, when positive,
 // lets the peak search skip spectral lines that sit exactly on low-order
 // breathing harmonics — the dominant interference in the heart band.
-func EstimateHeartRate(heart []float64, fs, breathingHz float64, cfg *Config) (*HeartEstimate, error) {
+func EstimateHeartRate(heart []float64, fs, breathingHz float64) (*HeartEstimate, error) {
 	if len(heart) == 0 {
 		return nil, fmt.Errorf("%w: empty heart signal", ErrNoData)
 	}
@@ -34,16 +34,16 @@ func EstimateHeartRate(heart []float64, fs, breathingHz float64, cfg *Config) (*
 		return nil, fmt.Errorf("core: heart spectrum: %w", err)
 	}
 
-	coarse, ok := pickHeartPeak(sp, breathingHz, cfg)
+	coarse, ok := pickHeartPeak(sp, breathingHz)
 	if !ok {
 		return nil, fmt.Errorf("%w: no usable peak in heart band [%v, %v] Hz",
-			ErrNoData, cfg.HeartBandLow, cfg.HeartBandHigh)
+			ErrNoData, HeartBandLow, HeartBandHigh)
 	}
 
 	// Refine near the chosen coarse peak only, so the 3-bin phase method
 	// cannot re-lock onto a rejected harmonic elsewhere in the band.
-	lo := math.Max(cfg.HeartBandLow, coarse-0.1)
-	hi := math.Min(cfg.HeartBandHigh, coarse+0.1)
+	lo := math.Max(HeartBandLow, coarse-0.1)
+	hi := math.Min(HeartBandHigh, coarse+0.1)
 	refined, err := dsp.RefineFrequencyPhase(sig, fs, lo, hi, pad)
 	if err != nil || refined < lo || refined > hi {
 		return &HeartEstimate{RateBPM: coarse * 60, PeakFrequencyHz: coarse, Method: "fft"}, nil
@@ -58,10 +58,10 @@ func EstimateHeartRate(heart []float64, fs, breathingHz float64, cfg *Config) (*
 // strong line is accepted: a heart rate sitting exactly on 2·f_b or 3·f_b
 // is common physiology (e.g. 18 bpm breathing, 72 bpm heart), and a pure
 // breathing harmonic is never that dominant over the rest of the band.
-func pickHeartPeak(sp *dsp.Spectrum, breathingHz float64, cfg *Config) (float64, bool) {
-	peaks := sp.TopPeaksDetailed(cfg.HeartBandLow, cfg.HeartBandHigh, 8)
+func pickHeartPeak(sp *dsp.Spectrum, breathingHz float64) (float64, bool) {
+	peaks := sp.TopPeaksDetailed(HeartBandLow, HeartBandHigh, 8)
 	if len(peaks) == 0 {
-		return sp.PeakFrequency(cfg.HeartBandLow, cfg.HeartBandHigh)
+		return sp.PeakFrequency(HeartBandLow, HeartBandHigh)
 	}
 	var nonHarmonic *dsp.SpectralPeak
 	for i := range peaks {

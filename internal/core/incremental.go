@@ -28,11 +28,11 @@ const (
 // their interior, "settled" values). A smoothed sample at index i reads
 // detrended samples in [i-sh, i+sh] with sh = SmoothWindow/2; a detrended
 // sample reads the strided trend, whose interpolated value at j depends on
-// anchor medians covering roughly [j - TrendWindow/2 - TrendStride,
-// j + TrendWindow/2 + TrendStride]. The +4 is slack for the anchor grid's
+// anchor medians covering roughly [j - TrendWindow/2 - trendStride,
+// j + TrendWindow/2 + trendStride]. The +4 is slack for the anchor grid's
 // clamped first/last anchors.
 func smoothMargin(cfg *Config) int {
-	return cfg.TrendWindow/2 + cfg.TrendStride + cfg.SmoothWindow/2 + 4
+	return cfg.TrendWindow/2 + trendStride + cfg.SmoothWindow/2 + 4
 }
 
 // subScratch is the per-worker scratch of the incremental stride loop,
@@ -59,17 +59,11 @@ const (
 	pushNonMonotonic
 )
 
-// defaultMaxGapSeconds resolves MonitorConfig.MaxGapSeconds: zero selects
-// a threshold of one second (at least twenty packet intervals), negative
-// disables gap detection.
-func defaultMaxGapSeconds(cfg *MonitorConfig) float64 {
-	switch {
-	case cfg.MaxGapSeconds > 0:
-		return cfg.MaxGapSeconds
-	case cfg.MaxGapSeconds < 0:
-		return math.Inf(1)
-	}
-	return math.Max(1, 20/cfg.SampleRate)
+// maxGapSeconds is the timestamp-gap threshold of the gap-degradation
+// path at sampleRate: one second, but never fewer than twenty packet
+// intervals.
+func maxGapSeconds(sampleRate float64) float64 {
+	return math.Max(1, 20/sampleRate)
 }
 
 // strideEngine maintains a Monitor's sliding analysis window as a columnar
@@ -165,7 +159,7 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 		margin:   smoothMargin(&proc.cfg),
 		nSub:     cfg.NumSubcarriers,
 		lastTime: math.Inf(-1),
-		maxGap:   defaultMaxGapSeconds(cfg),
+		maxGap:   maxGapSeconds(cfg.SampleRate),
 	}
 	e.scratch.New = func() any { return &subScratch{} }
 	e.ring = arena.NewFloatRing(e.arena, numPlanes, e.nSub, window)
@@ -223,8 +217,7 @@ func (e *strideEngine) push(p trace.Packet) (verdict pushVerdict, gapReset bool)
 	e.lastTime = p.Time
 
 	slot := e.ring.Slot()
-	a, b := e.proc.cfg.AntennaA, e.proc.cfg.AntennaB
-	rowA, rowB := p.CSI[a], p.CSI[b]
+	rowA, rowB := p.CSI[AntennaA], p.CSI[AntennaB]
 	for s := 0; s < e.nSub; s++ {
 		ca, cb := rowA[s], rowB[s]
 		// Same expression as batch extraction — bit-identical inputs.
@@ -290,7 +283,7 @@ func (e *strideEngine) process() (*Result, error) {
 // strideSmooth is the engine-owned prefix of a stride: extraction and
 // smoothing from the columnar rings plus the replicated amplitude gate.
 // When the previous stride's smoothed matrix is reusable (window slid by a
-// multiple of TrendStride and the window comfortably exceeds twice the
+// multiple of trendStride and the window comfortably exceeds twice the
 // margin plus the slide), only the head margin and the new tail are
 // smoothed; otherwise every subcarrier is smoothed in full from the ring
 // caches. It is split from process so the allocation guards can measure
@@ -305,7 +298,7 @@ func (e *strideEngine) strideSmooth(slide int) error {
 	}
 	reuse := e.haveSmoothed &&
 		e.prevPos+slide == e.pos &&
-		slide%pcfg.TrendStride == 0 &&
+		slide%trendStride == 0 &&
 		n > 2*e.margin+slide
 	if reuse {
 		e.lastSmoothedSamples = 2*e.margin + slide

@@ -138,8 +138,8 @@ func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64, 
 		t.Fatalf("test config does not engage incremental reuse: window %d, margin %d, stride %d",
 			window, eng.margin, stride)
 	}
-	if stride%cfg.Pipeline.TrendStride != 0 {
-		t.Fatalf("stride %d not aligned to trend stride %d", stride, cfg.Pipeline.TrendStride)
+	if stride%trendStride != 0 {
+		t.Fatalf("stride %d not aligned to trend stride %d", stride, trendStride)
 	}
 
 	sim := newFixedMultiSim(t, rate, bpm, 99)
@@ -297,8 +297,8 @@ func TestIncrementalSampleReductionAtDefaults(t *testing.T) {
 	if window < 5*perStride {
 		t.Fatalf("incremental stride smooths %d of %d samples — less than a 5× reduction", perStride, window)
 	}
-	if stride%cfg.Pipeline.TrendStride != 0 {
-		t.Fatalf("default stride %d not aligned to trend stride %d", stride, cfg.Pipeline.TrendStride)
+	if stride%trendStride != 0 {
+		t.Fatalf("default stride %d not aligned to trend stride %d", stride, trendStride)
 	}
 }
 

@@ -65,13 +65,6 @@ type MonitorConfig struct {
 	// awaited when the consumer lags (counted in Health.UpdatesReplaced).
 	// Off by default (lossless, blocking).
 	DropOnBacklog bool
-	// MaxGapSeconds is the timestamp-gap threshold of the gap-degradation
-	// path: when consecutive accepted packets are separated by more than
-	// this, the buffered window is discarded and re-anchored (counted in
-	// Health.GapResets) instead of silently splicing data from before and
-	// after an outage. Zero selects the default of one second (at least
-	// twenty packet intervals); negative disables gap detection.
-	MaxGapSeconds float64
 	// Metrics, when non-nil, receives the monitor's runtime metrics, fed
 	// from each delivered stride's StrideRecord: per-stage latency
 	// histograms and error counters, a stride-latency histogram and an
@@ -181,9 +174,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cells := cfg.WindowSeconds * cfg.SampleRate * float64(cfg.NumSubcarriers); !(cells <= maxWindowCells) {
 		return nil, fmt.Errorf("core: monitor window %vs × %v Hz × %d subcarriers exceeds %d samples",
 			cfg.WindowSeconds, cfg.SampleRate, cfg.NumSubcarriers, maxWindowCells)
-	}
-	if a, b := cfg.Pipeline.AntennaA, cfg.Pipeline.AntennaB; a >= cfg.NumAntennas || b >= cfg.NumAntennas || a < 0 || b < 0 {
-		return nil, fmt.Errorf("core: monitor antenna pair (%d, %d) outside [0, %d)", a, b, cfg.NumAntennas)
 	}
 	if cfg.Persons < 1 {
 		cfg.Persons = 1

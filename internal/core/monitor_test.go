@@ -30,7 +30,7 @@ func TestMonitorValidation(t *testing.T) {
 		t.Error("want error for zero subcarriers")
 	}
 	bad = DefaultMonitorConfig()
-	bad.Pipeline.TopK = 0
+	bad.Pipeline.EnvWindow = 1
 	if _, err := NewMonitor(bad); err == nil {
 		t.Error("want error for bad pipeline config")
 	}

@@ -157,7 +157,7 @@ func BenchmarkEstimateStage(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			window(calib, i)
-			if _, err := EstimateBreathingMultiRootMUSIC(calib, fs, 2, &cfg); err != nil {
+			if _, err := EstimateBreathingMultiRootMUSIC(calib, fs, 2); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,16 +12,16 @@ import (
 // the MDL criterion. The paper assumes the person count is known; this is
 // the natural extension for deployments where it is not. maxPersons bounds
 // the answer (physically, how many people could fit in range).
-func EstimatePersonCount(calibrated [][]float64, fs float64, maxPersons int, cfg *Config) (int, error) {
+func EstimatePersonCount(calibrated [][]float64, fs float64, maxPersons int) (int, error) {
 	if maxPersons < 1 {
 		return 0, fmt.Errorf("core: maxPersons %d < 1", maxPersons)
 	}
-	series, _, err := prepareMusicSeries(calibrated, fs, cfg)
+	series, musicFs, err := prepareMusicSeries(calibrated, fs)
 	if err != nil {
 		return 0, err
 	}
 	r, err := music.CorrelationMatrix(series, music.CorrelationOptions{
-		WindowLen:       cfg.MusicWindow,
+		WindowLen:       musicWindow,
 		ForwardBackward: true,
 		DiagonalLoad:    1e-6,
 	})
@@ -50,16 +50,11 @@ func EstimatePersonCount(calibrated [][]float64, fs float64, maxPersons int, cfg
 	// A deep breather's second harmonic forms its own eigenvalue pair and
 	// would be counted as an extra person; estimate the frequencies at the
 	// candidate order and drop harmonically-related lines.
-	freqs, err := music.RootMUSIC(r, persons, musicFs(fs, cfg))
+	freqs, err := music.RootMUSIC(r, persons, musicFs)
 	if err != nil {
 		return persons, nil // keep the gap estimate when rooting fails
 	}
 	return countNonHarmonic(freqs), nil
-}
-
-// musicFs returns the sample rate of the decimated MUSIC series.
-func musicFs(fs float64, cfg *Config) float64 {
-	return fs / float64(cfg.MusicDecimate)
 }
 
 // countNonHarmonic counts frequencies that are not near-integer multiples

@@ -111,35 +111,27 @@ func TestStrideEngineGapReset(t *testing.T) {
 	}
 }
 
+// TestStrideEngineMaxGapConfig pins the gap threshold the engine derives
+// from MonitorConfig.SampleRate: one second, but never fewer than twenty
+// packet intervals at very low rates.
 func TestStrideEngineMaxGapConfig(t *testing.T) {
 	cfg := allocTestConfig()
-	cfg.MaxGapSeconds = -1 // disable gap detection
+	cfg.SampleRate = 10 // twenty packet intervals = 2 s
+	cfg.Pipeline = ConfigForRate(10)
 	eng := quarantineEngine(t, cfg)
 	eng.push(quarantinePacket(0, cfg.NumAntennas, cfg.NumSubcarriers))
-	if _, reset := eng.push(quarantinePacket(1e6, cfg.NumAntennas, cfg.NumSubcarriers)); reset {
-		t.Fatal("disabled gap detection still reset the window")
+	if _, reset := eng.push(quarantinePacket(1.9, cfg.NumAntennas, cfg.NumSubcarriers)); reset {
+		t.Fatal("1.9 s gap under the 2 s threshold at 10 Hz reset the window")
+	}
+	if _, reset := eng.push(quarantinePacket(4, cfg.NumAntennas, cfg.NumSubcarriers)); !reset {
+		t.Fatal("2.1 s gap above the 2 s threshold at 10 Hz did not reset")
 	}
 
-	cfg.MaxGapSeconds = 0.1
-	eng = quarantineEngine(t, cfg)
-	eng.push(quarantinePacket(0, cfg.NumAntennas, cfg.NumSubcarriers))
-	if _, reset := eng.push(quarantinePacket(0.2, cfg.NumAntennas, cfg.NumSubcarriers)); !reset {
-		t.Fatal("0.2 s gap above a 0.1 s threshold did not reset")
+	if got := maxGapSeconds(400); got != 1 {
+		t.Fatalf("gap threshold at 400 Hz = %v, want 1", got)
 	}
-
-	// Default threshold: one second, but never fewer than twenty packet
-	// intervals at very low rates.
-	if got := defaultMaxGapSeconds(&MonitorConfig{SampleRate: 400}); got != 1 {
-		t.Fatalf("default gap at 400 Hz = %v, want 1", got)
-	}
-	if got := defaultMaxGapSeconds(&MonitorConfig{SampleRate: 10}); got != 2 {
-		t.Fatalf("default gap at 10 Hz = %v, want 2 (twenty intervals)", got)
-	}
-	if got := defaultMaxGapSeconds(&MonitorConfig{SampleRate: 400, MaxGapSeconds: 3}); got != 3 {
-		t.Fatalf("explicit gap = %v, want 3", got)
-	}
-	if got := defaultMaxGapSeconds(&MonitorConfig{SampleRate: 400, MaxGapSeconds: -1}); !math.IsInf(got, 1) {
-		t.Fatalf("negative gap = %v, want +Inf (disabled)", got)
+	if got := maxGapSeconds(10); got != 2 {
+		t.Fatalf("gap threshold at 10 Hz = %v, want 2 (twenty intervals)", got)
 	}
 }
 

@@ -231,8 +231,7 @@ func runExtract(st *pipelineState) error {
 	if st.tr == nil || st.tr.Len() == 0 {
 		return fmt.Errorf("%w: empty trace", ErrNoData)
 	}
-	cfg := &st.proc.cfg
-	m, err := extractColumnar(st.tr, cfg.AntennaA, cfg.AntennaB, cfg.Parallelism, st.proc.arena)
+	m, err := extractColumnar(st.tr, AntennaA, AntennaB, st.proc.cfg.Parallelism, st.proc.arena)
 	if err != nil {
 		return err
 	}
@@ -258,8 +257,7 @@ func runSmooth(st *pipelineState) error {
 // either antenna carry noise-dominated phase and are excluded from the V
 // statistic, the sensitivity ranking and the root-MUSIC snapshots alike.
 func runGate(st *pipelineState) error {
-	cfg := &st.proc.cfg
-	st.eligible = AmplitudeGate(st.tr, cfg.AntennaA, cfg.AntennaB, amplitudeGateFraction)
+	st.eligible = AmplitudeGate(st.tr, AntennaA, AntennaB, amplitudeGateFraction)
 	st.gateFallback, st.rejected = gateStats(st.eligible)
 	if st.rejected > 0 {
 		st.note = fmt.Sprintf("gate rejected %d/%d subcarriers", st.rejected, len(st.eligible))
@@ -271,9 +269,8 @@ func runGate(st *pipelineState) error {
 }
 
 func runEnvDetect(st *pipelineState) error {
-	cfg := &st.proc.cfg
 	envInput := filterEligible(st.smoothed, st.eligible)
-	env, err := DetectEnvironment(envInput, cfg.EnvWindow, cfg.EnvMinV, cfg.EnvMaxV)
+	env, err := DetectEnvironment(envInput, st.proc.cfg.EnvWindow, EnvMinV, EnvMaxV)
 	if err != nil {
 		return err
 	}
@@ -286,7 +283,6 @@ func runEnvDetect(st *pipelineState) error {
 }
 
 func runSegment(st *pipelineState) error {
-	cfg := &st.proc.cfg
 	env := st.res.Environment
 	seg, ok := env.LongestStationary()
 	if !ok {
@@ -295,9 +291,9 @@ func runSegment(st *pipelineState) error {
 	if seg.EndSample > len(st.smoothed[0]) {
 		seg.EndSample = len(st.smoothed[0])
 	}
-	if seg.EndSample-seg.StartSample < cfg.MinStationaryWindows*cfg.EnvWindow {
+	if need := minStationaryWindows * st.proc.cfg.EnvWindow; seg.EndSample-seg.StartSample < need {
 		return fmt.Errorf("%w: longest stationary run %d samples, need %d",
-			ErrNotStationary, seg.EndSample-seg.StartSample, cfg.MinStationaryWindows*cfg.EnvWindow)
+			ErrNotStationary, seg.EndSample-seg.StartSample, need)
 	}
 	st.res.StationarySegment = seg
 	segment := make([][]float64, len(st.smoothed))
@@ -320,7 +316,7 @@ func runDownsample(st *pipelineState) error {
 }
 
 func runSelect(st *pipelineState) error {
-	sel, err := SelectSubcarrier(st.res.Calibrated, st.proc.cfg.TopK, st.eligible)
+	sel, err := SelectSubcarrier(st.res.Calibrated, TopK, st.eligible)
 	if err != nil {
 		return err
 	}

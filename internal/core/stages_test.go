@@ -22,7 +22,7 @@ func referenceProcess(p *Processor, tr *trace.Trace) (*Result, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrNoData)
 	}
-	phaseDiff, err := extractPhaseDifference(tr, p.cfg.AntennaA, p.cfg.AntennaB, p.cfg.Parallelism)
+	phaseDiff, err := extractPhaseDifference(tr, AntennaA, AntennaB, p.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -30,10 +30,10 @@ func referenceProcess(p *Processor, tr *trace.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eligible := AmplitudeGate(tr, p.cfg.AntennaA, p.cfg.AntennaB, amplitudeGateFraction)
+	eligible := AmplitudeGate(tr, AntennaA, AntennaB, amplitudeGateFraction)
 
 	envInput := filterEligible(smoothed, eligible)
-	env, err := DetectEnvironment(envInput, p.cfg.EnvWindow, p.cfg.EnvMinV, p.cfg.EnvMaxV)
+	env, err := DetectEnvironment(envInput, p.cfg.EnvWindow, EnvMinV, EnvMaxV)
 	if err != nil {
 		return nil, err
 	}
@@ -45,9 +45,9 @@ func referenceProcess(p *Processor, tr *trace.Trace) (*Result, error) {
 	if seg.EndSample > len(smoothed[0]) {
 		seg.EndSample = len(smoothed[0])
 	}
-	if seg.EndSample-seg.StartSample < p.cfg.MinStationaryWindows*p.cfg.EnvWindow {
+	if seg.EndSample-seg.StartSample < minStationaryWindows*p.cfg.EnvWindow {
 		return &Result{Environment: env}, fmt.Errorf("%w: longest stationary run %d samples, need %d",
-			ErrNotStationary, seg.EndSample-seg.StartSample, p.cfg.MinStationaryWindows*p.cfg.EnvWindow)
+			ErrNotStationary, seg.EndSample-seg.StartSample, minStationaryWindows*p.cfg.EnvWindow)
 	}
 	segment := make([][]float64, len(smoothed))
 	for i, series := range smoothed {
@@ -58,7 +58,7 @@ func referenceProcess(p *Processor, tr *trace.Trace) (*Result, error) {
 		return nil, err
 	}
 	estRate := tr.SampleRate / float64(p.cfg.DownsampleFactor)
-	sel, err := SelectSubcarrier(calibrated, p.cfg.TopK, eligible)
+	sel, err := SelectSubcarrier(calibrated, TopK, eligible)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func referenceProcess(p *Processor, tr *trace.Trace) (*Result, error) {
 	}
 	breathingHz := 0.0
 	if p.nPersons == 1 {
-		breathing, err := EstimateBreathingPeaks(bands.Breathing, estRate, &p.cfg)
+		breathing, err := EstimateBreathingPeaks(bands.Breathing, estRate)
 		if err != nil {
 			return res, fmt.Errorf("breathing estimation: %w", err)
 		}
@@ -84,13 +84,13 @@ func referenceProcess(p *Processor, tr *trace.Trace) (*Result, error) {
 		breathingHz = breathing.RateBPM / 60
 	} else {
 		musicInput := filterEligible(calibrated, sel.Eligible)
-		multi, err := EstimateBreathingMultiRootMUSIC(musicInput, estRate, p.nPersons, &p.cfg)
+		multi, err := EstimateBreathingMultiRootMUSIC(musicInput, estRate, p.nPersons)
 		if err != nil {
 			return res, fmt.Errorf("multi-person estimation: %w", err)
 		}
 		res.MultiPerson = multi
 	}
-	heart, err := EstimateHeartRate(bands.Heart, estRate, breathingHz, &p.cfg)
+	heart, err := EstimateHeartRate(bands.Heart, estRate, breathingHz)
 	if err != nil {
 		return res, nil
 	}
@@ -350,7 +350,7 @@ func TestGateFallbackSurfaced(t *testing.T) {
 	}
 }
 
-// TestEstimatorBackends runs each registered breathing backend over the
+// TestEstimatorBackends runs each breathing backend over the
 // same fixed-rate capture and checks all four recover the truth.
 func TestEstimatorBackends(t *testing.T) {
 	sim, err := csisim.FixedRatesScenario([]float64{17}, 44)
@@ -414,19 +414,11 @@ func TestEstimatorRegistry(t *testing.T) {
 	if _, err := LookupBreathingEstimator("bogus"); err == nil {
 		t.Error("want error for unknown estimator")
 	}
-	if got := HeartEstimatorNames(); len(got) == 0 || got[0] != "fft" {
-		t.Errorf("heart registry = %v, want [fft]", got)
-	}
 
 	cfg := DefaultConfig()
 	cfg.Estimator = "not-a-backend"
 	if _, err := NewProcessor(WithConfig(cfg)); err == nil {
 		t.Error("want NewProcessor error for unknown estimator")
-	}
-	cfg = DefaultConfig()
-	cfg.HeartEstimator = "not-a-backend"
-	if _, err := NewProcessor(WithConfig(cfg)); err == nil {
-		t.Error("want NewProcessor error for unknown heart estimator")
 	}
 }
 

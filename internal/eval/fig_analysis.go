@@ -108,7 +108,7 @@ func environmentReport(name string, schedule []csisim.ScheduleSegment, opts Opti
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
-	pd, err := core.ExtractPhaseDifference(tr, cfg.AntennaA, cfg.AntennaB)
+	pd, err := core.ExtractPhaseDifference(tr, core.AntennaA, core.AntennaB)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func environmentReport(name string, schedule []csisim.ScheduleSegment, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	det, err := core.DetectEnvironment(smoothed, cfg.EnvWindow, cfg.EnvMinV, cfg.EnvMaxV)
+	det, err := core.DetectEnvironment(smoothed, cfg.EnvWindow, core.EnvMinV, core.EnvMaxV)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func Fig04Calibration(opts Options) (*Report, error) {
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
-	pd, err := core.ExtractPhaseDifference(tr, cfg.AntennaA, cfg.AntennaB)
+	pd, err := core.ExtractPhaseDifference(tr, core.AntennaA, core.AntennaB)
 	if err != nil {
 		return nil, err
 	}
@@ -259,14 +259,13 @@ func Fig06DWT(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig()
 	fs := res.EstimationRate
 	rows := [][]string{}
 	// Approximation band.
 	aLo, aHi := 0.0, fs/16/2
 	_ = aLo
-	rows = append(rows, bandRow("α4 (breathing)", res.Bands.Breathing, fs, 0.05, aHi, cfg))
-	rows = append(rows, bandRow("β3+β4 (heart)", res.Bands.Heart, fs, cfg.HeartBandLow, cfg.HeartBandHigh, cfg))
+	rows = append(rows, bandRow("α4 (breathing)", res.Bands.Breathing, fs, 0.05, aHi))
+	rows = append(rows, bandRow("β3+β4 (heart)", res.Bands.Heart, fs, core.HeartBandLow, core.HeartBandHigh))
 	for lev := 1; lev <= res.Bands.Decomposition.Levels(); lev++ {
 		sig, err := res.Bands.Decomposition.ReconstructDetails(lev)
 		if err != nil {
@@ -290,7 +289,7 @@ func Fig06DWT(opts Options) (*Report, error) {
 	}, nil
 }
 
-func bandRow(name string, sig []float64, fs, lo, hi float64, cfg core.Config) []string {
+func bandRow(name string, sig []float64, fs, lo, hi float64) []string {
 	dom, err := dsp.DominantFrequency(sig, fs, lo, hi, 4096)
 	domStr := "-"
 	if err == nil {

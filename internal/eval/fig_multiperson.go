@@ -37,9 +37,7 @@ func Fig08MultiPersonFFT(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
-		cfg := p.Config()
-		fftEst, err := core.EstimateBreathingMultiFFT(res.Bands.Breathing, res.EstimationRate,
-			len(tc.rates), &cfg)
+		fftEst, err := core.EstimateBreathingMultiFFT(res.Bands.Breathing, res.EstimationRate, len(tc.rates))
 		fftStr := "failed"
 		if err == nil {
 			fftStr = bpmList(fftEst.RatesBPM)
@@ -110,14 +108,13 @@ func Fig14MultiPersonAccuracy(opts Options) (*Report, error) {
 			}
 			out := &multiTrial{acc30: MatchedAccuracy(res.MultiPerson.RatesBPM, truths)}
 
-			cfg := p.Config()
 			// Single-subcarrier root-MUSIC: only the selected subcarrier's
 			// series acts as snapshot source.
 			single := [][]float64{res.Calibrated[res.Selection.Selected]}
-			if est, err := core.EstimateBreathingMultiRootMUSIC(single, res.EstimationRate, n, &cfg); err == nil {
+			if est, err := core.EstimateBreathingMultiRootMUSIC(single, res.EstimationRate, n); err == nil {
 				out.acc1 = MatchedAccuracy(est.RatesBPM, truths)
 			}
-			if est, err := core.EstimateBreathingMultiFFT(res.Bands.Breathing, res.EstimationRate, n, &cfg); err == nil {
+			if est, err := core.EstimateBreathingMultiFFT(res.Bands.Breathing, res.EstimationRate, n); err == nil {
 				out.accFFT = MatchedAccuracy(est.RatesBPM, truths)
 			}
 			return out, nil

@@ -14,12 +14,10 @@ import (
 	"phasebeat/internal/otrace"
 )
 
-// Config configures a Recorder. The zero value records 32 traces with
-// default trigger thresholds and never writes dumps (no Dir).
+// Config configures a Recorder. The zero value keeps the last
+// ringCapacity traces, uses the default estimate-jump threshold and never
+// writes dumps (no Dir).
 type Config struct {
-	// Capacity is the ring size in traces; 0 selects 32, negative is an
-	// error.
-	Capacity int
 	// Dir is the flight-dump directory. Empty disables automatic and
 	// manual dumps (the ring and Last() still work, e.g. for -explain).
 	Dir string
@@ -27,23 +25,22 @@ type Config struct {
 	// breathing estimates further apart than this fire a dump. 0 selects
 	// the default of 10 BPM; negative disables the trigger.
 	JumpBPM float64
-	// QuarantineRate is the quarantine-spike threshold: a dump fires
-	// when quarantined/(accepted+quarantined) over one stride exceeds
-	// it. 0 selects the default of 0.05; negative disables the trigger.
-	QuarantineRate float64
-	// CooldownStrides is the minimum number of finalized traces between
-	// automatic dumps, so a persistent fault produces one bundle per
-	// ring-full of context instead of one per stride. 0 selects the
-	// capacity; negative disables the cooldown.
-	CooldownStrides int
 	// Logger, when non-nil, receives dump and write-failure events.
 	Logger *slog.Logger
 }
 
 const (
-	defaultCapacity       = 32
-	defaultJumpBPM        = 10.0
-	defaultQuarantineRate = 0.05
+	// ringCapacity is the ring size in traces.
+	ringCapacity = 32
+	// quarantineSpikeRate is the quarantine-spike threshold: a dump fires
+	// when quarantined/(accepted+quarantined) over one stride exceeds it.
+	quarantineSpikeRate = 0.05
+	// cooldownStrides is the minimum number of finalized traces between
+	// automatic dumps, so a persistent fault produces one bundle per
+	// ring-full of context instead of one per stride.
+	cooldownStrides = ringCapacity
+
+	defaultJumpBPM = 10.0
 )
 
 // Trigger names reported in FlightDump.Trigger and filenames.
@@ -81,29 +78,17 @@ type Recorder struct {
 	lastDumpTrace uint64 // seq at the last automatic dump, for cooldown
 }
 
-// NewRecorder validates cfg, applies defaults, and creates Dir when set.
+// NewRecorder applies the defaults and creates Dir when set.
 func NewRecorder(cfg Config) (*Recorder, error) {
-	if cfg.Capacity < 0 {
-		return nil, fmt.Errorf("explain: negative ring capacity %d", cfg.Capacity)
-	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = defaultCapacity
-	}
 	if cfg.JumpBPM == 0 {
 		cfg.JumpBPM = defaultJumpBPM
-	}
-	if cfg.QuarantineRate == 0 {
-		cfg.QuarantineRate = defaultQuarantineRate
-	}
-	if cfg.CooldownStrides == 0 {
-		cfg.CooldownStrides = cfg.Capacity
 	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("explain: flight dir: %w", err)
 		}
 	}
-	return &Recorder{cfg: cfg, ring: make([]Entry, cfg.Capacity)}, nil
+	return &Recorder{cfg: cfg, ring: make([]Entry, ringCapacity)}, nil
 }
 
 // OnStride implements core.StrideSink: turn the run's record into a
@@ -202,7 +187,7 @@ func (r *Recorder) triggerLocked(tr *Trace) string {
 	switch {
 	case d.GapResets > 0:
 		return TriggerGapReset
-	case r.cfg.QuarantineRate > 0 && quarantineRate(d) > r.cfg.QuarantineRate:
+	case quarantineRate(d) > quarantineSpikeRate:
 		return TriggerQuarantineSpike
 	case jump:
 		return TriggerEstimateJump
@@ -229,8 +214,7 @@ func (r *Recorder) prepareDumpLocked(trigger string, seq uint64) (*FlightDump, s
 	if trigger == "" || r.cfg.Dir == "" {
 		return nil, ""
 	}
-	if r.cfg.CooldownStrides > 0 && r.lastDumpTrace > 0 &&
-		seq-r.lastDumpTrace < uint64(r.cfg.CooldownStrides) {
+	if r.lastDumpTrace > 0 && seq-r.lastDumpTrace < cooldownStrides {
 		return nil, ""
 	}
 	r.lastDumpTrace = seq

@@ -44,16 +44,12 @@ func newLabSim(t testing.TB, rate, bpm float64, seed int64) *csisim.Simulator {
 }
 
 func TestNewRecorderDefaultsAndValidation(t *testing.T) {
-	if _, err := NewRecorder(Config{Capacity: -1}); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
 	r, err := NewRecorder(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cfg.Capacity != defaultCapacity || r.cfg.JumpBPM != defaultJumpBPM ||
-		r.cfg.QuarantineRate != defaultQuarantineRate || r.cfg.CooldownStrides != defaultCapacity {
-		t.Fatalf("defaults not applied: %+v", r.cfg)
+	if r.cfg.JumpBPM != defaultJumpBPM || len(r.ring) != ringCapacity {
+		t.Fatalf("defaults not applied: %+v, ring %d", r.cfg, len(r.ring))
 	}
 	dir := filepath.Join(t.TempDir(), "nested", "flight")
 	if _, err := NewRecorder(Config{Dir: dir}); err != nil {
@@ -65,17 +61,18 @@ func TestNewRecorderDefaultsAndValidation(t *testing.T) {
 }
 
 // TestRingBounding fills the ring past capacity and checks eviction
-// order: the ring holds the newest Capacity traces, oldest first.
+// order: the ring holds the newest ringCapacity traces, oldest first.
 func TestRingBounding(t *testing.T) {
-	r, err := NewRecorder(Config{Capacity: 4})
+	r, err := NewRecorder(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	const n = ringCapacity + 6
+	for i := 0; i < n; i++ {
 		r.OnStride(&core.StrideRecord{Update: core.Update{Err: errors.New("no window")}})
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	if r.Len() != ringCapacity {
+		t.Fatalf("Len = %d, want %d", r.Len(), ringCapacity)
 	}
 	entries := r.Entries()
 	for i, e := range entries {
@@ -86,8 +83,8 @@ func TestRingBounding(t *testing.T) {
 			t.Fatalf("entry %d lost error text: %q", i, e.Trace.Err)
 		}
 	}
-	if r.Last().Seq != 10 {
-		t.Fatalf("Last().Seq = %d, want 10", r.Last().Seq)
+	if r.Last().Seq != n {
+		t.Fatalf("Last().Seq = %d, want %d", r.Last().Seq, n)
 	}
 }
 
@@ -151,9 +148,10 @@ func strideRecord(res *core.Result, h, prev core.Health) *core.StrideRecord {
 
 // TestTriggerMatrix drives OnStride with synthetic health counters and
 // checks each anomaly condition fires its named dump, in priority order.
+// A cooldown's worth of quiet strides separates the triggering strides.
 func TestTriggerMatrix(t *testing.T) {
 	dir := t.TempDir()
-	r, err := NewRecorder(Config{Capacity: 8, Dir: dir, CooldownStrides: -1})
+	r, err := NewRecorder(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +165,19 @@ func TestTriggerMatrix(t *testing.T) {
 		r.OnStride(strideRecord(res, h, prev))
 		prev = h
 	}
+	quiet := func(bpm float64) {
+		for i := 0; i < cooldownStrides; i++ {
+			step(breathingResult(bpm), nil)
+		}
+	}
 
 	step(breathingResult(15), nil) // baseline: sets prevBPM
 	step(breathingResult(15), func(h *core.Health) { h.GapResets++ })
+	quiet(15)
 	step(breathingResult(15), func(h *core.Health) { h.QuarantinedNonFinite += 20 })
-	step(breathingResult(30), nil)                                          // 15 bpm jump
+	quiet(15)
+	step(breathingResult(30), nil) // 15 bpm jump
+	quiet(30)
 	step(breathingResult(30), func(h *core.Health) { h.UpdatesReplaced++ }) // degraded only
 
 	want := []string{
@@ -218,19 +224,19 @@ func TestTriggerMatrix(t *testing.T) {
 // produces one bundle per cooldown window, not one per stride.
 func TestTriggerCooldown(t *testing.T) {
 	dir := t.TempDir()
-	r, err := NewRecorder(Config{Capacity: 8, Dir: dir, CooldownStrides: 3})
+	r, err := NewRecorder(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prev, h core.Health
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 2*cooldownStrides; i++ {
 		h.Accepted += 100
 		h.QuarantinedNonFinite += 50 // every stride spikes
 		r.OnStride(strideRecord(nil, h, prev))
 		prev = h
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
-	// Strides 1..6 all trigger; dumps land on 1 and 4 (cooldown 3).
+	// Every stride triggers; dumps land on 1 and 1+cooldownStrides.
 	if len(files) != 2 {
 		t.Fatalf("dump count = %d (%v), want 2", len(files), files)
 	}
@@ -346,7 +352,7 @@ func TestFlightRecorderCapturesNaNFault(t *testing.T) {
 		stride = 5.0
 	)
 	dir := flightDir(t)
-	rec, err := NewRecorder(Config{Capacity: 8, Dir: dir})
+	rec, err := NewRecorder(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +445,7 @@ func TestFlightRecorderCapturesNaNFault(t *testing.T) {
 	if trigger.HealthDelta.Quarantined() == 0 || !trigger.Degraded {
 		t.Fatalf("triggering trace does not show the quarantine spike: %+v", trigger.HealthDelta)
 	}
-	if quarantineRate(trigger.HealthDelta) <= defaultQuarantineRate {
+	if quarantineRate(trigger.HealthDelta) <= quarantineSpikeRate {
 		t.Fatalf("stride quarantine rate %.3f below threshold — wrong trigger attribution",
 			quarantineRate(trigger.HealthDelta))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,8 +31,17 @@ func testHarnessConfig() HarnessConfig {
 // testManager builds a Manager matching testHarnessConfig's stream shape.
 func testManager(t testing.TB, shards int, reg *metrics.Registry) *Manager {
 	t.Helper()
+	mgr, err := New(testConfig(shards, reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mgr
+}
+
+// testConfig is testManager's fleet configuration.
+func testConfig(shards int, reg *metrics.Registry) Config {
 	hc := testHarnessConfig()
-	mgr, err := New(Config{
+	return Config{
 		Shards:        shards,
 		SessionBuffer: 1024, // hold a whole test stream: no shedding, exact accounting
 		Metrics:       reg,
@@ -44,11 +54,7 @@ func testManager(t testing.TB, shards int, reg *metrics.Registry) *Manager {
 			WindowSeconds:      hc.WindowSeconds,
 			UpdateEverySeconds: hc.StrideSeconds,
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return mgr
 }
 
 // feedAll routes every template packet to key and waits for the session
@@ -187,6 +193,92 @@ func TestManagerSessionLifecycle(t *testing.T) {
 	}
 	if err := mgr.Ingest("beta", pkts[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ingest after close: err = %v", err)
+	}
+}
+
+// failingRecorder is an archive on a full or failing disk: every call
+// fails, and each kind of call is counted.
+type failingRecorder struct {
+	opens, packets, updates, closes atomic.Uint64
+}
+
+func (r *failingRecorder) OpenSession(string, SessionConfig) error {
+	r.opens.Add(1)
+	return syscall.ENOSPC
+}
+
+func (r *failingRecorder) AppendPacket(string, trace.Packet) error {
+	r.packets.Add(1)
+	return syscall.ENOSPC
+}
+
+func (r *failingRecorder) AppendUpdate(string, core.Update) error {
+	r.updates.Add(1)
+	return syscall.EIO
+}
+
+func (r *failingRecorder) CloseSession(string) error {
+	r.closes.Add(1)
+	return syscall.EIO
+}
+
+// TestRecorderFailuresAreCountedNotFatal pins the best-effort archive
+// contract: when every Recorder call fails (ENOSPC, EIO), the session
+// still publishes its updates to Wait, and fleet.record.errors equals the
+// exact number of failed calls.
+func TestRecorderFailuresAreCountedNotFatal(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rec := &failingRecorder{}
+	cfg := testConfig(1, reg)
+	cfg.Recorder = rec
+	mgr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	pkts, err := templatePackets(testHarnessConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := mgr.Open("disk", SessionConfig{}); err != nil {
+		t.Fatalf("open with a failing recorder: %v", err)
+	}
+	feedAll(t, mgr, "disk", pkts)
+	s, _ := mgr.Get("disk")
+	snap, ok := s.Wait(0, 10*time.Second)
+	if !ok || snap.Update.Result == nil {
+		t.Fatalf("no update published with a failing recorder: %+v, ok %v", snap, ok)
+	}
+	h, err := mgr.CloseSession("disk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Accepted != uint64(len(pkts)) {
+		t.Fatalf("final health Accepted = %d, want %d", h.Accepted, len(pkts))
+	}
+	final, _ := s.Latest()
+	if final.Seq < 2 {
+		t.Fatalf("session published %d updates, want a stream of them", final.Seq)
+	}
+
+	// CloseSession returns after the recorder's last call: counts are final.
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"OpenSession", rec.opens.Load(), 1},
+		{"AppendPacket", rec.packets.Load(), uint64(len(pkts))},
+		{"AppendUpdate", rec.updates.Load(), final.Seq},
+		{"CloseSession", rec.closes.Load(), 1},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s calls = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	want := 1 + uint64(len(pkts)) + final.Seq + 1
+	if v := gaugeValue(t, reg, "fleet.record.errors"); v != float64(want) {
+		t.Fatalf("fleet.record.errors = %v, want %d failed calls", v, want)
 	}
 }
 

@@ -172,9 +172,6 @@ type Config struct {
 	// SLO, when non-nil, enables ingest→update latency SLO tracking with
 	// multi-window burn rates (see SLOConfig).
 	SLO *SLOConfig
-	// MetricsPrefix prefixes every registered metric name ("" selects
-	// "fleet" — the tracer's only current host).
-	MetricsPrefix string
 	// Metrics, when non-nil, receives the span segment histograms and
 	// the slo.* gauges.
 	Metrics *metrics.Registry
@@ -216,9 +213,6 @@ func New(cfg Config) (*Tracer, error) {
 	if cfg.RingCapacity < 1 {
 		return nil, fmt.Errorf("otrace: ring capacity %d < 1", cfg.RingCapacity)
 	}
-	if cfg.MetricsPrefix == "" {
-		cfg.MetricsPrefix = "fleet"
-	}
 	t := &Tracer{cfg: cfg, ring: make([]*SpanRecord, cfg.RingCapacity)}
 	if cfg.SLO != nil {
 		slo, err := newSLOTracker(*cfg.SLO)
@@ -231,10 +225,14 @@ func New(cfg Config) (*Tracer, error) {
 	return t, nil
 }
 
+// metricsPrefix prefixes every metric the tracer registers: the fleet is
+// the tracer's only host.
+const metricsPrefix = "fleet"
+
 // register wires the histograms and gauges (nil registry: the nil-safe
 // metric types make every Observe free).
 func (t *Tracer) register(reg *metrics.Registry) {
-	p := t.cfg.MetricsPrefix
+	const p = metricsPrefix
 	t.segments = make(map[string]*metrics.Histogram, 5)
 	for _, name := range []string{SegFrame, SegMailbox, SegQueue, SegCompute, SegDeliver} {
 		t.segments[name] = reg.Histogram(p+".span."+name+".seconds", metrics.LatencyBounds)

@@ -2,6 +2,7 @@ package otrace
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -273,10 +274,9 @@ func TestSLOBurnMathAndBreachMarking(t *testing.T) {
 func TestOnBurnFiresOncePerCooldown(t *testing.T) {
 	var fired []BurnReport
 	tr, err := New(Config{SampleEvery: 1, SLO: &SLOConfig{
-		Target:       time.Microsecond, // everything breaches
-		Objective:    0.9,
-		BurnCooldown: time.Hour,
-		OnBurn:       func(r BurnReport) { fired = append(fired, r) },
+		Target:    time.Microsecond, // everything breaches
+		Objective: 0.9,
+		OnBurn:    func(r BurnReport) { fired = append(fired, r) },
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -285,10 +285,15 @@ func TestOnBurnFiresOncePerCooldown(t *testing.T) {
 		finish(t, tr, "sess", uint64(i), 0)
 	}
 	if len(fired) != 1 {
-		t.Fatalf("OnBurn fired %d times under a 1h cooldown, want 1", len(fired))
+		t.Fatalf("OnBurn fired %d times within the %v cooldown, want 1", len(fired), burnCooldown)
 	}
-	if fired[0].FastBurn < 1 {
+	if fired[0].FastBurn < burnThreshold {
 		t.Errorf("OnBurn report burn %v < threshold", fired[0].FastBurn)
+	}
+	// A breach published once the cooldown has elapsed fires again.
+	finish(t, tr, "sess", 20, burnCooldown)
+	if len(fired) != 2 {
+		t.Fatalf("OnBurn fired %d times after the cooldown elapsed, want 2", len(fired))
 	}
 }
 
@@ -302,10 +307,9 @@ func TestBurnFireForcesRetention(t *testing.T) {
 		SampleEvery:   -1, // no head sampling
 		SlowThreshold: -1, // no slow retention
 		SLO: &SLOConfig{
-			Target:       time.Microsecond, // everything breaches
-			Objective:    0.9,
-			BurnCooldown: time.Hour,
-			OnBurn:       func(BurnReport) { ringAtFire = tr.Spans() },
+			Target:    time.Microsecond, // everything breaches
+			Objective: 0.9,
+			OnBurn:    func(BurnReport) { ringAtFire = tr.Spans() },
 		},
 	})
 	if err != nil {
@@ -330,19 +334,17 @@ func TestBurnFireForcesRetention(t *testing.T) {
 
 func TestTenantOverflowFolds(t *testing.T) {
 	tr, err := New(Config{SampleEvery: -1, SlowThreshold: -1, SLO: &SLOConfig{
-		Target:     time.Second,
-		MaxTenants: 2,
+		Target: time.Second,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		key := string(rune('a' + i))
-		finish(t, tr, key, 1, 0)
+	for i := 0; i < maxTenants+4; i++ {
+		finish(t, tr, fmt.Sprintf("s%d", i), 1, 0)
 	}
 	rows := tr.slo.tenantTable()
-	if len(rows) != 3 {
-		t.Fatalf("tenant table has %d rows with MaxTenants=2, want 3 (2 + overflow)", len(rows))
+	if len(rows) != maxTenants+1 {
+		t.Fatalf("tenant table has %d rows, want %d (%d + overflow)", len(rows), maxTenants+1, maxTenants)
 	}
 	var over *TenantSLO
 	for i := range rows {

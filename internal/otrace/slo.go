@@ -27,17 +27,8 @@ type SLOConfig struct {
 	FastWindow time.Duration
 	// SlowWindow is the trend window. 0 selects 1 hour.
 	SlowWindow time.Duration
-	// BurnThreshold fires OnBurn when both windows' burn rates reach it.
-	// 0 selects 1.0.
-	BurnThreshold float64
-	// BurnCooldown is the minimum gap between OnBurn firings. 0 selects
-	// 5 minutes.
-	BurnCooldown time.Duration
-	// MaxTenants caps the per-session compliance table; sessions beyond
-	// the cap are folded into one overflow row. 0 selects 4096.
-	MaxTenants int
 	// OnBurn, when non-nil, is called from the observing goroutine when
-	// both burn rates cross BurnThreshold, at most once per BurnCooldown.
+	// both burn rates reach burnThreshold, at most once per burnCooldown.
 	// It runs outside the tracker lock, after the triggering span has
 	// been retained — calling back into the Tracer (Spans, SLOReport) is
 	// safe.
@@ -128,8 +119,18 @@ func (w *burnWindow) badFraction(now int64) float64 {
 	return float64(bad) / float64(total)
 }
 
-// overflowTenant aggregates sessions past the MaxTenants cap.
-const overflowTenant = "~overflow"
+const (
+	// burnThreshold fires OnBurn when both windows' burn rates reach it:
+	// the error budget is being spent at least as fast as the objective
+	// allows.
+	burnThreshold = 1.0
+	// burnCooldown is the minimum gap between OnBurn firings.
+	burnCooldown = 5 * time.Minute
+	// maxTenants caps the per-session compliance table; sessions beyond
+	// the cap are folded into one overflow row, overflowTenant.
+	maxTenants     = 4096
+	overflowTenant = "~overflow"
+)
 
 // sloTracker owns the burn windows, the per-tenant compliance table and
 // the OnBurn cooldown. One mutex serializes everything: the observe
@@ -171,15 +172,6 @@ func newSLOTracker(cfg SLOConfig) (*sloTracker, error) {
 	if cfg.FastWindow < burnBuckets*time.Nanosecond || cfg.SlowWindow < burnBuckets*time.Nanosecond {
 		return nil, fmt.Errorf("otrace: SLO windows %v/%v too small", cfg.FastWindow, cfg.SlowWindow)
 	}
-	if cfg.BurnThreshold == 0 {
-		cfg.BurnThreshold = 1.0
-	}
-	if cfg.BurnCooldown == 0 {
-		cfg.BurnCooldown = 5 * time.Minute
-	}
-	if cfg.MaxTenants == 0 {
-		cfg.MaxTenants = 4096
-	}
 	return &sloTracker{
 		cfg:     cfg,
 		fast:    newBurnWindow(cfg.FastWindow),
@@ -204,7 +196,7 @@ func (s *sloTracker) observe(key string, now int64, total time.Duration) (bool, 
 	s.slow.observe(now, breach)
 	tc := s.tenants[key]
 	if tc == nil {
-		if len(s.tenants) >= s.cfg.MaxTenants {
+		if len(s.tenants) >= maxTenants {
 			key = overflowTenant
 			if tc = s.tenants[key]; tc == nil {
 				tc = &tenantCounts{}
@@ -221,8 +213,8 @@ func (s *sloTracker) observe(key string, now int64, total time.Duration) (bool, 
 	}
 	if s.cfg.OnBurn != nil && breach {
 		rep := s.reportLocked(now)
-		if rep.FastBurn >= s.cfg.BurnThreshold && rep.SlowBurn >= s.cfg.BurnThreshold &&
-			(s.lastBurn == 0 || now-s.lastBurn >= s.cfg.BurnCooldown.Nanoseconds()) {
+		if rep.FastBurn >= burnThreshold && rep.SlowBurn >= burnThreshold &&
+			(s.lastBurn == 0 || now-s.lastBurn >= burnCooldown.Nanoseconds()) {
 			s.lastBurn = now
 			return breach, &rep
 		}

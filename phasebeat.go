@@ -44,7 +44,7 @@ import (
 // Re-exported core types. The aliases form the public facade over the
 // internal packages; see each type's documentation there.
 type (
-	// Config holds every tunable of the PhaseBeat pipeline.
+	// Config holds the settable parameters of the PhaseBeat pipeline.
 	Config = core.Config
 	// Result is a batch pipeline output, including the intermediate
 	// products the paper's figures visualize.
@@ -218,13 +218,9 @@ func NewExplainRecorder(cfg ExplainConfig) (*ExplainRecorder, error) {
 // PipelineStages lists the pipeline's stage names in execution order.
 func PipelineStages() []string { return core.StageNames() }
 
-// BreathingEstimators lists the registered breathing estimator backends
-// selectable through Config.Estimator.
+// BreathingEstimators lists the breathing estimator backends selectable
+// through Config.Estimator.
 func BreathingEstimators() []string { return core.BreathingEstimatorNames() }
-
-// HeartEstimators lists the registered heart estimator backends selectable
-// through Config.HeartEstimator.
-func HeartEstimators() []string { return core.HeartEstimatorNames() }
 
 // ProcessTrace runs the full PhaseBeat pipeline over a complete trace.
 func ProcessTrace(tr *Trace, opts ...ProcessorOption) (*Result, error) {

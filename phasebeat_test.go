@@ -132,7 +132,7 @@ func TestPublicAPIErrors(t *testing.T) {
 		t.Error("want error for zero distance")
 	}
 	bad := DefaultConfig()
-	bad.TopK = 0
+	bad.EnvWindow = 1
 	if _, err := ProcessTrace(&Trace{}, WithConfig(bad)); err == nil {
 		t.Error("want error for invalid config")
 	}
