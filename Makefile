@@ -52,7 +52,7 @@ cover:
 # panic or reject their own fixtures without paying measurement time.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineProcess$$|BenchmarkMonitorStride$$|BenchmarkRunningMedianStrided$$|BenchmarkHampel$$|BenchmarkQuarantinePush$$|BenchmarkDWTDenoise$$|BenchmarkRootMUSIC$$|BenchmarkEstimateStage$$|BenchmarkColumnarIngest$$|BenchmarkFleetDensity$$|BenchmarkStoreAppend$$|BenchmarkStoreRangeQuery$$|BenchmarkSpanIngestOverhead$$' -benchtime 1x ./internal/core ./internal/dsp ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineProcess$$|BenchmarkMonitorStride$$|BenchmarkRunningMedianStrided$$|BenchmarkHampel$$|BenchmarkExactSum$$|BenchmarkQuarantinePush$$|BenchmarkDWTDenoise$$|BenchmarkRootMUSIC$$|BenchmarkEstimateStage$$|BenchmarkColumnarIngest$$|BenchmarkFleetDensity$$|BenchmarkStoreAppend$$|BenchmarkStoreRangeQuery$$|BenchmarkSpanIngestOverhead$$' -benchtime 1x ./internal/core ./internal/dsp ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace
 
 # A small, bounded run of the fleet daemon's in-process load harness:
 # opens sessions over sharded arenas with mid-run churn, and exits

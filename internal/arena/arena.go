@@ -12,9 +12,8 @@
 // a time. Storing each channel contiguously ("subcarrier-major") turns the
 // per-stage strided walks over packet rows into sequential scans, and the
 // one unavoidable transpose is paid exactly once, at ingest. Nothing here
-// retains raw complex CSI: the Monitor's ring holds the real-valued
-// per-sample quantities derived from it at ingest (phase difference, its
-// sin and cos, per-antenna amplitude), and the batch pipeline's matrices
+// retains raw complex CSI: the Monitor's ring holds the wrapped phase
+// difference derived from it at ingest, and the batch pipeline's matrices
 // hold the extracted and smoothed series.
 //
 // An Arena is safe for concurrent use, so one allocator can back many

@@ -29,9 +29,9 @@ func BenchmarkColumnarIngest(b *testing.B) {
 
 	b.Run("transpose", func(b *testing.B) {
 		a := New()
-		// planes: phase difference, sin, cos, |A|, |B| — the stride
-		// engine's derived quantities.
-		r := NewFloatRing(a, 5, subcarriers, window)
+		// One channel per subcarrier: the stride engine's wrapped phase
+		// difference.
+		r := NewFloatRing(a, subcarriers, window)
 		b.ReportAllocs()
 		b.SetBytes(int64(antennas * subcarriers * 16))
 		b.ResetTimer()
@@ -39,23 +39,18 @@ func BenchmarkColumnarIngest(b *testing.B) {
 			slot := r.Slot()
 			rowA, rowB := packet[0], packet[1]
 			for s := 0; s < subcarriers; s++ {
-				d := cmplx.Phase(rowA[s]) - cmplx.Phase(rowB[s])
-				r.Column(0, s)[slot] = d
-				r.Column(1, s)[slot] = d // stand-ins for sin/cos
-				r.Column(2, s)[slot] = -d
-				r.Column(3, s)[slot] = cmplx.Abs(rowA[s])
-				r.Column(4, s)[slot] = cmplx.Abs(rowB[s])
+				r.Column(s)[slot] = cmplx.Phase(rowA[s]) - cmplx.Phase(rowB[s])
 			}
 			r.Advance()
 		}
 	})
 
 	b.Run("column-sweep", func(b *testing.B) {
-		r := NewFloatRing(nil, 1, subcarriers, window)
+		r := NewFloatRing(nil, subcarriers, window)
 		for i := 0; i < window+window/3; i++ { // force a wrap
 			slot := r.Slot()
 			for s := 0; s < subcarriers; s++ {
-				r.Column(0, s)[slot] = float64(i + s)
+				r.Column(s)[slot] = float64(i + s)
 			}
 			r.Advance()
 		}
@@ -65,7 +60,7 @@ func BenchmarkColumnarIngest(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < subcarriers; s++ {
-				v, err := r.View(0, s, r.Head()-window, window)
+				v, err := r.View(s, r.Head()-window, window)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,33 +8,27 @@ import (
 // FuzzRingView drives a float ring through an arbitrary push sequence and
 // checks every in-retention view against an independently kept reference
 // history: views must report exactly the admitted values (no aliasing
-// across channels or planes, no stale pre-wrap data) and every
-// out-of-retention request must fail rather than silently alias.
+// across channels, no stale pre-wrap data) and every out-of-retention
+// request must fail rather than silently alias.
 func FuzzRingView(f *testing.F) {
-	f.Add(uint8(2), uint8(3), uint8(4), uint16(37), uint16(5))
-	f.Add(uint8(1), uint8(1), uint8(1), uint16(9), uint16(0))
-	f.Add(uint8(3), uint8(7), uint8(5), uint16(200), uint16(123))
-	f.Fuzz(func(t *testing.T, planesIn, channelsIn, capIn uint8, pushes, probe uint16) {
-		planes := int(planesIn)%3 + 1
+	f.Add(uint8(3), uint8(4), uint16(37), uint16(5))
+	f.Add(uint8(1), uint8(1), uint16(9), uint16(0))
+	f.Add(uint8(7), uint8(5), uint16(200), uint16(123))
+	f.Fuzz(func(t *testing.T, channelsIn, capIn uint8, pushes, probe uint16) {
 		channels := int(channelsIn)%8 + 1
 		capacity := int(capIn)%33 + 1
 		n := int(pushes) % 300
-		r := NewFloatRing(nil, planes, channels, capacity)
+		r := NewFloatRing(nil, channels, capacity)
 
-		// Reference: the full admitted history per (plane, channel).
-		hist := make([][]float64, planes*channels)
-		val := func(p, c, i int) float64 {
-			return float64(p)*1e9 + float64(c)*1e6 + float64(i)
-		}
+		// Reference: the full admitted history per channel.
+		hist := make([][]float64, channels)
 		for i := 0; i < n; i++ {
 			slot := r.Slot()
-			for p := 0; p < planes; p++ {
-				cols := r.Columns(p)
-				for c := 0; c < channels; c++ {
-					v := val(p, c, i)
-					cols[c][slot] = v
-					hist[p*channels+c] = append(hist[p*channels+c], v)
-				}
+			cols := r.Columns()
+			for c := 0; c < channels; c++ {
+				v := value(c, int64(i))
+				cols[c][slot] = v
+				hist[c] = append(hist[c], v)
 			}
 			r.Advance()
 		}
@@ -48,16 +42,15 @@ func FuzzRingView(f *testing.F) {
 		}
 		// Walk a deterministic probe pattern derived from the fuzz input:
 		// window starts and lengths spanning the whole retention range.
-		p := int(probe) % planes
-		c := int(probe>>2) % channels
-		ref := hist[p*channels+c]
+		c := int(probe) % channels
+		ref := hist[c]
 		for start := lo; start <= int64(n); start++ {
 			maxLen := int64(n) - start
 			for _, wl := range []int64{0, 1, maxLen / 2, maxLen} {
 				if wl < 0 || wl > maxLen {
 					continue
 				}
-				v, err := r.View(p, c, start, int(wl))
+				v, err := r.View(c, start, int(wl))
 				if err != nil {
 					t.Fatalf("view [%d,%d) in retention [%d,%d) rejected: %v", start, start+wl, lo, n, err)
 				}
@@ -78,14 +71,14 @@ func FuzzRingView(f *testing.F) {
 		}
 		// Out-of-retention and malformed requests must error.
 		if lo > 0 {
-			if _, err := r.View(p, c, lo-1, 1); err == nil {
+			if _, err := r.View(c, lo-1, 1); err == nil {
 				t.Fatal("view before retention accepted")
 			}
 		}
-		if _, err := r.View(p, c, int64(n), 1); err == nil {
+		if _, err := r.View(c, int64(n), 1); err == nil {
 			t.Fatal("view past head accepted")
 		}
-		if _, err := r.View(p, c, lo, capacity+1); err == nil {
+		if _, err := r.View(c, lo, capacity+1); err == nil {
 			t.Fatal("view longer than capacity accepted")
 		}
 	})
@@ -96,17 +89,14 @@ func FuzzRingView(f *testing.F) {
 // never changes what any other channel's view reports.
 func TestViewNoCrossChannelAliasing(t *testing.T) {
 	prop := func(seed uint16) bool {
-		planes := int(seed)%2 + 1
 		channels := int(seed>>1)%6 + 2
 		capacity := int(seed>>4)%17 + 1
-		r := NewFloatRing(nil, planes, channels, capacity)
+		r := NewFloatRing(nil, channels, capacity)
 		total := capacity + int(seed)%capacity + 1 // force wraparound
 		for i := 0; i < total; i++ {
 			slot := r.Slot()
-			for p := 0; p < planes; p++ {
-				for c := 0; c < channels; c++ {
-					r.Column(p, c)[slot] = float64(p*channels+c)*1e6 + float64(i)
-				}
+			for c := 0; c < channels; c++ {
+				r.Column(c)[slot] = value(c, int64(i))
 			}
 			r.Advance()
 		}
@@ -114,17 +104,17 @@ func TestViewNoCrossChannelAliasing(t *testing.T) {
 		other := (victim + 1) % channels
 		start := r.Head() - int64(capacity)
 		before := make([]float64, capacity)
-		v, err := r.View(0, other, start, capacity)
+		v, err := r.View(other, start, capacity)
 		if err != nil {
 			return false
 		}
 		v.CopyTo(before)
 		// Scribble over the victim channel's entire column.
-		col := r.Column(0, victim)
+		col := r.Column(victim)
 		for i := range col {
 			col[i] = -1
 		}
-		v2, err := r.View(0, other, start, capacity)
+		v2, err := r.View(other, start, capacity)
 		if err != nil {
 			return false
 		}

@@ -2,15 +2,14 @@ package arena
 
 import "fmt"
 
-// Ring is a columnar ring buffer over planes × channels independent
-// series sharing one flat slab. A "channel" is one (antenna-pair,
-// subcarrier) stream; a "plane" is one derived quantity of that stream
-// (e.g. phase difference, sin, cos, amplitude), so a single Advance
-// admits one time sample across every plane and channel at once.
+// Ring is a columnar ring buffer over independent channels sharing one
+// flat slab. A "channel" is one (antenna-pair, subcarrier) stream — in
+// the Monitor, its wrapped phase difference — so a single Advance admits
+// one time sample across every channel at once.
 //
-// Layout: element (plane p, channel c, slot s) lives at
+// Layout: element (channel c, slot s) lives at
 //
-//	data[((p*channels)+c)*capacity + s]
+//	data[c*capacity + s]
 //
 // so one channel's history is contiguous — the property every DSP stage
 // wants — and slot s for absolute sample index i is i mod capacity. The
@@ -26,33 +25,30 @@ import "fmt"
 // current slot; concurrent readers are only safe on slots strictly
 // before Head (the engine's stride reads satisfy this by construction).
 type Ring struct {
-	channels int
 	capacity int
 	head     int64
 	// slot is head mod capacity, wrapped incrementally by Advance so the
 	// per-packet write path never divides.
 	slot int
 	data []float64
-	// cols caches one contiguous column header per (plane, channel) so
-	// the hot ingest path indexes straight into its column slice.
+	// cols caches one contiguous column header per channel so the hot
+	// ingest path indexes straight into its column slice.
 	cols [][]float64
 }
 
 // newRing builds the ring geometry over data, which must be
-// planes*channels*capacity long and is sliced into cached per-column
-// headers.
-func newRing(planes, channels, capacity int, data []float64) *Ring {
-	if planes <= 0 || channels <= 0 {
-		panic(fmt.Sprintf("arena: ring geometry %d planes x %d channels", planes, channels))
+// channels*capacity long and is sliced into cached per-column headers.
+func newRing(channels, capacity int, data []float64) *Ring {
+	if channels <= 0 {
+		panic(fmt.Sprintf("arena: ring geometry %d channels", channels))
 	}
 	if capacity <= 0 {
 		panic(fmt.Sprintf("arena: ring capacity %d", capacity))
 	}
 	r := &Ring{
-		channels: channels,
 		capacity: capacity,
 		data:     data,
-		cols:     make([][]float64, planes*channels),
+		cols:     make([][]float64, channels),
 	}
 	for i := range r.cols {
 		lo := i * capacity
@@ -63,8 +59,8 @@ func newRing(planes, channels, capacity int, data []float64) *Ring {
 
 // NewFloatRing allocates a ring of exactly capacity samples per column
 // from the arena (nil a = plain make).
-func NewFloatRing(a *Arena, planes, channels, capacity int) *Ring {
-	return newRing(planes, channels, capacity, a.Floats(planes*channels*capacity))
+func NewFloatRing(a *Arena, channels, capacity int) *Ring {
+	return newRing(channels, capacity, a.Floats(channels*capacity))
 }
 
 // Capacity returns the per-channel sample capacity.
@@ -75,10 +71,10 @@ func (r *Ring) Capacity() int { return r.capacity }
 func (r *Ring) Head() int64 { return r.head }
 
 // Slot returns the in-column slot the *next* sample (index Head) will
-// occupy. Writers fill col[Slot()] across planes, then call Advance.
+// occupy. Writers fill col[Slot()] across channels, then call Advance.
 func (r *Ring) Slot() int { return r.slot }
 
-// Advance commits the sample written at Slot across all planes/channels.
+// Advance commits the sample written at Slot across all channels.
 func (r *Ring) Advance() {
 	r.head++
 	if r.slot++; r.slot == r.capacity {
@@ -89,17 +85,14 @@ func (r *Ring) Advance() {
 // Reset forgets all samples; absolute indexing restarts at zero.
 func (r *Ring) Reset() { r.head, r.slot = 0, 0 }
 
-// Column returns the full backing column for (plane p, channel c) —
-// capacity elements in slot order, not time order. It is the write
-// surface for ingest; readers should use View for time-ordered access.
-func (r *Ring) Column(p, c int) []float64 { return r.cols[p*r.channels+c] }
+// Column returns the full backing column for channel c — capacity
+// elements in slot order, not time order. It is the write surface for
+// ingest; readers should use View for time-ordered access.
+func (r *Ring) Column(c int) []float64 { return r.cols[c] }
 
-// Columns returns plane p's per-channel column headers (a subslice of the
-// cached headers — no allocation), so hot ingest loops can hold one
-// [][]float64 per plane and index it by channel.
-func (r *Ring) Columns(p int) [][]float64 {
-	return r.cols[p*r.channels : (p+1)*r.channels]
-}
+// Columns returns the per-channel column headers (the cached headers — no
+// allocation), so hot ingest loops can index them by channel.
+func (r *Ring) Columns() [][]float64 { return r.cols }
 
 // Release returns the backing slab to the arena. The ring and every
 // column/view into it are dead afterwards.
@@ -115,17 +108,16 @@ func (r *Ring) Release(a *Arena) {
 // View is a zero-copy, time-ordered window over one ring column: at most
 // two contiguous slices (the window may straddle the wrap point), oldest
 // samples first. Iterating a, then b visits the window in admission
-// order, which is exactly the summation order the batch DSP uses — the
-// reason columnar strides stay bit-identical to the row-oriented code.
+// order, the order the batch DSP reads a linear series in.
 type View struct {
 	a, b  []float64
 	start int64
 }
 
-// View returns a window of n samples of (plane p, channel c) starting at
-// absolute sample index start. The window must lie entirely within
-// retention: start >= Head-Capacity and start+n <= Head.
-func (r *Ring) View(p, c int, start int64, n int) (View, error) {
+// View returns a window of n samples of channel c starting at absolute
+// sample index start. The window must lie entirely within retention:
+// start >= Head-Capacity and start+n <= Head.
+func (r *Ring) View(c int, start int64, n int) (View, error) {
 	if n < 0 || int64(n) > int64(r.capacity) {
 		return View{}, fmt.Errorf("arena: view length %d exceeds ring capacity %d", n, r.capacity)
 	}
@@ -133,7 +125,7 @@ func (r *Ring) View(p, c int, start int64, n int) (View, error) {
 		return View{}, fmt.Errorf("arena: view [%d,%d) outside retention [%d,%d)",
 			start, start+int64(n), max64(0, r.head-int64(r.capacity)), r.head)
 	}
-	col := r.cols[p*r.channels+c]
+	col := r.cols[c]
 	lo := int(start % int64(r.capacity))
 	if lo+n <= r.capacity {
 		return View{a: col[lo : lo+n : lo+n], start: start}, nil

@@ -9,11 +9,10 @@ import (
 
 func TestRingGeometryPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { newRing(0, 3, 4, make([]float64, 0)) },
-		func() { newRing(1, 0, 4, make([]float64, 0)) },
-		func() { newRing(1, 1, 0, make([]float64, 0)) },
-		func() { NewFloatRing(nil, 2, 3, 0) },
-		func() { NewFloatRing(nil, 2, 3, -4) },
+		func() { newRing(0, 4, make([]float64, 0)) },
+		func() { newRing(1, 0, make([]float64, 0)) },
+		func() { NewFloatRing(nil, 3, 0) },
+		func() { NewFloatRing(nil, 3, -4) },
 	} {
 		func() {
 			defer func() {
@@ -26,10 +25,10 @@ func TestRingGeometryPanics(t *testing.T) {
 	}
 }
 
-// value is the deterministic test signal: what sample index i of
-// (plane p, channel c) must hold, forever, regardless of wraparound.
-func value(p, c int, i int64) float64 {
-	return float64(p)*1e9 + float64(c)*1e6 + float64(i)
+// value is the deterministic test signal: what sample index i of channel
+// c must hold, forever, regardless of wraparound.
+func value(c int, i int64) float64 {
+	return float64(c)*1e6 + float64(i)
 }
 
 // TestRingAbsoluteIndexingAcrossWraparound is the core alias-safety
@@ -39,26 +38,23 @@ func value(p, c int, i int64) float64 {
 // versa.
 func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 	const (
-		planes   = 3
 		channels = 5
 		capReq   = 33 // not a power of two: the slot wraps by modulus
 		total    = capReq*7 + 13
 	)
 	a := New()
-	r := NewFloatRing(a, planes, channels, capReq)
+	r := NewFloatRing(a, channels, capReq)
 	if r.Capacity() != capReq {
 		t.Fatalf("capacity = %d, want %d", r.Capacity(), capReq)
 	}
-	if got, want := a.Stats().Bytes, int64(8*planes*channels*capReq); got != want {
+	if got, want := a.Stats().Bytes, int64(8*channels*capReq); got != want {
 		t.Fatalf("ring slab holds %d bytes, want exactly %d", got, want)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := int64(0); i < total; i++ {
 		slot := r.Slot()
-		for p := 0; p < planes; p++ {
-			for c := 0; c < channels; c++ {
-				r.Column(p, c)[slot] = value(p, c, i)
-			}
+		for c := 0; c < channels; c++ {
+			r.Column(c)[slot] = value(c, i)
 		}
 		r.Advance()
 		if r.Head() != i+1 {
@@ -76,8 +72,8 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 			avail := r.Head() - lowest
 			n := rng.Int63n(avail + 1)
 			start := lowest + rng.Int63n(avail-n+1)
-			p, c := rng.Intn(planes), rng.Intn(channels)
-			v, err := r.View(p, c, start, int(n))
+			c := rng.Intn(channels)
+			v, err := r.View(c, start, int(n))
 			if err != nil {
 				t.Fatalf("view [%d,%d) at head %d: %v", start, start+n, r.Head(), err)
 			}
@@ -85,9 +81,9 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 				t.Fatalf("view shape: len=%d start=%d want %d/%d", v.Len(), v.Start(), n, start)
 			}
 			for j := 0; j < v.Len(); j++ {
-				if got, want := v.At(j), value(p, c, start+int64(j)); got != want {
-					t.Fatalf("view(%d,%d)[%d] (abs %d) = %v, want %v (head %d)",
-						p, c, j, start+int64(j), got, want, r.Head())
+				if got, want := v.At(j), value(c, start+int64(j)); got != want {
+					t.Fatalf("view(%d)[%d] (abs %d) = %v, want %v (head %d)",
+						c, j, start+int64(j), got, want, r.Head())
 				}
 			}
 			// CopyTo must agree with At.
@@ -96,7 +92,7 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 				t.Fatalf("CopyTo copied %d of %d", m, v.Len())
 			}
 			for j, got := range dst {
-				if want := value(p, c, start+int64(j)); got != want {
+				if want := value(c, start+int64(j)); got != want {
 					t.Fatalf("CopyTo[%d] = %v, want %v", j, got, want)
 				}
 			}
@@ -113,13 +109,13 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 // window reaching past either end of retention is an error, never stale
 // or future data.
 func TestRingViewRejectsOutOfRetention(t *testing.T) {
-	r := NewFloatRing(nil, 1, 1, 8)
+	r := NewFloatRing(nil, 1, 8)
 	for i := 0; i < 20; i++ {
-		r.Column(0, 0)[r.Slot()] = float64(i)
+		r.Column(0)[r.Slot()] = float64(i)
 		r.Advance()
 	}
 	// head = 20, capacity = 8, retention = [12, 20)
-	if _, err := r.View(0, 0, 12, 8); err != nil {
+	if _, err := r.View(0, 12, 8); err != nil {
 		t.Fatalf("full-retention view rejected: %v", err)
 	}
 	for _, bad := range []struct {
@@ -133,21 +129,21 @@ func TestRingViewRejectsOutOfRetention(t *testing.T) {
 		{12, 9},  // longer than capacity
 		{12, -1}, // negative length
 	} {
-		if _, err := r.View(0, 0, bad.start, bad.n); err == nil {
+		if _, err := r.View(0, bad.start, bad.n); err == nil {
 			t.Errorf("view [%d,%d) accepted, want out-of-retention error", bad.start, bad.start+int64(bad.n))
 		}
 	}
 	// Zero-length views at any in-retention anchor are fine.
-	if v, err := r.View(0, 0, 20, 0); err != nil || v.Len() != 0 {
+	if v, err := r.View(0, 20, 0); err != nil || v.Len() != 0 {
 		t.Fatalf("empty view at head: %v", err)
 	}
 }
 
 func TestRingResetRestartsIndexing(t *testing.T) {
-	r := NewFloatRing(nil, 1, 2, 4)
+	r := NewFloatRing(nil, 2, 4)
 	for i := 0; i < 6; i++ {
 		for c := 0; c < 2; c++ {
-			r.Column(0, c)[r.Slot()] = float64(100 + i)
+			r.Column(c)[r.Slot()] = float64(100 + i)
 		}
 		r.Advance()
 	}
@@ -155,9 +151,9 @@ func TestRingResetRestartsIndexing(t *testing.T) {
 	if r.Head() != 0 || r.Slot() != 0 {
 		t.Fatalf("after reset: head=%d slot=%d", r.Head(), r.Slot())
 	}
-	r.Column(0, 1)[r.Slot()] = 7
+	r.Column(1)[r.Slot()] = 7
 	r.Advance()
-	v, err := r.View(0, 1, 0, 1)
+	v, err := r.View(1, 0, 1)
 	if err != nil || v.At(0) != 7 {
 		t.Fatalf("post-reset view: %v (err %v)", v, err)
 	}
@@ -165,15 +161,15 @@ func TestRingResetRestartsIndexing(t *testing.T) {
 
 func TestRingRelease(t *testing.T) {
 	a := New()
-	r := NewFloatRing(a, 2, 3, 16)
-	r.Column(1, 2)[0] = 1.5
+	r := NewFloatRing(a, 6, 16)
+	r.Column(5)[0] = 1.5
 	r.Advance()
 	r.Release(a)
 	if st := a.Stats(); st.Allocs != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Released slab must be reusable.
-	s := a.Floats(2 * 3 * 16)
+	s := a.Floats(6 * 16)
 	if s[0] != 0 {
 		t.Fatalf("reused ring slab not zeroed")
 	}
@@ -201,7 +197,7 @@ func TestRingConcurrentIngestAndReads(t *testing.T) {
 		bursts   = 300
 		readers  = 4
 	)
-	r := NewFloatRing(nil, 1, channels, capacity)
+	r := NewFloatRing(nil, channels, capacity)
 	work := make(chan int64) // head after each burst
 	acks := make(chan error, readers)
 	var wg sync.WaitGroup
@@ -222,14 +218,14 @@ func TestRingConcurrentIngestAndReads(t *testing.T) {
 					}
 					start := head - int64(n)
 					c := rng.Intn(channels)
-					v, verr := r.View(0, c, start, n)
+					v, verr := r.View(c, start, n)
 					if verr != nil {
 						err = fmt.Errorf("reader %d: %v", g, verr)
 						break
 					}
 					for j := 0; j < v.Len(); j++ {
 						abs := start + int64(j)
-						if got, want := v.At(j), value(0, c, abs); got != want {
+						if got, want := v.At(j), value(c, abs); got != want {
 							err = fmt.Errorf("reader %d: channel %d abs %d = %v, want %v", g, c, abs, got, want)
 							break
 						}
@@ -246,7 +242,7 @@ func TestRingConcurrentIngestAndReads(t *testing.T) {
 			i := r.Head()
 			slot := r.Slot()
 			for c := 0; c < channels; c++ {
-				r.Column(0, c)[slot] = value(0, c, i)
+				r.Column(c)[slot] = value(c, i)
 			}
 			r.Advance()
 		}

@@ -109,9 +109,11 @@ func TestProcessorWithArenaReuse(t *testing.T) {
 }
 
 // TestMonitorWindowBytes pins the size of a paper-rate session's window
-// storage: a DefaultMonitorConfig Monitor holds exactly its five ring
-// planes plus one smoothed matrix, 8 · (5 + 1) · 30 · 24 000 bytes, with
+// storage: a DefaultMonitorConfig Monitor takes exactly its one ring plane
+// plus one smoothed matrix, 8 · 2 · 30 · 24 000 bytes, from the arena, with
 // no slab rounded up past its payload — and hands all of it back on Close.
+// The exact block sums beside them (12 blocks of 5 s × 30 subcarriers × 4
+// sums) are the rest of windowBytes.
 func TestMonitorWindowBytes(t *testing.T) {
 	ar := arena.New()
 	cfg := DefaultMonitorConfig()
@@ -121,19 +123,22 @@ func TestMonitorWindowBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := newFixedSim(t, cfg.SampleRate, 14, 3)
-	window := int(cfg.WindowSeconds * cfg.SampleRate)
+	window, stride := windowGeometry(&cfg)
 	for i := 0; i < window; i++ {
 		if !m.Ingest(sim.NextPacket()) {
 			t.Fatal("Ingest refused")
 		}
 	}
 	<-m.Updates()
-	want := int64(8 * (numPlanes + 1) * cfg.NumSubcarriers * window)
-	if want != 34_560_000 {
-		t.Fatalf("paper-rate payload = %d bytes, want 34 560 000", want)
+	want := int64(8 * 2 * cfg.NumSubcarriers * window)
+	if want != 11_520_000 {
+		t.Fatalf("paper-rate arena payload = %d bytes, want 11 520 000", want)
 	}
 	if got := ar.Stats().Bytes; got != want {
 		t.Fatalf("live session holds %d arena bytes, want exactly %d", got, want)
+	}
+	if got := windowBytes(window, stride, cfg.NumSubcarriers); got != 11_934_720 {
+		t.Fatalf("paper-rate window storage = %d bytes, want 11 934 720", got)
 	}
 	m.Close()
 	if got := ar.Stats().Bytes; got != 0 {

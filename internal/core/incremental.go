@@ -11,16 +11,15 @@ import (
 	"phasebeat/internal/trace"
 )
 
-// Ring planes of the incremental engine's columnar store: the derived
-// per-sample quantities cached at ingest, one plane each, so a single
-// ring Advance admits one packet across every plane and subcarrier.
+// Block sums the incremental engine accumulates per subcarrier at ingest:
+// the circular mean's numerator and denominator and the amplitude gate's
+// two antenna sums.
 const (
-	planeDiff = iota // wrapped phase difference
-	planeSin         // sin of the difference (circular-mean numerator)
-	planeCos         // cos of the difference (circular-mean denominator)
-	planeAmpA        // |CSI| on antenna A (amplitude gate)
-	planeAmpB        // |CSI| on antenna B
-	numPlanes
+	accSin  = iota // sin of the wrapped phase difference
+	accCos         // cos of the wrapped phase difference
+	accAmpA        // |CSI| on antenna A
+	accAmpB        // |CSI| on antenna B
+	numAccs
 )
 
 // smoothMargin returns the per-edge sample margin M within which smoothed
@@ -67,16 +66,17 @@ func maxGapSeconds(sampleRate float64) float64 {
 }
 
 // strideEngine maintains a Monitor's sliding analysis window as a columnar
-// ring (internal/arena): one contiguous column per (plane, subcarrier)
-// channel, so each stride reprocesses only the new tail plus the smoothing
-// edge margin, reading sequential memory throughout.
+// ring (internal/arena) of wrapped phase differences, one contiguous column
+// per subcarrier, so each stride reprocesses only the new tail plus the
+// smoothing edge margin, reading sequential memory throughout.
 //
-// Exactness: the cached quantities (wrapped phase difference, its sin/cos,
-// per-antenna amplitudes) are computed with exactly the batch pipeline's
-// expressions, and the per-stride circular mean re-sums the cached sin/cos
-// in window order — the ring views visit samples oldest-first, so the
-// summation order matches dsp.Circular over a linear trace and extraction
-// is bit-identical to ExtractPhaseDifference on the same window. Smoothed
+// Exactness: the wrapped difference is computed with exactly the batch
+// pipeline's expression, and its sin/cos and the per-antenna amplitudes go
+// straight into exact block sums (dsp.ExactSum) instead of being stored.
+// dsp.Circular and AmplitudeGate sum with the same exact type, so a
+// stride's merged block sums round to the very bits the batch pipeline
+// computes over the same window, in any order: extraction and the gate are
+// bit-identical to ExtractPhaseDifference and AmplitudeGate. Smoothed
 // samples in the settled interior [M, n-M) are mathematically identical
 // across overlapping windows (the detrend cancels the per-window unwrap
 // anchor), so they are kept from the previous stride, shifted left in place
@@ -105,12 +105,23 @@ type strideEngine struct {
 	lastTime float64
 	maxGap   float64
 
-	// ring is the columnar store (numPlanes × nSub channels, capacity
-	// exactly one window); diff/sinD/cosD/ampA/ampB are its cached
-	// per-plane column headers, indexed [subcarrier][slot].
-	ring             *arena.Ring
-	diff, sinD, cosD [][]float64
-	ampA, ampB       [][]float64
+	// ring holds the wrapped phase difference (nSub channels, capacity
+	// exactly one window) — the one per-sample quantity the cumulative
+	// unwrap needs; diff caches its column headers, indexed
+	// [subcarrier][slot].
+	ring *arena.Ring
+	diff [][]float64
+
+	// sums holds the exact block sums, indexed
+	// [(block*nSub + subcarrier)*numAccs + acc]. A block is blockLen =
+	// gcd(window, stride) packets counted from the (re-)anchor. Strides
+	// fire every stride packets once the window is full, so every window
+	// starts and ends on a block boundary and covers exactly the newest
+	// nBlocks = window/blockLen blocks: sums is a ring of those, block is
+	// the slot being filled and inBlock its packet count.
+	sums              []dsp.ExactSum
+	blockLen, nBlocks int
+	block, inBlock    int
 
 	// smoothed holds the per-subcarrier smoothed windows, updated in place
 	// each stride: the settled interior shifts left by the slide and only
@@ -142,14 +153,7 @@ type strideEngine struct {
 // newStrideEngine sizes the ring for cfg's window. cfg must already be
 // validated by NewMonitor.
 func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
-	window := int(cfg.WindowSeconds * cfg.SampleRate)
-	if window < 1 {
-		window = 1
-	}
-	stride := int(cfg.UpdateEverySeconds * cfg.SampleRate)
-	if stride < 1 {
-		stride = 1
-	}
+	window, stride := windowGeometry(cfg)
 	e := &strideEngine{
 		cfg:      cfg,
 		proc:     proc,
@@ -162,12 +166,11 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 		maxGap:   maxGapSeconds(cfg.SampleRate),
 	}
 	e.scratch.New = func() any { return &subScratch{} }
-	e.ring = arena.NewFloatRing(e.arena, numPlanes, e.nSub, window)
-	e.diff = e.ring.Columns(planeDiff)
-	e.sinD = e.ring.Columns(planeSin)
-	e.cosD = e.ring.Columns(planeCos)
-	e.ampA = e.ring.Columns(planeAmpA)
-	e.ampB = e.ring.Columns(planeAmpB)
+	e.ring = arena.NewFloatRing(e.arena, e.nSub, window)
+	e.diff = e.ring.Columns()
+	e.blockLen = gcd(window, stride)
+	e.nBlocks = window / e.blockLen
+	e.sums = make([]dsp.ExactSum, e.nBlocks*e.nSub*numAccs)
 	e.smoothedM = arena.NewMatrix(e.arena, e.nSub, window)
 	e.smoothed = e.smoothedM.Rows()
 	e.weaker = make([]float64, e.nSub)
@@ -182,8 +185,7 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 func (e *strideEngine) release() {
 	e.ring.Release(e.arena)
 	e.smoothedM.Release(e.arena)
-	e.diff, e.sinD, e.cosD, e.ampA, e.ampB = nil, nil, nil, nil, nil
-	e.smoothed = nil
+	e.diff, e.sums, e.smoothed = nil, nil, nil
 }
 
 // push offers one packet to the ring. Packets that fail quarantine
@@ -218,17 +220,30 @@ func (e *strideEngine) push(p trace.Packet) (verdict pushVerdict, gapReset bool)
 
 	slot := e.ring.Slot()
 	rowA, rowB := p.CSI[AntennaA], p.CSI[AntennaB]
+	sums := e.sums[e.block*e.nSub*numAccs:][:e.nSub*numAccs]
+	if e.inBlock == 0 {
+		clear(sums)
+	}
 	for s := 0; s < e.nSub; s++ {
 		ca, cb := rowA[s], rowB[s]
-		// Same expression as batch extraction — bit-identical inputs.
+		// Same expressions as batch extraction and gating — bit-identical
+		// inputs to the same exact sums.
 		d := dsp.WrapPhase(cmplx.Phase(ca) - cmplx.Phase(cb))
 		e.diff[s][slot] = d
-		e.sinD[s][slot] = math.Sin(d)
-		e.cosD[s][slot] = math.Cos(d)
-		e.ampA[s][slot] = cmplx.Abs(ca)
-		e.ampB[s][slot] = cmplx.Abs(cb)
+		acc := sums[s*numAccs:][:numAccs]
+		sin, cos := math.Sincos(d)
+		acc[accSin].Add(sin)
+		acc[accCos].Add(cos)
+		acc[accAmpA].Add(cmplx.Abs(ca))
+		acc[accAmpB].Add(cmplx.Abs(cb))
 	}
 	e.ring.Advance()
+	if e.inBlock++; e.inBlock == e.blockLen {
+		e.inBlock = 0
+		if e.block++; e.block == e.nBlocks {
+			e.block = 0
+		}
+	}
 	e.pos++
 	e.sinceLast++
 	return pushAccepted, gapReset
@@ -252,15 +267,17 @@ func packetFinite(p trace.Packet) bool {
 }
 
 // resetWindow discards the buffered window so the next packet starts a
-// fresh one — the gap-degradation path. Ring storage is retained; the
-// absolute indexing restarting at zero means no stale slot is ever read
-// before being rewritten (ready requires a full window of new packets).
+// fresh one — the gap-degradation path. Ring and accumulator storage is
+// retained; the absolute indexing restarting at zero means no stale slot
+// is ever read before being rewritten (ready requires a full window of new
+// packets, and each block's sums are cleared as the block starts).
 func (e *strideEngine) resetWindow() {
 	e.pos = 0
 	e.sinceLast = 0
 	e.haveSmoothed = false
 	e.prevPos = 0
 	e.ring.Reset()
+	e.block, e.inBlock = 0, 0
 }
 
 // ready reports whether a full window is buffered and at least one stride of
@@ -353,8 +370,8 @@ func (e *strideEngine) strideSmooth(slide int) error {
 	e.haveSmoothed = true
 	e.prevPos = e.pos
 
-	// Replicate AmplitudeGate from the cached per-packet amplitudes: the
-	// window-order sums match the batch gate's packet-order sums exactly.
+	// Replicate AmplitudeGate from the exact block sums: they round to the
+	// batch gate's sums bit for bit, so the discrete decision agrees.
 	t0 = proc.beginStage(rec, StageGate)
 	med := dsp.Median(e.weaker)
 	rejected := 0
@@ -386,33 +403,23 @@ func (e *strideEngine) strideSmooth(slide int) error {
 }
 
 // strideSubcarrier updates one subcarrier for the current stride: circular
-// mean and amplitude sums over zero-copy window views, rotation + unwrap,
-// and either a ranged or a full smoothing pass into e.smoothed[s].
+// mean and amplitude sums merged from the window's blocks, rotation +
+// unwrap over a zero-copy window view, and either a ranged or a full
+// smoothing pass into e.smoothed[s].
 func (e *strideEngine) strideSubcarrier(s, slide int, wstart int64, reuse bool, ss *subScratch) error {
 	n := e.window
 	pcfg := &e.proc.cfg
 
-	// Sum sin/cos and amplitudes in window order — a view's segments visit
-	// samples oldest-first, the same addition order as dsp.Circular and
-	// AmplitudeGate over a linear trace, so the results are bit-identical
-	// whether or not the window straddles the wrap point.
-	sv, err := e.ring.View(planeSin, s, wstart, n)
-	if err != nil {
-		return err
-	}
-	cv, _ := e.ring.View(planeCos, s, wstart, n)
-	av, _ := e.ring.View(planeAmpA, s, wstart, n)
-	bv, _ := e.ring.View(planeAmpB, s, wstart, n)
-	sumSin := viewSum(sv)
-	sumCos := viewSum(cv)
-	sumA := viewSum(av)
-	sumB := viewSum(bv)
-	e.weaker[s] = math.Min(sumA, sumB) / float64(n)
-	mean := math.Atan2(sumSin, sumCos)
+	acc := e.windowSums(s)
+	e.weaker[s] = math.Min(acc[accAmpA].Float64(), acc[accAmpB].Float64()) / float64(n)
+	mean := math.Atan2(acc[accSin].Float64(), acc[accCos].Float64())
 
 	// Linearize the wrapped diff into scratch (the one copy smoothing
 	// needs: rotation clobbers its input), rotate onto the mean, unwrap.
-	dv, _ := e.ring.View(planeDiff, s, wstart, n)
+	dv, err := e.ring.View(s, wstart, n)
+	if err != nil {
+		return err
+	}
 	if cap(ss.series) < n {
 		ss.series = make([]float64, n)
 	}
@@ -448,19 +455,17 @@ func (e *strideEngine) strideSubcarrier(s, slide int, wstart int64, reuse bool, 
 	return nil
 }
 
-// viewSum adds a window view's samples oldest-first — the same order a
-// serial loop over a linear trace uses, which keeps the circular-mean and
-// amplitude-gate sums bit-identical to their batch counterparts.
-func viewSum(v arena.View) float64 {
-	var sum float64
-	a, b := v.Slices()
-	for _, x := range a {
-		sum += x
+// windowSums merges subcarrier s's block sums over the window. The window
+// is exactly the ring's blocks at a stride, and merge order does not
+// matter to an exact sum.
+func (e *strideEngine) windowSums(s int) (acc [numAccs]dsp.ExactSum) {
+	for b := 0; b < e.nBlocks; b++ {
+		blk := e.sums[(b*e.nSub+s)*numAccs:][:numAccs]
+		for k := range acc {
+			acc[k].Merge(&blk[k])
+		}
 	}
-	for _, x := range b {
-		sum += x
-	}
-	return sum
+	return acc
 }
 
 // accumTrend records subcarrier s's summed |unwrapped − smoothed| into

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"phasebeat/internal/csisim"
+	"phasebeat/internal/dsp"
 	"phasebeat/internal/trace"
 )
 
@@ -76,26 +78,45 @@ func maxAbsDiff(a, b []float64) float64 {
 // 10 s, so the antenna phase difference moves and strides over the burst
 // fail (non-stationary window); the engine must fail exactly those strides
 // and match batch again as the burst slides out.
+//
+// The circular mean and the amplitude gate come from exact block sums of
+// gcd(window, stride) packets. The stride-4s row makes that block (200
+// packets) shorter than the stride, so a window is 15 blocks; the gap row
+// re-anchors the window mid-block with a 5 s timestamp gap, and the
+// strides after it must match batch over the re-anchored window.
 func TestIncrementalMatchesBatch(t *testing.T) {
-	cases := []struct {
-		estimator string
-		bpm       []float64
-		burst     bool
-	}{
-		{"peaks", []float64{16}, false},
-		{"root-music", []float64{12, 19}, false},
-		{"esprit", []float64{12, 19}, false},
-		{"root-music", []float64{12, 19}, true},
+	cases := []incrementalCase{
+		{estimator: "peaks", bpm: []float64{16}},
+		{estimator: "root-music", bpm: []float64{12, 19}},
+		{estimator: "esprit", bpm: []float64{12, 19}},
+		{estimator: "root-music", bpm: []float64{12, 19}, burst: true},
+		{estimator: "peaks", bpm: []float64{16}, stride: 4},
+		{estimator: "peaks", bpm: []float64{16}, gap: true},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s/%dp", tc.estimator, len(tc.bpm))
-		if tc.burst {
+		switch {
+		case tc.burst:
 			name += "/burst"
+		case tc.stride != 0:
+			name += fmt.Sprintf("/stride-%gs", tc.stride)
+		case tc.gap:
+			name += "/gap"
 		}
 		t.Run(name, func(t *testing.T) {
-			testIncrementalMatchesBatch(t, tc.estimator, tc.bpm, tc.burst)
+			testIncrementalMatchesBatch(t, tc)
 		})
 	}
+}
+
+// incrementalCase is one TestIncrementalMatchesBatch row: a 30 s window at
+// 100 Hz with a 5 s stride unless stride (seconds) is set.
+type incrementalCase struct {
+	estimator string
+	bpm       []float64
+	burst     bool
+	stride    float64
+	gap       bool
 }
 
 // antennaPhaseBurst rotates antenna a's CSI by a·2.5·sin(2π·1.5·t) rad.
@@ -114,15 +135,18 @@ func antennaPhaseBurst(p trace.Packet) trace.Packet {
 	return p
 }
 
-func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64, burst bool) {
+func testIncrementalMatchesBatch(t *testing.T, tc incrementalCase) {
 	const rate = 100.0
 	cfg := DefaultMonitorConfig()
 	cfg.SampleRate = rate
 	cfg.Pipeline = ConfigForRate(rate)
-	cfg.Pipeline.Estimator = estimator
-	cfg.Persons = len(bpm)
+	cfg.Pipeline.Estimator = tc.estimator
+	cfg.Persons = len(tc.bpm)
 	cfg.WindowSeconds = 30
 	cfg.UpdateEverySeconds = 5
+	if tc.stride != 0 {
+		cfg.UpdateEverySeconds = tc.stride
+	}
 
 	proc, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(cfg.Persons))
 	if err != nil {
@@ -141,26 +165,47 @@ func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64, 
 	if stride%trendStride != 0 {
 		t.Fatalf("stride %d not aligned to trend stride %d", stride, trendStride)
 	}
+	if tc.stride == 4 && (eng.blockLen != 200 || eng.nBlocks != 15) {
+		t.Fatalf("4 s stride: %d-packet blocks × %d, want 200 × 15", eng.blockLen, eng.nBlocks)
+	}
 
-	sim := newFixedMultiSim(t, rate, bpm, 99)
+	sim := newFixedMultiSim(t, rate, tc.bpm, 99)
 	total := int(80 * rate)
 	burstFrom, burstTo := int(40*rate), int(50*rate)
+	// The gap lands mid-block (blocks are 500 packets); the window then
+	// refills for 30 s before the next stride.
+	gapAt, gapShift := int(45.5*rate), 5.0
+	if tc.gap {
+		total = int(105 * rate)
+	}
 	history := make([]trace.Packet, 0, total)
 	strides := 0
 	incremental := 0
 	estimated := 0
 	failed := 0
+	afterGap := 0
 	for i := 0; i < total; i++ {
 		p := sim.NextPacket()
-		if burst && i >= burstFrom && i < burstTo {
+		if tc.burst && i >= burstFrom && i < burstTo {
 			p = antennaPhaseBurst(p)
 		}
+		if tc.gap && i >= gapAt {
+			p.Time += gapShift
+		}
+		if _, reset := eng.push(p); reset != (tc.gap && i == gapAt) {
+			t.Fatalf("packet %d: gap reset %v", i, reset)
+		} else if reset {
+			// Batch sees only the re-anchored window.
+			history = history[:0]
+		}
 		history = append(history, p)
-		eng.push(p)
 		if !eng.ready() {
 			continue
 		}
 		strides++
+		if tc.gap && i >= gapAt {
+			afterGap++
+		}
 		res, err := eng.process()
 		if eng.lastSmoothedSamples < window {
 			incremental++
@@ -172,6 +217,7 @@ func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64, 
 			NumSubcarriers: cfg.NumSubcarriers,
 			Packets:        history[len(history)-window:],
 		}
+		checkWindowSums(t, strides, eng, tr)
 		wantRes, wantErr := batch.Process(tr)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("stride %d: incremental err %v, batch err %v", strides, err, wantErr)
@@ -181,6 +227,17 @@ func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64, 
 			continue
 		}
 		compareResults(t, strides, res, wantRes)
+		// A stride that smoothed its whole window (the first after each
+		// anchor) reuses nothing, so it matches batch bit for bit.
+		if eng.lastSmoothedSamples == window {
+			for s := range res.Calibrated {
+				for i, v := range res.Calibrated[s] {
+					if w := wantRes.Calibrated[s][i]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("stride %d: full-window subcarrier %d sample %d = %v, batch %v", strides, s, i, v, w)
+					}
+				}
+			}
+		}
 		if res.Breathing != nil || res.MultiPerson != nil {
 			estimated++
 		}
@@ -188,14 +245,55 @@ func testIncrementalMatchesBatch(t *testing.T, estimator string, bpm []float64, 
 	if strides < 10 {
 		t.Fatalf("only %d strides processed", strides)
 	}
-	if incremental < strides-1 {
+	// Every stride but the first after each (re-)anchor reuses smoothing.
+	anchors := 1
+	if tc.gap {
+		anchors = 2
+	}
+	if incremental < strides-anchors {
 		t.Fatalf("incremental reuse engaged on %d of %d strides", incremental, strides)
 	}
 	if estimated == 0 {
-		t.Fatalf("no stride of %d produced a %s estimate", strides, estimator)
+		t.Fatalf("no stride of %d produced a %s estimate", strides, tc.estimator)
 	}
-	if burst && failed == 0 {
+	if tc.gap && afterGap < 3 {
+		t.Fatalf("%d strides after the gap, want 3", afterGap)
+	}
+	if tc.burst && failed == 0 {
 		t.Fatalf("burst failed none of %d strides: the row compares no failing stride", strides)
+	}
+}
+
+// checkWindowSums checks the stride's merged block sums bit for bit
+// against sums over the batch window tr, and the circular mean they give
+// against dsp.Circular — the block bookkeeping must cover exactly the
+// window, whatever its alignment to the ring.
+func checkWindowSums(t *testing.T, stride int, eng *strideEngine, tr *trace.Trace) {
+	t.Helper()
+	for s := 0; s < eng.nSub; s++ {
+		var want [numAccs]dsp.ExactSum
+		for _, p := range tr.Packets {
+			ca, cb := p.CSI[AntennaA][s], p.CSI[AntennaB][s]
+			sin, cos := math.Sincos(dsp.WrapPhase(cmplx.Phase(ca) - cmplx.Phase(cb)))
+			want[accSin].Add(sin)
+			want[accCos].Add(cos)
+			want[accAmpA].Add(cmplx.Abs(ca))
+			want[accAmpB].Add(cmplx.Abs(cb))
+		}
+		got := eng.windowSums(s)
+		for k := range got {
+			if g, w := got[k].Float64(), want[k].Float64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("stride %d: subcarrier %d sum %d = %v, batch window %v", stride, s, k, g, w)
+			}
+		}
+		wrapped, err := WrappedPhaseDifference(tr, AntennaA, AntennaB, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean := math.Atan2(got[accSin].Float64(), got[accCos].Float64())
+		if want := dsp.Circular(wrapped).Mean; math.Float64bits(mean) != math.Float64bits(want) {
+			t.Fatalf("stride %d: subcarrier %d circular mean %v, batch %v", stride, s, mean, want)
+		}
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"phasebeat/internal/arena"
+	"phasebeat/internal/dsp"
 	"phasebeat/internal/metrics"
 	"phasebeat/internal/otrace"
 	"phasebeat/internal/trace"
@@ -54,6 +56,9 @@ type MonitorConfig struct {
 	// refuses a window of more than 2²⁴ samples × NumSubcarriers.
 	WindowSeconds float64
 	// UpdateEverySeconds is the stride between successive estimates.
+	// NewMonitor refuses a stride of more than 2²⁴ samples, and a stride
+	// whose gcd with the window is so small that the exact block sums
+	// would take the window storage past its bound (see windowBytes).
 	UpdateEverySeconds float64
 	// IngestBuffer is the ingest queue capacity in packets (default 1).
 	// Give drop-on-backlog monitors some headroom here so momentary
@@ -87,7 +92,7 @@ type MonitorConfig struct {
 	// logging too.
 	Logger *slog.Logger
 	// Arena, when non-nil, is the allocator the monitor's columnar window
-	// storage (the derived-quantity ring and the smoothed matrix) is
+	// storage (the phase-difference ring and the smoothed matrix) is
 	// carved from, and to which it returns on Close. Sharing one arena
 	// across a fleet of monitors lets sessions recycle each other's
 	// window slabs instead of growing the heap per session. Nil (the
@@ -113,9 +118,10 @@ func DefaultMonitorConfig() MonitorConfig {
 // estimates. Feed packets with Ingest; read estimates from Updates; call
 // Close to stop the worker and release resources.
 //
-// The worker holds the window in a ring buffer with cached per-packet
-// derivatives, so each stride reprocesses only the new tail plus a
-// smoothing margin (see strideEngine) instead of the whole window.
+// The worker holds the window's phase differences in a ring buffer and
+// its sin/cos and amplitude sums in exact per-block accumulators, so each
+// stride reprocesses only the new tail plus a smoothing margin (see
+// strideEngine) instead of the whole window.
 type Monitor struct {
 	cfg       MonitorConfig
 	processor *Processor
@@ -144,15 +150,48 @@ type inPacket struct {
 	ot  otrace.Ctx
 }
 
-// maxWindowCells bounds window samples × subcarriers, the length of one
-// ring plane. The window storage is allocated on the worker goroutine,
-// after NewMonitor returns, so an unchecked size from a remote open frame
-// would surface there as a makeslice panic that kills the whole daemon,
-// or as a multi-gigabyte allocation. 2²⁴ cells is about 23× a paper-rate
-// session (60 s × 400 Hz × 30 subcarriers = 720 000 cells): room for
-// hour-long windows at low rates while capping one session's window
-// storage (five ring planes plus the smoothed matrix) near 805 MB.
+// maxWindowCells bounds window samples × subcarriers, the length of the
+// ring and of the smoothed matrix, and also the stride in samples. The
+// window storage is allocated on the worker goroutine, after NewMonitor
+// returns, so an unchecked size from a remote open frame would surface
+// there as a makeslice panic that kills the whole daemon, or as a
+// multi-gigabyte allocation. 2²⁴ cells is about 23× a paper-rate session
+// (60 s × 400 Hz × 30 subcarriers = 720 000 cells): room for hour-long
+// windows at low rates. The ring and the smoothed matrix then take at
+// most 268 MB; maxWindowBytes bounds them together with the block sums.
 const maxWindowCells = 1 << 24
+
+// maxWindowBytes caps one session's window storage (see windowBytes) at
+// 48 B per maxWindowCells cell, about 805 MB. Only the exact-sum blocks
+// can push a session past it: a stride with a tiny gcd against the window
+// (one packet, say) makes one block of 1 152 B per subcarrier per packet.
+const maxWindowBytes = 48 * maxWindowCells
+
+// windowGeometry returns cfg's window and stride in packets, each at
+// least one. cfg must have passed NewMonitor's size checks.
+func windowGeometry(cfg *MonitorConfig) (window, stride int) {
+	return max(int(cfg.WindowSeconds*cfg.SampleRate), 1),
+		max(int(cfg.UpdateEverySeconds*cfg.SampleRate), 1)
+}
+
+// windowBytes is the window storage of a stride engine: the wrapped
+// difference ring and the smoothed matrix, 8 B per sample and subcarrier
+// each, plus numAccs exact sums per subcarrier for each of the window's
+// gcd(window, stride)-packet blocks. A paper-rate session (24 000-packet
+// window, 2 000-packet stride, 30 subcarriers) holds 11 520 000 B plus
+// 12 blocks' sums, 414 720 B.
+func windowBytes(window, stride, subcarriers int) int64 {
+	blocks := int64(window / gcd(window, stride))
+	perBlock := int64(subcarriers) * numAccs * int64(unsafe.Sizeof(dsp.ExactSum{}))
+	return 16*int64(window)*int64(subcarriers) + blocks*perBlock
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
 
 // NewMonitor validates the configuration and starts the worker goroutine.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
@@ -174,6 +213,16 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cells := cfg.WindowSeconds * cfg.SampleRate * float64(cfg.NumSubcarriers); !(cells <= maxWindowCells) {
 		return nil, fmt.Errorf("core: monitor window %vs × %v Hz × %d subcarriers exceeds %d samples",
 			cfg.WindowSeconds, cfg.SampleRate, cfg.NumSubcarriers, maxWindowCells)
+	}
+	if n := cfg.UpdateEverySeconds * cfg.SampleRate; !(n <= maxWindowCells) {
+		return nil, fmt.Errorf("core: monitor stride %vs × %v Hz exceeds %d samples",
+			cfg.UpdateEverySeconds, cfg.SampleRate, maxWindowCells)
+	}
+	window, stride := windowGeometry(&cfg)
+	if b := windowBytes(window, stride, cfg.NumSubcarriers); b > maxWindowBytes {
+		return nil, fmt.Errorf("core: monitor window %vs / stride %vs splits into %d-packet exact-sum blocks "+
+			"(their gcd): %d B of window storage, over the %d B session bound",
+			cfg.WindowSeconds, cfg.UpdateEverySeconds, gcd(window, stride), b, maxWindowBytes)
 	}
 	if cfg.Persons < 1 {
 		cfg.Persons = 1

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,6 +34,36 @@ func TestMonitorValidation(t *testing.T) {
 	bad.Pipeline.EnvWindow = 1
 	if _, err := NewMonitor(bad); err == nil {
 		t.Error("want error for bad pipeline config")
+	}
+	// A one-packet stride makes one exact-sum block per packet: 24 000
+	// blocks × 30 subcarriers × 1 152 B is past the session bound.
+	bad = DefaultMonitorConfig()
+	bad.UpdateEverySeconds = 1 / bad.SampleRate
+	if _, err := NewMonitor(bad); err == nil || !strings.Contains(err.Error(), "exact-sum blocks") {
+		t.Errorf("one-packet stride: err = %v, want the exact-sum block bound", err)
+	}
+	bad = DefaultMonitorConfig()
+	bad.UpdateEverySeconds = 1e300
+	if _, err := NewMonitor(bad); err == nil || !strings.Contains(err.Error(), "stride 1e+300s × 400 Hz exceeds") {
+		t.Errorf("1e300 s stride: err = %v, want the stride bound", err)
+	}
+	// Every window/stride shape the repository runs stays accepted.
+	for _, shape := range []struct {
+		rate, window, stride float64
+		subcarriers          int
+	}{
+		{400, 60, 5, 30}, {30, 8, 2, 16}, {400, 4, 1, 30},
+		{400, 40, 10, 30}, {400, 45, 15, 30}, {100, 30, 30, 30},
+	} {
+		cfg := DefaultMonitorConfig()
+		cfg.SampleRate, cfg.NumSubcarriers = shape.rate, shape.subcarriers
+		cfg.WindowSeconds, cfg.UpdateEverySeconds = shape.window, shape.stride
+		m, err := NewMonitor(cfg)
+		if err != nil {
+			t.Errorf("%v Hz %v s / %v s refused: %v", shape.rate, shape.window, shape.stride, err)
+			continue
+		}
+		m.Close()
 	}
 }
 

@@ -103,20 +103,26 @@ func SelectSubcarrier(calibrated [][]float64, k int, eligible []bool) (*Subcarri
 // CSI amplitudes: a subcarrier is eligible when its weaker antenna's mean
 // amplitude is at least fraction·median(all subcarriers' weaker-antenna
 // amplitudes). fraction around 0.3 rejects deep fades without touching
-// healthy subcarriers.
+// healthy subcarriers. The amplitude sums are exact (dsp.ExactSum), which
+// is what lets the Monitor reproduce the decision from block sums.
 func AmplitudeGate(tr *trace.Trace, antennaA, antennaB int, fraction float64) []bool {
 	if tr == nil || tr.Len() == 0 {
 		return nil
 	}
 	n := tr.NumSubcarriers
-	weaker := make([]float64, n)
-	for s := 0; s < n; s++ {
-		var sumA, sumB float64
-		for _, p := range tr.Packets {
-			sumA += cmplx.Abs(p.CSI[antennaA][s])
-			sumB += cmplx.Abs(p.CSI[antennaB][s])
+	// Packet-major, like the Monitor's ingest: each packet's CSI rows are
+	// read once, sequentially, into 2n independent sums.
+	sums := make([]dsp.ExactSum, 2*n)
+	for _, p := range tr.Packets {
+		rowA, rowB := p.CSI[antennaA][:n], p.CSI[antennaB][:n]
+		for s := range n {
+			sums[2*s].Add(cmplx.Abs(rowA[s]))
+			sums[2*s+1].Add(cmplx.Abs(rowB[s]))
 		}
-		weaker[s] = math.Min(sumA, sumB) / float64(tr.Len())
+	}
+	weaker := make([]float64, n)
+	for s := range weaker {
+		weaker[s] = math.Min(sums[2*s].Float64(), sums[2*s+1].Float64()) / float64(tr.Len())
 	}
 	med := dsp.Median(weaker)
 	out := make([]bool, n)

@@ -18,16 +18,20 @@ type CircularStats struct {
 // Circular computes circular statistics of the given angles in radians.
 // These quantify Fig. 1 of the paper: raw single-antenna CSI phase is
 // nearly uniform on the circle (R ≈ 0) while the phase difference between
-// antennas concentrates into a narrow sector (R ≈ 1).
+// antennas concentrates into a narrow sector (R ≈ 1). The sine and cosine
+// sums are exact (ExactSum), so the result does not depend on the order of
+// the angles.
 func Circular(angles []float64) CircularStats {
 	if len(angles) == 0 {
 		return CircularStats{Variance: 1, StdDev: math.Inf(1)}
 	}
-	var sumSin, sumCos float64
+	var accSin, accCos ExactSum
 	for _, a := range angles {
-		sumSin += math.Sin(a)
-		sumCos += math.Cos(a)
+		sin, cos := math.Sincos(a)
+		accSin.Add(sin)
+		accCos.Add(cos)
 	}
+	sumSin, sumCos := accSin.Float64(), accCos.Float64()
 	n := float64(len(angles))
 	r := math.Hypot(sumSin, sumCos) / n
 	stats := CircularStats{

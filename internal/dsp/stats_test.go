@@ -131,6 +131,13 @@ func TestCircularConcentratedVsUniform(t *testing.T) {
 	if cs.R < 0.95 {
 		t.Errorf("concentrated R = %v, want > 0.95", cs.R)
 	}
+	// The sine and cosine sums are exact: the order of the angles does
+	// not reach the last bit.
+	shuffled := append([]float64(nil), concentrated...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	if got := Circular(shuffled); got != cs {
+		t.Errorf("shuffled angles: %+v, in order %+v", got, cs)
+	}
 	uniform := make([]float64, 600)
 	for i := range uniform {
 		uniform[i] = rng.Float64()*2*math.Pi - math.Pi

@@ -405,6 +405,66 @@ func TestStoreRecoveryTornSeal(t *testing.T) {
 	}
 }
 
+// TestStoreSealFailureKeepsPackets: a block seal that cannot create its
+// file (here a directory squats on the block's .tmp path, which blocks
+// the write even for root, unlike chmod) fails the append loudly but
+// loses nothing — the packets stay buffered, no seal is counted, and the
+// next append after the fault clears seals one block holding all of them.
+func TestStoreSealFailureKeepsPackets(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.NewRegistry()
+	s, err := Open(Config{Dir: dir, BlockSeconds: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.OpenSession("k", testMeta); err != nil {
+		t.Fatal(err)
+	}
+	fill(t, s, "k", 0, 10) // 0.0–0.9 s: one short of a 1 s block
+	blocker := filepath.Join(dir, "k", blockName(0, 0, 1.0)+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err = s.AppendPacket("k", mkPacket(1.0, 2, 4, math.Sin(1.0)))
+	if err == nil || !strings.Contains(err.Error(), "store: seal") {
+		t.Fatalf("append over a blocked seal: err = %v, want a store: seal error", err)
+	}
+	seals := reg.Counter("store.seals")
+	if got := seals.Value(); got != 0 {
+		t.Fatalf("store.seals = %d after a failed seal", got)
+	}
+	ss := s.sessions["k"]
+	if n := len(ss.buf); n != 11 {
+		t.Fatalf("%d packets buffered after the failed seal, want 11", n)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendPacket("k", mkPacket(1.1, 2, 4, math.Sin(1.1))); err != nil {
+		t.Fatalf("append after the fault cleared: %v", err)
+	}
+	if got := seals.Value(); got != 1 {
+		t.Fatalf("store.seals = %d, want 1", got)
+	}
+	if len(ss.blocks) != 1 || ss.blocks[0].packets != 12 || len(ss.buf) != 0 {
+		t.Fatalf("sealed %d blocks (first %+v), %d still buffered; want one block of 12",
+			len(ss.blocks), ss.blocks, len(ss.buf))
+	}
+	res, err := s.Range("k", 0, 0, RawTier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) != 12 {
+		t.Fatalf("range read %d samples, want 12", len(res.Samples))
+	}
+	for i, smp := range res.Samples {
+		if want := float64(i) / testMeta.SampleRate; math.Abs(smp.T-want) > 1e-9 {
+			t.Fatalf("sample %d at t=%v, want %v", i, smp.T, want)
+		}
+	}
+}
+
 func TestStoreReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, BlockSeconds: 1})
