@@ -70,41 +70,25 @@ func smoothRangeInto(dst, series []float64, cfg *Config, lo, hi int, sc *smoothS
 	return out, nil
 }
 
-// uniformCols returns the shared row length of a rectangular matrix, or
-// ok=false when the rows are ragged (possible only through the exported
-// entry points — the pipeline always produces rectangular data).
-func uniformCols(series [][]float64) (cols int, ok bool) {
+// uniformCols returns the shared row length of a rectangular matrix.
+// Ragged rows are an error: the pipeline always produces rectangular data,
+// so they can reach only the exported entry points.
+func uniformCols(series [][]float64) (int, error) {
 	if len(series) == 0 {
-		return 0, true
+		return 0, nil
 	}
-	cols = len(series[0])
-	for _, row := range series[1:] {
+	cols := len(series[0])
+	for i, row := range series {
 		if len(row) != cols {
-			return 0, false
+			return 0, fmt.Errorf("core: ragged matrix: row %d has %d columns, row 0 has %d", i, len(row), cols)
 		}
 	}
-	return cols, true
+	return cols, nil
 }
 
 // SmoothAll applies Smooth to every subcarrier series, fanning the
 // independent subcarriers across cfg.Parallelism workers.
 func SmoothAll(phaseDiff [][]float64, cfg *Config) ([][]float64, error) {
-	if _, ok := uniformCols(phaseDiff); !ok {
-		// Ragged input can't share one slab; smooth row by row.
-		out := make([][]float64, len(phaseDiff))
-		err := parallelFor(len(phaseDiff), cfg.Parallelism, func(i int) error {
-			s, err := Smooth(phaseDiff[i], cfg)
-			if err != nil {
-				return fmt.Errorf("subcarrier %d: %w", i, err)
-			}
-			out[i] = s
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	m, err := smoothAllColumnar(phaseDiff, cfg, nil)
 	if err != nil {
 		return nil, err
@@ -118,9 +102,12 @@ func SmoothAll(phaseDiff [][]float64, cfg *Config) ([][]float64, error) {
 // one scratch across its contiguous row range, and each output row writes
 // straight into the slab — no per-subcarrier allocations.
 func smoothAllColumnar(phaseDiff [][]float64, cfg *Config, ar *arena.Arena) (*arena.Matrix, error) {
-	cols, _ := uniformCols(phaseDiff)
+	cols, err := uniformCols(phaseDiff)
+	if err != nil {
+		return nil, err
+	}
 	m := arena.NewMatrix(ar, len(phaseDiff), cols)
-	err := parallelChunks(len(phaseDiff), cfg.Parallelism, func(lo, hi int) error {
+	err = parallelChunks(len(phaseDiff), cfg.Parallelism, func(lo, hi int) error {
 		var sc smoothScratch
 		for i := lo; i < hi; i++ {
 			if _, err := smoothRangeInto(m.Row(i)[:0], phaseDiff[i], cfg, 0, cols, &sc); err != nil {
@@ -138,35 +125,22 @@ func smoothAllColumnar(phaseDiff [][]float64, cfg *Config, ar *arena.Arena) (*ar
 
 // Downsample reduces every smoothed series by the configured factor
 // (400 Hz → 20 Hz in the paper), returning the calibrated matrix the rest
-// of the pipeline consumes. Rectangular input lands in one flat
-// subcarrier-major slab (the matrix's ownership transfers to the caller,
-// so it is deliberately not arena-pooled); ragged input falls back to
-// per-row allocation.
+// of the pipeline consumes: one flat subcarrier-major slab (the matrix's
+// ownership transfers to the caller, so it is deliberately not
+// arena-pooled).
 func Downsample(smoothed [][]float64, cfg *Config) ([][]float64, error) {
-	cols, rect := uniformCols(smoothed)
-	if !rect {
-		out := make([][]float64, len(smoothed))
-		err := parallelFor(len(smoothed), cfg.Parallelism, func(i int) error {
-			d, err := dsp.Downsample(smoothed[i], cfg.DownsampleFactor)
-			if err != nil {
-				return fmt.Errorf("subcarrier %d: %w", i, err)
-			}
-			out[i] = d
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+	cols, err := uniformCols(smoothed)
+	if err != nil {
+		return nil, err
 	}
 	outCols := 0
 	if cfg.DownsampleFactor > 0 {
 		outCols = (cols + cfg.DownsampleFactor - 1) / cfg.DownsampleFactor
 	}
 	// A non-positive factor leaves outCols zero; DownsampleInto reports it
-	// with the same per-subcarrier attribution as the per-row path.
+	// with its per-subcarrier attribution.
 	m := arena.NewMatrix(nil, len(smoothed), outCols)
-	err := parallelChunks(len(smoothed), cfg.Parallelism, func(lo, hi int) error {
+	err = parallelChunks(len(smoothed), cfg.Parallelism, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if _, err := dsp.DownsampleInto(m.Row(i)[:0], smoothed[i], cfg.DownsampleFactor); err != nil {
 				return fmt.Errorf("subcarrier %d: %w", i, err)

@@ -3,60 +3,7 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// parallelFor runs fn(i) for every i in [0, n) across at most workers
-// goroutines (0 → GOMAXPROCS), the same bounded fan-out pattern the eval
-// harness uses for trials. Work is handed out through an atomic counter so
-// tasks of uneven cost balance across workers.
-//
-// Determinism: fn must write only to state owned by its own index; under
-// that contract the results are byte-identical for every worker count.
-// Errors are collected per index and the lowest-index error is returned,
-// matching what a serial loop would report.
-func parallelFor(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // parallelChunks runs fn(lo, hi) over contiguous index ranges covering
 // [0, n), one range per goroutine (at most workers; 0 → GOMAXPROCS). It is
@@ -66,9 +13,10 @@ func parallelFor(n, workers int, fn func(i int) error) error {
 // slab with no false sharing on the interleaved rows an atomic-counter
 // hand-out would produce.
 //
-// Determinism and errors follow parallelFor's contract: fn must write only
-// to state owned by its indices, and a chunk stops at its first error, so
-// the lowest-index error is returned — exactly what a serial loop reports.
+// Determinism: fn must write only to state owned by its indices; under that
+// contract the results are byte-identical for every worker count. A chunk
+// stops at its first error and the lowest chunk's error is returned, so the
+// lowest-index error wins — exactly what a serial loop reports.
 func parallelChunks(n, workers int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil

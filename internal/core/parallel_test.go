@@ -9,12 +9,14 @@ import (
 	"phasebeat/internal/csisim"
 )
 
-func TestParallelForCoversAllIndices(t *testing.T) {
+func TestParallelChunksCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 5, 64} {
 		const n = 37
 		hit := make([]int, n)
-		err := parallelFor(n, workers, func(i int) error {
-			hit[i]++
+		err := parallelChunks(n, workers, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				hit[i]++
+			}
 			return nil
 		})
 		if err != nil {
@@ -28,16 +30,18 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestParallelForReturnsLowestIndexError(t *testing.T) {
+func TestParallelChunksReturnsLowestIndexError(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for _, workers := range []int{1, 4} {
-		err := parallelFor(20, workers, func(i int) error {
-			switch i {
-			case 3:
-				return errLow
-			case 17:
-				return errHigh
+		err := parallelChunks(20, workers, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				switch i {
+				case 3:
+					return errLow
+				case 17:
+					return errHigh
+				}
 			}
 			return nil
 		})
@@ -45,8 +49,21 @@ func TestParallelForReturnsLowestIndexError(t *testing.T) {
 			t.Fatalf("workers=%d: got %v, want the lowest-index error", workers, err)
 		}
 	}
-	if err := parallelFor(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := parallelChunks(0, 4, func(int, int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("n=0 should be a no-op, got %v", err)
+	}
+}
+
+// TestCalibrateRejectsRaggedInput: SmoothAll and Downsample take only
+// rectangular matrices.
+func TestCalibrateRejectsRaggedInput(t *testing.T) {
+	cfg := DefaultConfig()
+	ragged := [][]float64{make([]float64, 4000), make([]float64, 3999)}
+	if _, err := SmoothAll(ragged, &cfg); err == nil {
+		t.Error("SmoothAll accepted a ragged matrix")
+	}
+	if _, err := Downsample(ragged, &cfg); err == nil {
+		t.Error("Downsample accepted a ragged matrix")
 	}
 }
 

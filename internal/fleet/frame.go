@@ -24,8 +24,7 @@ import (
 //	open      := key sampleRate(f64) antennas(u8) subcarriers(u16)
 //	             window(f64) stride(f64) persons(u8)
 //	ingest    := key time(f64) antennas(u8) subcarriers(u16)
-//	             cells[antennas*subcarriers × (re f64, im f64)]
-//	             [sendUnixNanos(u64)]
+//	             cells (trace.AppendCSI) [sendUnixNanos(u64)]
 //	close     := key
 //	subscribe := key since(u64) waitMillis(u32)
 //	key       := len(u16) bytes[len]
@@ -65,10 +64,6 @@ const (
 const (
 	// MaxKeyLen bounds session-key length in bytes.
 	MaxKeyLen = 128
-	// MaxAntennas and MaxSubcarriers bound the per-packet CSI shape a
-	// peer can declare (the Intel 5300 has 3×30; generous headroom only).
-	MaxAntennas    = 16
-	MaxSubcarriers = 256
 	// MaxFramePayload bounds a whole frame payload — the same 1 MiB
 	// prealloc budget trace.Read enforces.
 	MaxFramePayload = 1 << 20
@@ -255,9 +250,9 @@ func decodeOpen(payload []byte) (openRequest, error) {
 	if err := c.done(); err != nil {
 		return req, err
 	}
-	if int(ants) > MaxAntennas || int(subs) > MaxSubcarriers {
+	if int(ants) > trace.MaxAntennas || int(subs) > trace.MaxSubcarriers {
 		return req, fmt.Errorf("%w: declared shape %d×%d exceeds %d×%d",
-			ErrBadFrame, ants, subs, MaxAntennas, MaxSubcarriers)
+			ErrBadFrame, ants, subs, trace.MaxAntennas, trace.MaxSubcarriers)
 	}
 	req.Session.NumAntennas = int(ants)
 	req.Session.NumSubcarriers = int(subs)
@@ -279,27 +274,24 @@ func finiteNonNegative(v float64) bool {
 // field (Unix nanos); zero emits the legacy payload byte-for-byte.
 func encodeIngest(key string, p trace.Packet, sendNanos int64) ([]byte, error) {
 	ants := len(p.CSI)
-	if ants == 0 || ants > MaxAntennas {
+	if ants == 0 || ants > trace.MaxAntennas {
 		return nil, fmt.Errorf("%w: packet has %d antennas", ErrBadFrame, ants)
 	}
 	subs := len(p.CSI[0])
-	if subs == 0 || subs > MaxSubcarriers {
+	if subs == 0 || subs > trace.MaxSubcarriers {
 		return nil, fmt.Errorf("%w: packet has %d subcarriers", ErrBadFrame, subs)
 	}
-	b := make([]byte, 0, 2+len(key)+8+3+ants*subs*16+8)
-	b = appendKey(b, key)
-	b = appendF64(b, p.Time)
-	b = append(b, byte(ants))
-	b = binary.LittleEndian.AppendUint16(b, uint16(subs))
 	for _, row := range p.CSI {
 		if len(row) != subs {
 			return nil, fmt.Errorf("%w: ragged packet rows", ErrBadFrame)
 		}
-		for _, v := range row {
-			b = appendF64(b, real(v))
-			b = appendF64(b, imag(v))
-		}
 	}
+	b := make([]byte, 0, 2+len(key)+8+3+trace.CSISize(ants, subs)+8)
+	b = appendKey(b, key)
+	b = appendF64(b, p.Time)
+	b = append(b, byte(ants))
+	b = binary.LittleEndian.AppendUint16(b, uint16(subs))
+	b = trace.AppendCSI(b, p.CSI)
 	if sendNanos != 0 {
 		b = binary.LittleEndian.AppendUint64(b, uint64(sendNanos))
 	}
@@ -329,29 +321,22 @@ func decodeIngest(payload []byte) (string, trace.Packet, int64, error) {
 	if err != nil {
 		return "", trace.Packet{}, 0, err
 	}
-	if ants == 0 || int(ants) > MaxAntennas || subs == 0 || int(subs) > MaxSubcarriers {
+	if ants == 0 || int(ants) > trace.MaxAntennas || subs == 0 || int(subs) > trace.MaxSubcarriers {
 		return "", trace.Packet{}, 0, fmt.Errorf("%w: packet shape %d×%d outside (0, %d]×(0, %d]",
-			ErrBadFrame, ants, subs, MaxAntennas, MaxSubcarriers)
+			ErrBadFrame, ants, subs, trace.MaxAntennas, trace.MaxSubcarriers)
 	}
-	cells := int(ants) * int(subs)
+	size := trace.CSISize(int(ants), int(subs))
 	hasSend := false
 	switch c.remaining() {
-	case cells * 16:
-	case cells*16 + 8:
+	case size:
+	case size + 8:
 		hasSend = true
 	default:
 		return "", trace.Packet{}, 0, fmt.Errorf("%w: %d payload bytes for %d cells",
-			ErrBadFrame, c.remaining(), cells)
+			ErrBadFrame, c.remaining(), int(ants)*int(subs))
 	}
-	p := trace.NewPacket(t, int(ants), int(subs))
-	for a := 0; a < int(ants); a++ {
-		row := p.CSI[a]
-		for s := 0; s < int(subs); s++ {
-			re, _ := c.f64()
-			im, _ := c.f64()
-			row[s] = complex(re, im)
-		}
-	}
+	p := trace.DecodeCSI(t, int(ants), int(subs), c.b[c.p:c.p+size])
+	c.p += size
 	var sendNanos int64
 	if hasSend {
 		v, err := c.u64()

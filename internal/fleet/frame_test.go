@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"strings"
@@ -81,7 +82,7 @@ func TestOpenRoundTripAndValidation(t *testing.T) {
 		{"trailing bytes", append(encodeOpen("k", want.Session), 0xaa)},
 		{"truncated", encodeOpen("k", want.Session)[:5]},
 		{"nan sample rate", encodeOpen("k", SessionConfig{SampleRate: math.NaN()})},
-		{"too many subcarriers", encodeOpen("k", SessionConfig{NumSubcarriers: MaxSubcarriers + 1})},
+		{"too many subcarriers", encodeOpen("k", SessionConfig{NumSubcarriers: trace.MaxSubcarriers + 1})},
 	}
 	for _, tc := range hostile {
 		if _, err := decodeOpen(tc.b); !errors.Is(err, ErrBadFrame) {
@@ -135,7 +136,7 @@ func TestIngestRoundTripAndValidation(t *testing.T) {
 	// and respect the shape bounds, checked before the packet allocation.
 	header := appendKey(nil, "k")
 	header = appendF64(header, 0)
-	bomb := append(append([]byte(nil), header...), MaxAntennas+1)
+	bomb := append(append([]byte(nil), header...), trace.MaxAntennas+1)
 	bomb = binary.LittleEndian.AppendUint16(bomb, 1)
 	if _, _, _, err := decodeIngest(bomb); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("antenna bomb: err = %v, want ErrBadFrame", err)
@@ -145,6 +146,36 @@ func TestIngestRoundTripAndValidation(t *testing.T) {
 	short = append(short, make([]byte, 16)...) // 1 cell of the declared 8
 	if _, _, _, err := decodeIngest(short); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("short cells: err = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestIngestLayoutGolden pins the ingest payload layout, legacy and
+// send-stamped: key, time f64, ants u8, subs u16, antenna-major (re, im)
+// f64 cells, optional send nanos u64.
+func TestIngestLayoutGolden(t *testing.T) {
+	const (
+		wantLegacy = "02006b31" + // key
+			"000000000000e03f" + "020300" + // time, shape
+			"000000000000f03f0000000000000080000000000000f03f000000000000d0bf000000000000f03f000000000000e0bf000000000000004000000000000000800000000000000040000000000000d0bf0000000000000040000000000000e0bf"
+		wantStamped = wantLegacy + "0807060504030201"
+	)
+	p := trace.NewPacket(0.5, 2, 3)
+	for a := range p.CSI {
+		for s := range p.CSI[a] {
+			p.CSI[a][s] = complex(float64(a+1), -0.25*float64(s))
+		}
+	}
+	for _, tc := range []struct {
+		send int64
+		want string
+	}{{0, wantLegacy}, {0x0102030405060708, wantStamped}} {
+		payload, err := encodeIngest("k1", p, tc.send)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(payload); got != tc.want {
+			t.Fatalf("send=%d: ingest layout changed:\n got %s\nwant %s", tc.send, got, tc.want)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func FuzzFrameDecode(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if len(p.CSI) == 0 || len(p.CSI) > MaxAntennas || len(p.CSI[0]) > MaxSubcarriers {
+			if len(p.CSI) == 0 || len(p.CSI) > trace.MaxAntennas || len(p.CSI[0]) > trace.MaxSubcarriers {
 				t.Fatalf("accepted packet shape %d×%d", len(p.CSI), len(p.CSI[0]))
 			}
 			enc, err := encodeIngest(key, p, send)

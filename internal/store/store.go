@@ -290,9 +290,9 @@ func (s *Store) OpenSession(key string, meta Meta) error {
 	if meta.SampleRate <= 0 || meta.NumAntennas < 1 || meta.NumSubcarriers < 1 {
 		return fmt.Errorf("store: open %q: incomplete meta %+v", key, meta)
 	}
-	if meta.NumAntennas > maxTailAntennas || meta.NumSubcarriers > maxTailSubcarriers {
+	if meta.NumAntennas > trace.MaxAntennas || meta.NumSubcarriers > trace.MaxSubcarriers {
 		return fmt.Errorf("store: open %q: shape %d×%d exceeds %d×%d",
-			key, meta.NumAntennas, meta.NumSubcarriers, maxTailAntennas, maxTailSubcarriers)
+			key, meta.NumAntennas, meta.NumSubcarriers, trace.MaxAntennas, trace.MaxSubcarriers)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -382,7 +382,7 @@ func (s *Store) AppendPacket(key string, p trace.Packet) error {
 	// Copy the CSI: callers (the fleet arena in particular) recycle
 	// packet backing arrays after the append returns, and buf is held
 	// until the block seals.
-	ss.buf = append(ss.buf, clonePacket(p))
+	ss.buf = append(ss.buf, p.Clone())
 	ss.lastT, ss.haveT = p.Time, true
 	ss.tiers.add(seriesWave, p.Time, waveSample(p))
 	sealed := false
@@ -858,16 +858,21 @@ func (s *Store) recoverSession(key, dir string) (*sessionStore, []blockInfo, err
 			}
 		} else {
 			// Only packets newer than the last sealed block belong in the
-			// buffer (a crash between block rename and tail reset replays
-			// the sealed packets into the tail).
-			minT := math.Inf(-1)
-			if n := len(blocks); n > 0 {
-				minT = blocks[n-1].t1
+			// buffer. A crash between block rename and tail reset leaves
+			// the tail holding exactly that block's packets, so a tail
+			// whose first and last times name the block is dropped whole,
+			// and its times replace the name's, which keeps them only to
+			// whole microseconds (a cut at the parsed t1 kept the block's
+			// last packet). Any other tail postdates every block.
+			if n := len(blocks); n > 0 && len(pkts) > 0 {
+				newest := &blocks[n-1]
+				t0, t1 := pkts[0].Time, pkts[len(pkts)-1].Time
+				if filepath.Base(newest.path) == blockName(newest.seq, t0, t1) {
+					newest.t0, newest.t1 = t0, t1
+					pkts = nil
+				}
 			}
 			for _, p := range pkts {
-				if p.Time <= minT {
-					continue
-				}
 				ss.buf = append(ss.buf, p)
 				ss.lastT, ss.haveT = p.Time, true
 				ss.tiers.add(seriesWave, p.Time, waveSample(p))
@@ -933,24 +938,6 @@ func waveSample(p trace.Packet) float64 {
 		return cmplx.Phase(p.CSI[0][mid] * cmplx.Conj(p.CSI[1][mid]))
 	}
 	return cmplx.Abs(p.CSI[0][mid])
-}
-
-// clonePacket deep-copies a packet's CSI into one flat allocation so the
-// store's copy survives the caller recycling its backing arrays.
-func clonePacket(p trace.Packet) trace.Packet {
-	if len(p.CSI) == 0 {
-		return p
-	}
-	subs := len(p.CSI[0])
-	flat := make([]complex128, len(p.CSI)*subs)
-	rows := make([][]complex128, len(p.CSI))
-	for i, row := range p.CSI {
-		dst := flat[i*subs : (i+1)*subs : (i+1)*subs]
-		copy(dst, row)
-		rows[i] = dst
-	}
-	p.CSI = rows
-	return p
 }
 
 // writeJSONAtomic marshals v to path via tmp+rename.

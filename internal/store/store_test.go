@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -336,6 +337,62 @@ func TestStoreRecoveryTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestStoreRecoveryCrashBeforeTailReset restores the on-disk state of a
+// kill between a block's rename and the tail reset: the tail holds exactly
+// the newest block's packets. Recovery must re-buffer none of them and
+// lose none. The block name keeps t1 only to whole microseconds, so a cut
+// at the parsed t1 once let the block's last packet (t = 14/30 s)
+// through, and it was replayed twice.
+func TestStoreRecoveryCrashBeforeTailReset(t *testing.T) {
+	dir := t.TempDir()
+	meta := Meta{SampleRate: 30, NumAntennas: 2, NumSubcarriers: 4}
+	s, err := Open(Config{Dir: dir, BlockSeconds: 0.45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.OpenSession("k", meta); err != nil {
+		t.Fatal(err)
+	}
+	var pkts []trace.Packet
+	for i := 0; i < 15; i++ { // the 15th packet seals block 0
+		p := mkPacket(float64(i)/30, 2, 4, float64(i))
+		pkts = append(pkts, p)
+		if err := s.AppendPacket("k", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tw, err := newTailWriter(filepath.Join(dir, "k", "tail.pblog"), 30, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkts {
+		if err := tw.append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	res, err := s2.Range("k", 0, 0, RawTier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) != len(pkts) {
+		t.Fatalf("recovered %d samples, want %d", len(res.Samples), len(pkts))
+	}
+	for i, smp := range res.Samples {
+		if smp.T != pkts[i].Time {
+			t.Fatalf("sample %d at t=%v, want %v", i, smp.T, pkts[i].Time)
+		}
+	}
+}
+
 // TestStoreRecoveryCorruptTierIndex damages tiers.bin and expects the
 // waveform tiers rebuilt from the sealed blocks.
 func TestStoreRecoveryCorruptTierIndex(t *testing.T) {
@@ -642,6 +699,38 @@ func TestTailCodecRoundTrip(t *testing.T) {
 		if p.Time != float64(i) || len(p.CSI) != 2 || len(p.CSI[0]) != 3 {
 			t.Fatalf("packet %d: %+v", i, p)
 		}
+	}
+}
+
+// TestTailLayoutGolden pins the PBTL byte layout: header, then one
+// record per packet — time f64 and antenna-major (re, im) f64 cells.
+func TestTailLayoutGolden(t *testing.T) {
+	const want = "5042544c" + "0100" + "0000000000003940" + "0200" + "0300" + // magic, version, rate, shape
+		"000000000000e03f" + // time
+		"000000000000f03f0000000000000080000000000000f03f000000000000d0bf000000000000f03f000000000000e0bf000000000000004000000000000000800000000000000040000000000000d0bf0000000000000040000000000000e0bf"
+	p := trace.NewPacket(0.5, 2, 3)
+	for a := range p.CSI {
+		for s := range p.CSI[a] {
+			p.CSI[a][s] = complex(float64(a+1), -0.25*float64(s))
+		}
+	}
+	path := filepath.Join(t.TempDir(), "tail.pblog")
+	tw, err := newTailWriter(path, 25, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.append(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(raw); got != want {
+		t.Fatalf("PBTL layout changed:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -23,14 +23,10 @@ import (
 //
 //	header: magic "PBTL" | uint16 version | float64 rate |
 //	        uint16 antennas | uint16 subcarriers
-//	record: float64 time | antennas×subcarriers × (float64 re, float64 im)
+//	record: trace.AppendRecord — the trace file's packet record
 const (
 	tailMagic   = "PBTL"
 	tailVersion = 1
-	// Shape bounds mirror the fleet frame parser: recovery refuses to
-	// size records from a corrupt header.
-	maxTailAntennas    = 16
-	maxTailSubcarriers = 256
 )
 
 // ErrBadTail reports a tail log whose header is unusable (a truncated
@@ -40,7 +36,7 @@ var ErrBadTail = errors.New("store: bad tail log")
 // tailWriter appends packet records to the session's tail log.
 type tailWriter struct {
 	f    *os.File
-	bw   *bufio.Writer
+	buf  []byte // one encoded header or record, reused
 	ants int
 	subs int
 }
@@ -51,57 +47,21 @@ func newTailWriter(path string, rate float64, ants, subs int) (*tailWriter, erro
 	if err != nil {
 		return nil, err
 	}
-	tw := &tailWriter{f: f, bw: bufio.NewWriter(f), ants: ants, subs: subs}
-	if _, err := tw.bw.WriteString(tailMagic); err != nil {
-		f.Close()
-		return nil, err
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint16(b[:2], tailVersion)
-	if _, err := tw.bw.Write(b[:2]); err != nil {
-		f.Close()
-		return nil, err
-	}
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(rate))
-	if _, err := tw.bw.Write(b[:]); err != nil {
-		f.Close()
-		return nil, err
-	}
-	binary.LittleEndian.PutUint16(b[:2], uint16(ants))
-	binary.LittleEndian.PutUint16(b[2:4], uint16(subs))
-	if _, err := tw.bw.Write(b[:4]); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := tw.bw.Flush(); err != nil {
+	tw := &tailWriter{f: f, ants: ants, subs: subs}
+	if err := tw.reset(rate); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return tw, nil
 }
 
-// append writes one packet record and flushes it to the kernel. No fsync:
-// the durability target is surviving a killed process, not a powered-off
+// append writes one packet record straight to the kernel. No fsync: the
+// durability target is surviving a killed process, not a powered-off
 // machine — phasebeatd's deployment contract (DESIGN §14).
 func (tw *tailWriter) append(p trace.Packet) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(p.Time))
-	if _, err := tw.bw.Write(b[:]); err != nil {
-		return err
-	}
-	for _, row := range p.CSI {
-		for _, c := range row {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(real(c)))
-			if _, err := tw.bw.Write(b[:]); err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(imag(c)))
-			if _, err := tw.bw.Write(b[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return tw.bw.Flush()
+	tw.buf = trace.AppendRecord(tw.buf[:0], p)
+	_, err := tw.f.Write(tw.buf)
+	return err
 }
 
 // reset truncates the log back to a fresh header — called after the
@@ -113,36 +73,21 @@ func (tw *tailWriter) reset(rate float64) error {
 	if _, err := tw.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	tw.bw.Reset(tw.f)
-	if _, err := tw.bw.WriteString(tailMagic); err != nil {
-		return err
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint16(b[:2], tailVersion)
-	if _, err := tw.bw.Write(b[:2]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(rate))
-	if _, err := tw.bw.Write(b[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint16(b[:2], uint16(tw.ants))
-	binary.LittleEndian.PutUint16(b[2:4], uint16(tw.subs))
-	if _, err := tw.bw.Write(b[:4]); err != nil {
-		return err
-	}
-	return tw.bw.Flush()
+	b := append(tw.buf[:0], tailMagic...)
+	b = binary.LittleEndian.AppendUint16(b, tailVersion)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rate))
+	b = binary.LittleEndian.AppendUint16(b, uint16(tw.ants))
+	b = binary.LittleEndian.AppendUint16(b, uint16(tw.subs))
+	tw.buf = b
+	_, err := tw.f.Write(b)
+	return err
 }
 
 func (tw *tailWriter) close() error {
 	if tw == nil {
 		return nil
 	}
-	err := tw.bw.Flush()
-	if cerr := tw.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return tw.f.Close()
 }
 
 // readTail decodes a tail log, keeping every complete packet record. A
@@ -167,12 +112,11 @@ func readTail(r io.Reader) (rate float64, pkts []trace.Packet, partial bool, err
 	rate = math.Float64frombits(binary.LittleEndian.Uint64(hdr[2:10]))
 	ants := int(binary.LittleEndian.Uint16(hdr[10:12]))
 	subs := int(binary.LittleEndian.Uint16(hdr[12:14]))
-	if ants < 1 || ants > maxTailAntennas || subs < 1 || subs > maxTailSubcarriers {
+	if ants < 1 || ants > trace.MaxAntennas || subs < 1 || subs > trace.MaxSubcarriers {
 		return 0, nil, false, fmt.Errorf("%w: shape %d×%d outside [1, %d]×[1, %d]",
-			ErrBadTail, ants, subs, maxTailAntennas, maxTailSubcarriers)
+			ErrBadTail, ants, subs, trace.MaxAntennas, trace.MaxSubcarriers)
 	}
-	recBytes := 8 + ants*subs*16
-	rec := make([]byte, recBytes)
+	rec := make([]byte, trace.RecordSize(ants, subs))
 	for {
 		_, rerr := io.ReadFull(br, rec)
 		if rerr == io.EOF {
@@ -183,18 +127,7 @@ func readTail(r io.Reader) (rate float64, pkts []trace.Packet, partial bool, err
 			// decoded cleanly, flag the partial.
 			return rate, pkts, true, nil
 		}
-		p := trace.NewPacket(math.Float64frombits(binary.LittleEndian.Uint64(rec[:8])), ants, subs)
-		off := 8
-		for a := 0; a < ants; a++ {
-			row := p.CSI[a]
-			for s := 0; s < subs; s++ {
-				re := math.Float64frombits(binary.LittleEndian.Uint64(rec[off:]))
-				im := math.Float64frombits(binary.LittleEndian.Uint64(rec[off+8:]))
-				row[s] = complex(re, im)
-				off += 16
-			}
-		}
-		pkts = append(pkts, p)
+		pkts = append(pkts, trace.DecodeRecord(ants, subs, rec))
 	}
 	return rate, pkts, false, nil
 }

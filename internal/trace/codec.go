@@ -13,7 +13,7 @@ import (
 //
 //	magic "PBTR" | uint16 version | float64 rate | float64 carrier |
 //	uint16 antennas | uint16 subcarriers | uint32 packet count |
-//	packets: float64 time, then antennas×subcarriers×(float64 re, float64 im)
+//	packets: one record each (AppendRecord)
 const (
 	formatMagic   = "PBTR"
 	formatVersion = 1
@@ -25,6 +25,72 @@ var ErrBadFormat = errors.New("trace: bad format")
 // maxPreallocBytes bounds how much packet storage Read reserves up front
 // on the strength of the (untrusted) header count alone.
 const maxPreallocBytes = 1 << 20
+
+// maxRecordCells bounds the cells of one record so that a record, and the
+// packet decoded from it, fit maxPreallocBytes: Read sizes both from the
+// untrusted header before it reads a byte of the body. Validate enforces
+// the same bound, so Write never produces a file Read refuses.
+const maxRecordCells = (maxPreallocBytes - 8) / 16
+
+// MaxAntennas and MaxSubcarriers bound the per-packet CSI shape the
+// store's tail log and the fleet ingest frame accept (the Intel 5300 has
+// 3×30; generous headroom only). A record at the bound is 65 544 bytes.
+const (
+	MaxAntennas    = 16
+	MaxSubcarriers = 256
+)
+
+// The CSI record layout every binary format shares — the trace file, the
+// store's tail log and (cells only) the fleet ingest frame:
+//
+//	record: float64 time | cells
+//	cells:  antennas×subcarriers × (float64 re, float64 im), antenna-major
+//
+// all little-endian.
+
+// CSISize is the encoded size of an antennas×subcarriers cell matrix.
+func CSISize(antennas, subcarriers int) int { return antennas * subcarriers * 16 }
+
+// RecordSize is the encoded size of one record: the time, then the cells.
+func RecordSize(antennas, subcarriers int) int { return 8 + CSISize(antennas, subcarriers) }
+
+// AppendCSI appends the cells of csi to b.
+func AppendCSI(b []byte, csi [][]complex128) []byte {
+	for _, row := range csi {
+		for _, c := range row {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(c)))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(c)))
+		}
+	}
+	return b
+}
+
+// AppendRecord appends p to b as one record.
+func AppendRecord(b []byte, p Packet) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Time))
+	return AppendCSI(b, p.CSI)
+}
+
+// DecodeCSI returns a NewPacket at time t whose cells are decoded from b,
+// which must hold CSISize(antennas, subcarriers) bytes.
+func DecodeCSI(t float64, antennas, subcarriers int, b []byte) Packet {
+	p := NewPacket(t, antennas, subcarriers)
+	for _, row := range p.CSI {
+		for s := range row {
+			row[s] = complex(math.Float64frombits(binary.LittleEndian.Uint64(b)),
+				math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
+			b = b[16:]
+		}
+	}
+	return p
+}
+
+// DecodeRecord decodes one record from b, which must hold
+// RecordSize(antennas, subcarriers) bytes.
+func DecodeRecord(antennas, subcarriers int, b []byte) Packet {
+	t := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	return DecodeCSI(t, antennas, subcarriers, b[8:])
+}
 
 // Write encodes the trace to w in the PhaseBeat binary format.
 func Write(w io.Writer, t *Trace) error {
@@ -51,25 +117,11 @@ func Write(w io.Writer, t *Trace) error {
 	if err := binary.Write(bw, binary.LittleEndian, &hdr); err != nil {
 		return fmt.Errorf("trace: write header: %w", err)
 	}
-	buf := make([]byte, 8)
-	writeF64 := func(v float64) error {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		_, err := bw.Write(buf)
-		return err
-	}
+	rec := make([]byte, 0, RecordSize(t.NumAntennas, t.NumSubcarriers))
 	for _, p := range t.Packets {
-		if err := writeF64(p.Time); err != nil {
+		rec = AppendRecord(rec[:0], p)
+		if _, err := bw.Write(rec); err != nil {
 			return fmt.Errorf("trace: write packet: %w", err)
-		}
-		for _, row := range p.CSI {
-			for _, c := range row {
-				if err := writeF64(real(c)); err != nil {
-					return fmt.Errorf("trace: write packet: %w", err)
-				}
-				if err := writeF64(imag(c)); err != nil {
-					return fmt.Errorf("trace: write packet: %w", err)
-				}
-			}
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -115,150 +167,32 @@ func readBinary(r io.Reader) (*Trace, error) {
 	}
 	// Write only ever produces validated traces, so a zero antenna or
 	// subcarrier count is corruption (and would make the packet loop read
-	// nothing per packet).
-	if hdr.Antennas == 0 || hdr.Subcarrier == 0 {
-		return nil, fmt.Errorf("%w: %d antennas, %d subcarriers", ErrBadFormat, hdr.Antennas, hdr.Subcarrier)
+	// nothing per packet), as is a record past maxRecordCells.
+	ants, subs := int(hdr.Antennas), int(hdr.Subcarrier)
+	if ants == 0 || subs == 0 || subs > maxRecordCells/ants {
+		return nil, fmt.Errorf("%w: %d antennas, %d subcarriers", ErrBadFormat, ants, subs)
 	}
 	// The header count is untrusted: a corrupt or hostile file can claim
 	// up to 4 billion packets while carrying none. Pre-allocate only what
 	// a modest read-ahead budget covers and let append grow the rest, so
 	// memory tracks the bytes actually read, never the claimed count.
-	perPacketBytes := 8 + int64(hdr.Antennas)*int64(hdr.Subcarrier)*16
-	prealloc := int64(hdr.Count)
-	if budget := maxPreallocBytes / perPacketBytes; prealloc > budget {
-		prealloc = budget
-	}
+	rec := make([]byte, RecordSize(ants, subs))
+	prealloc := min(int64(hdr.Count), int64(maxPreallocBytes/len(rec)))
 	t := &Trace{
 		SampleRate:     hdr.Rate,
 		CarrierHz:      hdr.Carrier,
-		NumAntennas:    int(hdr.Antennas),
-		NumSubcarriers: int(hdr.Subcarrier),
+		NumAntennas:    ants,
+		NumSubcarriers: subs,
 		Packets:        make([]Packet, 0, prealloc),
 	}
-	buf := make([]byte, 8)
-	readF64 := func() (float64, error) {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
-	}
 	for i := uint32(0); i < hdr.Count; i++ {
-		tm, err := readF64()
-		if err != nil {
-			return nil, fmt.Errorf("%w: packet %d time: %v", ErrBadFormat, i, err)
+		if _, err := io.ReadFull(br, rec); err != nil {
+			return nil, fmt.Errorf("%w: packet %d: %v", ErrBadFormat, i, err)
 		}
-		p := Packet{Time: tm, CSI: make([][]complex128, t.NumAntennas)}
-		for a := 0; a < t.NumAntennas; a++ {
-			row := make([]complex128, t.NumSubcarriers)
-			for s := 0; s < t.NumSubcarriers; s++ {
-				re, err := readF64()
-				if err != nil {
-					return nil, fmt.Errorf("%w: packet %d antenna %d: %v", ErrBadFormat, i, a, err)
-				}
-				im, err := readF64()
-				if err != nil {
-					return nil, fmt.Errorf("%w: packet %d antenna %d: %v", ErrBadFormat, i, a, err)
-				}
-				row[s] = complex(re, im)
-			}
-			p.CSI[a] = row
-		}
-		t.Packets = append(t.Packets, p)
+		t.Packets = append(t.Packets, DecodeRecord(ants, subs, rec))
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// Writer streams packets to an io.Writer without holding the whole trace in
-// memory. The packet count is written on Close by rewriting the header, so
-// the underlying writer must also be an io.WriteSeeker; for pure streams
-// use Write with a complete Trace instead.
-type Writer struct {
-	ws      io.WriteSeeker
-	meta    Trace
-	count   uint32
-	started bool
-}
-
-// NewWriter creates a streaming trace writer with the given metadata.
-func NewWriter(ws io.WriteSeeker, meta Trace) *Writer {
-	meta.Packets = nil
-	return &Writer{ws: ws, meta: meta}
-}
-
-// WritePacket appends one packet.
-func (w *Writer) WritePacket(p Packet) error {
-	if !w.started {
-		w.meta.Packets = nil
-		if err := Write(w.ws, &Trace{
-			SampleRate:     w.meta.SampleRate,
-			NumAntennas:    w.meta.NumAntennas,
-			NumSubcarriers: w.meta.NumSubcarriers,
-			CarrierHz:      w.meta.CarrierHz,
-		}); err != nil {
-			return err
-		}
-		w.started = true
-	}
-	if len(p.CSI) != w.meta.NumAntennas {
-		return fmt.Errorf("%w: packet has %d antennas, want %d", ErrInvalidTrace, len(p.CSI), w.meta.NumAntennas)
-	}
-	buf := make([]byte, 8, 8)
-	writeF64 := func(v float64) error {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		_, err := w.ws.Write(buf)
-		return err
-	}
-	if err := writeF64(p.Time); err != nil {
-		return fmt.Errorf("trace: stream packet: %w", err)
-	}
-	for _, row := range p.CSI {
-		if len(row) != w.meta.NumSubcarriers {
-			return fmt.Errorf("%w: packet row has %d subcarriers, want %d", ErrInvalidTrace, len(row), w.meta.NumSubcarriers)
-		}
-		for _, c := range row {
-			if err := writeF64(real(c)); err != nil {
-				return fmt.Errorf("trace: stream packet: %w", err)
-			}
-			if err := writeF64(imag(c)); err != nil {
-				return fmt.Errorf("trace: stream packet: %w", err)
-			}
-		}
-	}
-	w.count++
-	statPacketsWritten.Inc()
-	return nil
-}
-
-// Close patches the packet count into the header.
-func (w *Writer) Close() error {
-	if !w.started {
-		// Write an empty but valid trace.
-		if err := Write(w.ws, &Trace{
-			SampleRate:     w.meta.SampleRate,
-			NumAntennas:    w.meta.NumAntennas,
-			NumSubcarriers: w.meta.NumSubcarriers,
-			CarrierHz:      w.meta.CarrierHz,
-		}); err != nil {
-			return err
-		}
-		return nil
-	}
-	// Header layout: magic(4) + version(2) + rate(8) + carrier(8) +
-	// antennas(2) + subcarriers(2) = 26 bytes before the count.
-	const countOffset = 4 + 2 + 8 + 8 + 2 + 2
-	if _, err := w.ws.Seek(countOffset, io.SeekStart); err != nil {
-		return fmt.Errorf("trace: seek header: %w", err)
-	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], w.count)
-	if _, err := w.ws.Write(buf[:]); err != nil {
-		return fmt.Errorf("trace: patch count: %w", err)
-	}
-	if _, err := w.ws.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("trace: seek end: %w", err)
-	}
-	return nil
 }

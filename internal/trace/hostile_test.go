@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -66,6 +63,27 @@ func TestReadRejectsHostileCount(t *testing.T) {
 	}
 }
 
+// TestReadRejectsHostileShape feeds Read single-packet headers with no
+// body. A shape past the record bound must be refused from the header
+// alone, and the largest shape the bound admits must cost no more than
+// its one record buffer: Read sizes the record and the packet from the
+// header before it reads a byte of the body.
+func TestReadRejectsHostileShape(t *testing.T) {
+	for _, shape := range [][2]uint16{{0xFFFF, 0xFFFF}, {1, maxRecordCells}} {
+		data := hostileHeader(shape[0], shape[1], 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%d×%d: want ErrBadFormat, got %v", shape[0], shape[1], err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("%d×%d: header with no body drove %d KiB of allocation", shape[0], shape[1], grew>>10)
+		}
+	}
+}
+
 func TestReadRejectsZeroShape(t *testing.T) {
 	if _, err := Read(bytes.NewReader(hostileHeader(0, 30, 1))); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("zero antennas: want ErrBadFormat, got %v", err)
@@ -73,82 +91,4 @@ func TestReadRejectsZeroShape(t *testing.T) {
 	if _, err := Read(bytes.NewReader(hostileHeader(3, 0, 1))); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("zero subcarriers: want ErrBadFormat, got %v", err)
 	}
-}
-
-// TestWriterCloseBackpatchesCount pins the streaming writer's header
-// protocol: the count field holds zero until Close seeks back and patches
-// the real packet count in.
-func TestWriterCloseBackpatchesCount(t *testing.T) {
-	// magic(4) + version(2) + rate(8) + carrier(8) + antennas(2) +
-	// subcarriers(2); the count field follows.
-	const countOffset = 26
-	path := filepath.Join(t.TempDir(), "patch.pbtr")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	rng := rand.New(rand.NewSource(77))
-	tr := randomTrace(rng, 5, 2, 4)
-	w := NewWriter(f, Trace{
-		SampleRate:     tr.SampleRate,
-		NumAntennas:    tr.NumAntennas,
-		NumSubcarriers: tr.NumSubcarriers,
-		CarrierHz:      tr.CarrierHz,
-	})
-	for _, p := range tr.Packets {
-		if err := w.WritePacket(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	countAt := func() uint32 {
-		t.Helper()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(raw) < countOffset+4 {
-			t.Fatalf("file only %d bytes", len(raw))
-		}
-		return binary.LittleEndian.Uint32(raw[countOffset:])
-	}
-
-	if got := countAt(); got != 0 {
-		t.Fatalf("count before Close = %d, want placeholder 0", got)
-	}
-	// A reader hitting the file mid-stream sees a consistent empty trace,
-	// not a truncation error.
-	if got, err := Read(bytes.NewReader(mustReadFile(t, path))); err != nil || got.Len() != 0 {
-		t.Fatalf("mid-stream read: %d packets, err %v; want 0 packets", got.Len(), err)
-	}
-
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := countAt(); got != uint32(len(tr.Packets)) {
-		t.Fatalf("count after Close = %d, want %d", got, len(tr.Packets))
-	}
-	got, err := Read(bytes.NewReader(mustReadFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tracesEqual(tr, got) {
-		t.Fatal("patched trace differs from original")
-	}
-	// Close leaves the cursor at the end so callers can keep appending
-	// non-trace data (or re-Close harmlessly).
-	if pos, err := f.Seek(0, 1); err != nil || pos != int64(len(mustReadFile(t, path))) {
-		t.Fatalf("cursor after Close at %d, want end of file", pos)
-	}
-}
-
-func mustReadFile(t *testing.T, path string) []byte {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }

@@ -1,7 +1,8 @@
 // Package trace defines the CSI trace container shared by the simulator,
-// the PhaseBeat pipeline and the CLI tools, along with a binary codec and a
-// streaming reader/writer. It plays the role of the Intel 5300 CSI Tool's
-// .dat capture files in the original system.
+// the PhaseBeat pipeline and the CLI tools, along with its binary, gzip
+// and JSON codecs and the CSI record layout every binary format shares.
+// It plays the role of the Intel 5300 CSI Tool's .dat capture files in the
+// original system.
 package trace
 
 import (
@@ -77,6 +78,10 @@ func (t *Trace) Validate() error {
 	}
 	if t.NumAntennas < 1 || t.NumSubcarriers < 1 {
 		return fmt.Errorf("%w: %d antennas, %d subcarriers", ErrInvalidTrace, t.NumAntennas, t.NumSubcarriers)
+	}
+	if t.NumSubcarriers > maxRecordCells/t.NumAntennas {
+		return fmt.Errorf("%w: %d×%d cells exceed the %d-cell record bound",
+			ErrInvalidTrace, t.NumAntennas, t.NumSubcarriers, maxRecordCells)
 	}
 	last := -1.0
 	for i, p := range t.Packets {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -222,83 +220,6 @@ func TestWriteRejectsInvalid(t *testing.T) {
 	bad := &Trace{SampleRate: -1, NumAntennas: 1, NumSubcarriers: 1}
 	if err := Write(&buf, bad); err == nil {
 		t.Error("want error for invalid trace")
-	}
-}
-
-func TestStreamingWriter(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "stream.pbtr")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	tr := randomTrace(rng, 7, 2, 5)
-	w := NewWriter(f, Trace{
-		SampleRate:     tr.SampleRate,
-		NumAntennas:    tr.NumAntennas,
-		NumSubcarriers: tr.NumSubcarriers,
-		CarrierHz:      tr.CarrierHz,
-	})
-	for _, p := range tr.Packets {
-		if err := w.WritePacket(p); err != nil {
-			t.Fatalf("WritePacket: %v", err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	got, err := Read(rf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !tracesEqual(tr, got) {
-		t.Error("streamed trace differs from original")
-	}
-}
-
-func TestStreamingWriterEmptyClose(t *testing.T) {
-	dir := t.TempDir()
-	f, err := os.Create(filepath.Join(dir, "empty.pbtr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWriter(f, Trace{SampleRate: 400, NumAntennas: 2, NumSubcarriers: 30})
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(f)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got.Len() != 0 {
-		t.Errorf("empty stream has %d packets", got.Len())
-	}
-	f.Close()
-}
-
-func TestStreamingWriterRejectsBadPacket(t *testing.T) {
-	dir := t.TempDir()
-	f, err := os.Create(filepath.Join(dir, "bad.pbtr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w := NewWriter(f, Trace{SampleRate: 400, NumAntennas: 2, NumSubcarriers: 3})
-	bad := Packet{Time: 0, CSI: [][]complex128{{1, 2, 3}}} // one antenna only
-	if err := w.WritePacket(bad); !errors.Is(err, ErrInvalidTrace) {
-		t.Errorf("want ErrInvalidTrace, got %v", err)
 	}
 }
 
