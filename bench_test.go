@@ -428,34 +428,6 @@ func errFrom(err error) error {
 	return ErrNoData
 }
 
-// BenchmarkAblationDWTVsSWT compares the paper's decimated DWT band
-// extraction (with the anti-alias hardening) against the shift-invariant
-// stationary wavelet transform on heart-rate error.
-func BenchmarkAblationDWTVsSWT(b *testing.B) {
-	trials := ablationTraces(b, 4, true)
-	heartErr := func(useSWT bool) float64 {
-		var sum float64
-		for _, t := range trials {
-			cfg := core.DefaultConfig()
-			cfg.UseSWT = useSWT
-			res, err := ProcessTrace(t.trace, WithConfig(cfg))
-			if err != nil || res.Heart == nil {
-				sum += 30
-				continue
-			}
-			sum += math.Abs(res.Heart.RateBPM - t.truth.HeartBPM)
-		}
-		return sum / float64(len(trials))
-	}
-	var dwtErr, swtErr float64
-	for i := 0; i < b.N; i++ {
-		dwtErr = heartErr(false)
-		swtErr = heartErr(true)
-	}
-	b.ReportMetric(dwtErr, "dwtHeartErrBPM")
-	b.ReportMetric(swtErr, "swtHeartErrBPM")
-}
-
 // BenchmarkAblationAmplitudeGate quantifies the subcarrier SNR gate: the
 // full pipeline (gated) against the same pipeline with the gate disabled,
 // over a trial set that includes a deep frequency-selective fade (seed

@@ -53,7 +53,7 @@ func warmEngine(t *testing.T, cfg *MonitorConfig, pkts []trace.Packet) (*strideE
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newStrideEngine(cfg, proc)
+	eng := cfg.newEngine(proc)
 	if eng.window <= 2*eng.margin+eng.stride {
 		t.Fatalf("config does not engage incremental reuse (window %d, margin %d, stride %d)",
 			eng.window, eng.margin, eng.stride)
@@ -108,7 +108,7 @@ func strideAllocCount(t *testing.T, nSub int) float64 {
 		}
 		slide := eng.sinceLast
 		eng.sinceLast = 0
-		if err := eng.strideSmooth(slide); err != nil {
+		if _, err := eng.strideSmooth(slide); err != nil {
 			t.Errorf("strideSmooth: %v", err)
 		}
 	})

@@ -86,27 +86,19 @@ func uniformCols(series [][]float64) (int, error) {
 	return cols, nil
 }
 
-// SmoothAll applies Smooth to every subcarrier series, fanning the
-// independent subcarriers across cfg.Parallelism workers.
+// SmoothAll applies Smooth to every subcarrier series of a rectangular
+// matrix, fanning the independent subcarriers across cfg.Parallelism
+// workers. smoothRangeInto over the full range is bit-identical to Smooth
+// (TestSmoothRangeMatchesSmooth), and each worker reuses one scratch
+// across its contiguous row range, writing each row straight into one
+// slab. The pipeline smooths inside its stride engine; this is the
+// standalone form, for analyses and as the engine's reference.
 func SmoothAll(phaseDiff [][]float64, cfg *Config) ([][]float64, error) {
-	m, err := smoothAllColumnar(phaseDiff, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return m.Rows(), nil
-}
-
-// smoothAllColumnar smooths a rectangular subcarrier-major matrix into a
-// fresh columnar slab. smoothRangeInto over the full range is bit-identical
-// to Smooth (proven by TestSmoothRangeMatchesSmooth), each worker reuses
-// one scratch across its contiguous row range, and each output row writes
-// straight into the slab — no per-subcarrier allocations.
-func smoothAllColumnar(phaseDiff [][]float64, cfg *Config, ar *arena.Arena) (*arena.Matrix, error) {
 	cols, err := uniformCols(phaseDiff)
 	if err != nil {
 		return nil, err
 	}
-	m := arena.NewMatrix(ar, len(phaseDiff), cols)
+	m := arena.NewMatrix(nil, len(phaseDiff), cols)
 	err = parallelChunks(len(phaseDiff), cfg.Parallelism, func(lo, hi int) error {
 		var sc smoothScratch
 		for i := lo; i < hi; i++ {
@@ -117,10 +109,9 @@ func smoothAllColumnar(phaseDiff [][]float64, cfg *Config, ar *arena.Arena) (*ar
 		return nil
 	})
 	if err != nil {
-		m.Release(ar)
 		return nil, err
 	}
-	return m, nil
+	return m.Rows(), nil
 }
 
 // Downsample reduces every smoothed series by the configured factor

@@ -59,8 +59,8 @@ const (
 )
 
 // Config holds the settable parameters of the PhaseBeat pipeline: the four
-// rate-scaled windows, the parallelism, the breathing backend, the SWT
-// ablation switch and the observability hooks. The paper's fixed
+// rate-scaled windows, the parallelism, the breathing backend and the
+// observability hooks. The paper's fixed
 // parameters are the constants above. The zero value is not usable; start
 // from DefaultConfig and override with the With* options.
 type Config struct {
@@ -78,17 +78,12 @@ type Config struct {
 	// environment-detection statistic V of eq. (8).
 	EnvWindow int
 
-	// UseSWT switches band extraction to the stationary (undecimated)
-	// wavelet transform: shift-invariant and free of the aliasing images a
-	// decimated single-band reconstruction produces, at 2× the cost per
-	// level. Off by default to stay faithful to the paper's DWT.
-	UseSWT bool
-
 	// Parallelism bounds the worker goroutines used to fan the
-	// per-subcarrier stages (phase extraction, smoothing, downsampling)
-	// across cores. 0 selects GOMAXPROCS; 1 forces the serial path. The
-	// output is byte-identical for every value: workers only ever write
-	// their own subcarrier's slot.
+	// per-subcarrier stages (unwrap and smoothing, downsampling) across
+	// cores. 0 selects GOMAXPROCS; 1 forces the serial path. Extraction is
+	// not fanned out: it is one packet-major pass that reads each packet
+	// once. The output is byte-identical for every value: workers only
+	// ever write their own subcarrier's slot.
 	Parallelism int
 
 	// Estimator selects the breathing backend behind the estimation stage

@@ -97,7 +97,7 @@ func TestConfigKnobs(t *testing.T) {
 	}{
 		{reflect.TypeOf(Config{}), []string{
 			"DownsampleFactor", "EnvWindow", "Estimator", "Observer", "Parallelism",
-			"Sink", "SmoothWindow", "TrendWindow", "UseSWT",
+			"Sink", "SmoothWindow", "TrendWindow",
 		}},
 		{reflect.TypeOf(MonitorConfig{}), []string{
 			"Arena", "DropOnBacklog", "IngestBuffer", "Logger", "Metrics",
@@ -545,43 +545,6 @@ func BenchmarkPipelineSinglePerson60s(b *testing.B) {
 	}
 }
 
-func TestPipelineWithSWT(t *testing.T) {
-	sim, err := csisim.Scenario{
-		Kind:          csisim.ScenarioLaboratory,
-		TxRxDistanceM: 3,
-		NumPersons:    1,
-		DirectionalTx: true,
-		Seed:          21,
-	}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Generate(60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.UseSWT = true
-	p, err := NewProcessor(WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Process(tr)
-	if err != nil {
-		t.Fatalf("Process with SWT: %v", err)
-	}
-	truth := sim.Truth()[0]
-	if res.Breathing == nil || math.Abs(res.Breathing.RateBPM-truth.BreathingBPM) > 1 {
-		t.Errorf("SWT breathing = %+v, truth %.2f", res.Breathing, truth.BreathingBPM)
-	}
-	if res.Heart == nil || math.Abs(res.Heart.RateBPM-truth.HeartBPM) > 5 {
-		t.Errorf("SWT heart = %+v, truth %.2f", res.Heart, truth.HeartBPM)
-	}
-	if res.Bands.Decomposition != nil {
-		t.Error("SWT path should not expose a decimated decomposition")
-	}
-}
-
 func TestEstimatePersonCount(t *testing.T) {
 	for _, tc := range []struct {
 		rates []float64
@@ -757,5 +720,79 @@ func TestTrackRatesValidation(t *testing.T) {
 	cfg = DefaultTrackConfig() // 60 s window > 5 s trace
 	if _, err := TrackRates(tr, cfg); !errors.Is(err, ErrNoData) {
 		t.Errorf("want ErrNoData for short trace, got %v", err)
+	}
+}
+
+// TestTrackRatesMatchesMonitor: TrackRates drives the Monitor's stride
+// engine, so on the same trace — here with a NaN packet to quarantine and
+// a timestamp gap to re-anchor on — its points are a drained Monitor's
+// updates: the same count and times and bit-identical rates.
+func TestTrackRatesMatchesMonitor(t *testing.T) {
+	sim, err := csisim.FixedRatesScenario([]float64{15}, 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.Generate(110)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Packets[5000].CSI[1][4] = complex(math.NaN(), 0)
+	for i := 20000; i < tr.Len(); i++ {
+		tr.Packets[i].Time += 3
+	}
+	cfg := DefaultTrackConfig()
+	cfg.WindowSeconds = 40
+	cfg.StrideSeconds = 10
+	points, err := TrackRates(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := NewMonitor(MonitorConfig{
+		Pipeline:           cfg.Pipeline,
+		Persons:            1,
+		SampleRate:         tr.SampleRate,
+		NumAntennas:        tr.NumAntennas,
+		NumSubcarriers:     tr.NumSubcarriers,
+		WindowSeconds:      cfg.WindowSeconds,
+		UpdateEverySeconds: cfg.StrideSeconds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var updates []Update
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for u := range m.Updates() {
+			updates = append(updates, u)
+		}
+	}()
+	for _, p := range tr.Packets {
+		m.Ingest(p)
+	}
+	m.Drain()
+	<-done
+	if h := m.Health(); h.QuarantinedNonFinite != 1 || h.GapResets != 1 {
+		t.Fatalf("monitor health %+v, want one non-finite packet and one gap reset", h)
+	}
+
+	if len(points) != len(updates) || len(points) < 4 {
+		t.Fatalf("TrackRates gave %d points, the Monitor %d updates", len(points), len(updates))
+	}
+	for i, pt := range points {
+		u := updates[i]
+		if pt.Time != u.Time || (pt.Err == nil) != (u.Err == nil) {
+			t.Fatalf("point %d: time %v err %v, update time %v err %v", i, pt.Time, pt.Err, u.Time, u.Err)
+		}
+		if pt.Err != nil {
+			continue
+		}
+		if pt.BreathingBPM != u.Result.Breathing.RateBPM {
+			t.Errorf("point %d: breathing %v bpm, update %v bpm", i, pt.BreathingBPM, u.Result.Breathing.RateBPM)
+		}
+		if pt.HasHeart != (u.Result.Heart != nil) || (pt.HasHeart && pt.HeartBPM != u.Result.Heart.RateBPM) {
+			t.Errorf("point %d: heart %v (%v), update %+v", i, pt.HeartBPM, pt.HasHeart, u.Result.Heart)
+		}
 	}
 }

@@ -28,9 +28,6 @@ func DenoiseDWT(series []float64, fs float64, cfg *Config) (*DWTBands, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: wavelet: %w", err)
 	}
-	if cfg.UseSWT {
-		return denoiseSWT(series, w)
-	}
 	level := waveletLevel
 	if maxL := wavelet.MaxLevel(len(series), w.Len()); level > maxL {
 		if maxL < 1 {
@@ -98,39 +95,4 @@ func suppressBreathingLeakage(residual []float64, fs float64) []float64 {
 	// dB of single-pass attenuation — not enough against a line orders of
 	// magnitude above the heart.
 	return hp.Apply(hp.Apply(residual))
-}
-
-// denoiseSWT extracts the breathing and heart bands with the stationary
-// wavelet transform. Its single-band reconstructions are alias-free, so no
-// pre-filtering of the heart path is needed.
-func denoiseSWT(series []float64, w *wavelet.Wavelet) (*DWTBands, error) {
-	level := waveletLevel
-	for level >= 1 {
-		if len(series) >= (w.Len()-1)*(1<<(level-1))+1 {
-			break
-		}
-		level--
-	}
-	if level < 1 {
-		return nil, fmt.Errorf("%w: %d samples cannot support an SWT with %s",
-			ErrNoData, len(series), w.Name)
-	}
-	dec, err := wavelet.SWT(series, w, level)
-	if err != nil {
-		return nil, fmt.Errorf("core: swt: %w", err)
-	}
-	breathing, err := dec.ReconstructApprox()
-	if err != nil {
-		return nil, fmt.Errorf("core: swt breathing band: %w", err)
-	}
-	var heart []float64
-	if level >= 2 {
-		heart, err = dec.ReconstructDetails(level-1, level)
-	} else {
-		heart, err = dec.ReconstructDetails(level)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: swt heart band: %w", err)
-	}
-	return &DWTBands{Breathing: breathing, Heart: heart}, nil
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"phasebeat/internal/dsp"
-)
+import "phasebeat/internal/dsp"
 
 // Stage evidence: compact, JSON-marshalable records of what each stage saw
 // and decided, attached to StageStats.Evidence. Evidence is only computed
@@ -95,24 +91,6 @@ type EstimateEvidence struct {
 // confidenceHalfSNR is the SNR at which EstimateEvidence.Confidence
 // reads 0.5.
 const confidenceHalfSNR = 25.0
-
-// meanAbsDiff returns mean |a−b| over all cells of two equally shaped
-// matrices (zero when empty).
-func meanAbsDiff(a, b [][]float64) float64 {
-	var sum float64
-	var n int
-	for i := range a {
-		ra, rb := a[i], b[i]
-		for j := range ra {
-			sum += math.Abs(ra[j] - rb[j])
-		}
-		n += len(ra)
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
 
 // meanSquare returns the mean squared value of x (zero when empty).
 func meanSquare(x []float64) float64 {

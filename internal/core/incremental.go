@@ -34,13 +34,19 @@ func smoothMargin(cfg *Config) int {
 	return cfg.TrendWindow/2 + trendStride + cfg.SmoothWindow/2 + 4
 }
 
-// subScratch is the per-worker scratch of the incremental stride loop,
-// pooled so the parallel per-subcarrier fan-out stays allocation-free.
+// subScratch is the per-worker scratch of the stride loop, pooled so the
+// parallel per-subcarrier fan-out stays allocation-free.
 type subScratch struct {
 	series []float64 // linearized wrapped diff, clobbered by rotation
 	unwrap []float64 // unwrapped window series
 	sc     smoothScratch
 }
+
+// scratchPool is shared by every engine rather than held by each: a used
+// sync.Pool stays registered with the runtime until two collections pass,
+// so a pool inside the engine would pin the whole engine — its window
+// slabs and a batch run's trace — that long after the engine is dropped.
+var scratchPool = sync.Pool{New: func() any { return &subScratch{} }}
 
 // pushVerdict is the quarantine outcome of offering one packet to the
 // stride engine. Anything but pushAccepted means the packet was rejected
@@ -50,7 +56,7 @@ type pushVerdict int
 const (
 	// pushAccepted: the packet passed quarantine and entered the window.
 	pushAccepted pushVerdict = iota
-	// pushMalformed: antenna or subcarrier counts mismatch the config.
+	// pushMalformed: antenna or subcarrier counts differ from the engine's.
 	pushMalformed
 	// pushNonFinite: a CSI cell held a NaN or Inf component.
 	pushNonFinite
@@ -65,26 +71,29 @@ func maxGapSeconds(sampleRate float64) float64 {
 	return math.Max(1, 20/sampleRate)
 }
 
-// strideEngine maintains a Monitor's sliding analysis window as a columnar
-// ring (internal/arena) of wrapped phase differences, one contiguous column
-// per subcarrier, so each stride reprocesses only the new tail plus the
-// smoothing edge margin, reading sequential memory throughout.
+// strideEngine is the pipeline's one front end: phase-difference
+// extraction, Hampel calibration and the amplitude gate over a columnar
+// ring (internal/arena) of wrapped phase differences, one contiguous
+// column per subcarrier. A Monitor (and TrackRates) slide it over a
+// stream, so each stride reprocesses only the new tail plus the smoothing
+// edge margin, reading sequential memory throughout; Processor.Process
+// runs it once with window = stride = the whole trace, so a batch run is
+// the engine's first stride.
 //
-// Exactness: the wrapped difference is computed with exactly the batch
-// pipeline's expression, and its sin/cos and the per-antenna amplitudes go
-// straight into exact block sums (dsp.ExactSum) instead of being stored.
-// dsp.Circular and AmplitudeGate sum with the same exact type, so a
-// stride's merged block sums round to the very bits the batch pipeline
-// computes over the same window, in any order: extraction and the gate are
-// bit-identical to ExtractPhaseDifference and AmplitudeGate. Smoothed
-// samples in the settled interior [M, n-M) are mathematically identical
-// across overlapping windows (the detrend cancels the per-window unwrap
-// anchor), so they are kept from the previous stride, shifted left in place
-// by the slide, rather than recomputed; only floating-point ulp drift of the cancelled constant
-// distinguishes them from a from-scratch batch run. See DESIGN.md,
-// "Incremental smoothing" and §12 "Columnar memory layout".
+// Exactness: the wrapped difference is computed with the expression of
+// ExtractPhaseDifference, and its sin/cos and the per-antenna amplitudes
+// go straight into exact block sums (dsp.ExactSum) instead of being
+// stored. dsp.Circular and AmplitudeGate sum with the same exact type, so
+// a stride's merged block sums round to the very bits those references
+// compute over the same window, in any order. Smoothed samples in the
+// settled interior [M, n-M) are mathematically identical across
+// overlapping windows (the detrend cancels the per-window unwrap anchor),
+// so they are kept from the previous stride, shifted left in place by the
+// slide, rather than recomputed; only floating-point ulp drift of the
+// cancelled constant distinguishes them from a from-scratch run over the
+// same window. See DESIGN.md, "Incremental smoothing" and §12 "Columnar
+// memory layout".
 type strideEngine struct {
-	cfg  *MonitorConfig
 	proc *Processor
 
 	// arena backs every slab the engine owns (nil = unpooled); release()
@@ -92,9 +101,15 @@ type strideEngine struct {
 	// storage across Monitor lifetimes.
 	arena *arena.Arena
 
+	// tr is the raw trace of a batch run, handed to raw-trace estimator
+	// backends; nil on a stream, where the engine keeps only quantities
+	// derived from CSI at ingest.
+	tr         *trace.Trace
+	sampleRate float64
+
 	window, stride int
 	margin         int
-	nSub           int
+	nAnt, nSub     int
 
 	pos       int // total accepted packets (mirrors the ring head)
 	sinceLast int // packets since the last processed window
@@ -131,12 +146,10 @@ type strideEngine struct {
 	haveSmoothed bool
 	prevPos      int // pos at which smoothed was last fully valid
 
-	scratch  sync.Pool // *subScratch
-	weaker   []float64
-	eligible []bool
+	weaker []float64
 
-	// rec is the current stride's observation record, set by the Monitor
-	// before each process call; nil when nothing observes the Monitor.
+	// rec is the current stride's observation record, set by the caller
+	// before each process call; nil when nothing observes the run.
 	rec *StrideRecord
 	// wantEvidence is latched per stride when a Sink is configured;
 	// trendAbs then accumulates each subcarrier's summed
@@ -150,22 +163,24 @@ type strideEngine struct {
 	lastSmoothedSamples int
 }
 
-// newStrideEngine sizes the ring for cfg's window. cfg must already be
-// validated by NewMonitor.
-func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
-	window, stride := windowGeometry(cfg)
+// newStrideEngine sizes an engine for packets of antennas × subcarriers
+// cells at sampleRate Hz: a window-packet ring processed every stride
+// packets, its slabs carved from ar (nil = unpooled). The geometry must
+// already be checked (MonitorConfig.check, or a batch trace's own
+// length).
+func newStrideEngine(proc *Processor, antennas, subcarriers, window, stride int, sampleRate float64, ar *arena.Arena) *strideEngine {
 	e := &strideEngine{
-		cfg:      cfg,
-		proc:     proc,
-		arena:    cfg.Arena,
-		window:   window,
-		stride:   stride,
-		margin:   smoothMargin(&proc.cfg),
-		nSub:     cfg.NumSubcarriers,
-		lastTime: math.Inf(-1),
-		maxGap:   maxGapSeconds(cfg.SampleRate),
+		proc:       proc,
+		arena:      ar,
+		sampleRate: sampleRate,
+		window:     window,
+		stride:     stride,
+		margin:     smoothMargin(&proc.cfg),
+		nAnt:       antennas,
+		nSub:       subcarriers,
+		lastTime:   math.Inf(-1),
+		maxGap:     maxGapSeconds(sampleRate),
 	}
-	e.scratch.New = func() any { return &subScratch{} }
 	e.ring = arena.NewFloatRing(e.arena, e.nSub, window)
 	e.diff = e.ring.Columns()
 	e.blockLen = gcd(window, stride)
@@ -174,7 +189,6 @@ func newStrideEngine(cfg *MonitorConfig, proc *Processor) *strideEngine {
 	e.smoothedM = arena.NewMatrix(e.arena, e.nSub, window)
 	e.smoothed = e.smoothedM.Rows()
 	e.weaker = make([]float64, e.nSub)
-	e.eligible = make([]bool, e.nSub)
 	return e
 }
 
@@ -188,22 +202,14 @@ func (e *strideEngine) release() {
 	e.diff, e.sums, e.smoothed = nil, nil, nil
 }
 
-// push offers one packet to the ring. Packets that fail quarantine
+// push is the stream's quarantine in front of write. Packets that fail it
 // (wrong shape, non-finite CSI, backwards timestamp) are rejected with a
 // verdict naming the cause and never touch the caches; an accepted packet
 // whose timestamp gaps past maxGap re-anchors the window first (gapReset
 // true) instead of splicing discontinuous data. It allocates nothing.
 func (e *strideEngine) push(p trace.Packet) (verdict pushVerdict, gapReset bool) {
-	if len(p.CSI) != e.cfg.NumAntennas {
-		return pushMalformed, false
-	}
-	for _, row := range p.CSI {
-		if len(row) != e.cfg.NumSubcarriers {
-			return pushMalformed, false
-		}
-	}
-	if !packetFinite(p) {
-		return pushNonFinite, false
+	if v := e.screen(p); v != pushAccepted {
+		return v, false
 	}
 	if p.Time < e.lastTime {
 		return pushNonMonotonic, false
@@ -217,7 +223,33 @@ func (e *strideEngine) push(p trace.Packet) (verdict pushVerdict, gapReset bool)
 		}
 	}
 	e.lastTime = p.Time
+	e.write(p)
+	return pushAccepted, gapReset
+}
 
+// screen checks a packet's cells: pushMalformed when its antenna or
+// subcarrier counts differ from the engine's, pushNonFinite when a cell
+// holds a NaN or Inf component, else pushAccepted. The stream quarantines
+// on the verdict; a batch run fails on it.
+func (e *strideEngine) screen(p trace.Packet) pushVerdict {
+	if len(p.CSI) != e.nAnt {
+		return pushMalformed
+	}
+	for _, row := range p.CSI {
+		if len(row) != e.nSub {
+			return pushMalformed
+		}
+	}
+	if !packetFinite(p) {
+		return pushNonFinite
+	}
+	return pushAccepted
+}
+
+// write admits one screened packet: its wrapped phase differences go into
+// the ring and their sin/cos and the two antennas' amplitudes into the
+// current block's exact sums. It allocates nothing.
+func (e *strideEngine) write(p trace.Packet) {
 	slot := e.ring.Slot()
 	rowA, rowB := p.CSI[AntennaA], p.CSI[AntennaB]
 	sums := e.sums[e.block*e.nSub*numAccs:][:e.nSub*numAccs]
@@ -226,8 +258,8 @@ func (e *strideEngine) push(p trace.Packet) (verdict pushVerdict, gapReset bool)
 	}
 	for s := 0; s < e.nSub; s++ {
 		ca, cb := rowA[s], rowB[s]
-		// Same expressions as batch extraction and gating — bit-identical
-		// inputs to the same exact sums.
+		// The expressions of ExtractPhaseDifference and AmplitudeGate —
+		// bit-identical inputs to the same exact sums.
 		d := dsp.WrapPhase(cmplx.Phase(ca) - cmplx.Phase(cb))
 		e.diff[s][slot] = d
 		acc := sums[s*numAccs:][:numAccs]
@@ -246,7 +278,6 @@ func (e *strideEngine) push(p trace.Packet) (verdict pushVerdict, gapReset bool)
 	}
 	e.pos++
 	e.sinceLast++
-	return pushAccepted, gapReset
 }
 
 // packetFinite reports whether every CSI component of the packet is
@@ -287,25 +318,33 @@ func (e *strideEngine) ready() bool {
 }
 
 // process runs the pipeline over the current window: extraction and
-// smoothing from the ring caches, then the shared downstream stage list.
+// smoothing from the ring caches and the gate from the block sums, then
+// the shared downstream stages. Like Process it always returns a non-nil,
+// possibly partial Result.
 func (e *strideEngine) process() (*Result, error) {
 	slide := e.sinceLast
 	e.sinceLast = 0
-	if err := e.strideSmooth(slide); err != nil {
-		return nil, err
+	st := &pipelineState{proc: e.proc, tr: e.tr, sampleRate: e.sampleRate, rec: e.rec, res: &Result{}}
+	eligible, err := e.strideSmooth(slide)
+	if err != nil {
+		return st.res, err
 	}
-	return e.proc.finishSmoothed(e.smoothed, e.eligible, e.cfg.SampleRate, e.rec)
+	st.smoothed, st.eligible = e.smoothed, eligible
+	st.gateFallback, st.rejected = gateStats(eligible)
+	return st.res, e.proc.runStages(st, stages)
 }
 
 // strideSmooth is the engine-owned prefix of a stride: extraction and
-// smoothing from the columnar rings plus the replicated amplitude gate.
-// When the previous stride's smoothed matrix is reusable (window slid by a
-// multiple of trendStride and the window comfortably exceeds twice the
-// margin plus the slide), only the head margin and the new tail are
-// smoothed; otherwise every subcarrier is smoothed in full from the ring
-// caches. It is split from process so the allocation guards can measure
-// the columnar engine in isolation from the batch stages downstream.
-func (e *strideEngine) strideSmooth(slide int) error {
+// smoothing from the columnar rings plus the amplitude gate from the
+// block sums, whose fresh eligibility mask it returns (the Result keeps
+// it, so it must not be reused by the next stride). When the previous
+// stride's smoothed matrix is reusable (window slid by a multiple of
+// trendStride and the window comfortably exceeds twice the margin plus
+// the slide), only the head margin and the new tail are smoothed;
+// otherwise every subcarrier is smoothed in full from the ring caches. It
+// is split from process so the allocation guards can measure the
+// columnar engine in isolation from the stages downstream.
+func (e *strideEngine) strideSmooth(slide int) ([]bool, error) {
 	n := e.window
 	proc, rec := e.proc, e.rec
 	pcfg := &proc.cfg
@@ -326,16 +365,16 @@ func (e *strideEngine) strideSmooth(slide int) error {
 	// linearize it oldest-first without copying.
 	wstart := e.ring.Head() - int64(n)
 
-	// The ring-cache loop fuses extraction and smoothing; it is recorded
-	// as the smoothing stage, with a note marking the incremental reuse so
-	// stride timings read like batch timings. The fan-out splits on
+	// The ring-cache loop fuses the unwrap and smoothing; it is recorded
+	// as the smoothing stage, with a note counting the samples actually
+	// smoothed (all of them on a batch run). The fan-out splits on
 	// contiguous subcarrier ranges: adjacent subcarriers are adjacent
 	// columns of the slab, so each worker streams its own contiguous span,
 	// with one pooled scratch per range.
 	t0 := proc.beginStage(rec, StageSmooth)
 	err := parallelChunks(e.nSub, pcfg.Parallelism, func(lo, hi int) error {
-		ss := e.scratch.Get().(*subScratch)
-		defer e.scratch.Put(ss)
+		ss := scratchPool.Get().(*subScratch)
+		defer scratchPool.Put(ss)
 		for s := lo; s < hi; s++ {
 			if err := e.strideSubcarrier(s, slide, wstart, reuse, ss); err != nil {
 				return fmt.Errorf("subcarrier %d: %w", s, err)
@@ -356,7 +395,7 @@ func (e *strideEngine) strideSmooth(slide int) error {
 			Stage:       StageSmooth,
 			Samples:     e.lastSmoothedSamples,
 			Subcarriers: e.nSub,
-			Note:        fmt.Sprintf("incremental extract+smooth: %d of %d samples re-smoothed", e.lastSmoothedSamples, n),
+			Note:        fmt.Sprintf("unwrap+smooth: %d of %d samples smoothed", e.lastSmoothedSamples, n),
 			Evidence:    ev,
 			Err:         err,
 		})
@@ -365,19 +404,20 @@ func (e *strideEngine) strideSmooth(slide int) error {
 		// Some rows may be half-updated in place. prevPos stays at the last
 		// good stride, so the next stride's prevPos+slide == pos check fails
 		// and it re-smooths every subcarrier in full.
-		return &StageError{Stage: StageSmooth, Err: err}
+		return nil, &StageError{Stage: StageSmooth, Err: err}
 	}
 	e.haveSmoothed = true
 	e.prevPos = e.pos
 
-	// Replicate AmplitudeGate from the exact block sums: they round to the
-	// batch gate's sums bit for bit, so the discrete decision agrees.
+	// AmplitudeGate from the exact block sums: they round to its sums bit
+	// for bit, so the discrete decision agrees.
 	t0 = proc.beginStage(rec, StageGate)
 	med := dsp.Median(e.weaker)
+	eligible := make([]bool, e.nSub)
 	rejected := 0
 	for s, w := range e.weaker {
-		e.eligible[s] = w >= amplitudeGateFraction*med
-		if !e.eligible[s] {
+		eligible[s] = w >= amplitudeGateFraction*med
+		if !eligible[s] {
 			rejected++
 		}
 	}
@@ -388,7 +428,7 @@ func (e *strideEngine) strideSmooth(slide int) error {
 		}
 		var ev any
 		if e.wantEvidence {
-			fallback, _ := gateStats(e.eligible)
+			fallback, _ := gateStats(eligible)
 			ev = &GateEvidence{Fallback: fallback, Rejected: rejected, Total: e.nSub}
 		}
 		proc.endStage(rec, t0, StageStats{
@@ -399,7 +439,7 @@ func (e *strideEngine) strideSmooth(slide int) error {
 			Evidence:    ev,
 		})
 	}
-	return nil
+	return eligible, nil
 }
 
 // strideSubcarrier updates one subcarrier for the current stride: circular

@@ -156,7 +156,7 @@ func testIncrementalMatchesBatch(t *testing.T, tc incrementalCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newStrideEngine(&cfg, proc)
+	eng := cfg.newEngine(proc)
 	window, stride := eng.window, eng.stride
 	if window <= 2*eng.margin+stride {
 		t.Fatalf("test config does not engage incremental reuse: window %d, margin %d, stride %d",
@@ -423,7 +423,7 @@ func TestMonitorSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newStrideEngine(&cfg, proc)
+	eng := cfg.newEngine(proc)
 	if eng.window <= 2*eng.margin+eng.stride {
 		t.Fatalf("alloc config does not engage incremental reuse (window %d, margin %d, stride %d)",
 			eng.window, eng.margin, eng.stride)
@@ -627,4 +627,37 @@ func TestMultiMonitorRaceStress(t *testing.T) {
 		}(int64(mi + 1))
 	}
 	wg.Wait()
+}
+
+// TestStrideEligibleNotShared: each stride's Result keeps its own gate
+// mask, so a later stride cannot rewrite an earlier update's
+// Selection.Eligible while its consumer still reads it.
+func TestStrideEligibleNotShared(t *testing.T) {
+	cfg := faultMonitorConfig()
+	proc, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := cfg.newEngine(proc)
+	defer eng.release()
+	sim := newFixedSim(t, faultMatrixRate, faultMatrixBPM, 3)
+	var results []*Result
+	for len(results) < 2 {
+		eng.push(sim.NextPacket())
+		if !eng.ready() {
+			continue
+		}
+		res, err := eng.process()
+		if err != nil {
+			t.Fatalf("stride %d: %v", len(results), err)
+		}
+		results = append(results, res)
+	}
+	a, b := results[0].Selection.Eligible, results[1].Selection.Eligible
+	if len(a) == 0 || len(b) == 0 {
+		t.Fatal("gate produced no eligibility mask")
+	}
+	if &a[0] == &b[0] {
+		t.Fatal("strides share one eligibility mask")
+	}
 }

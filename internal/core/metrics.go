@@ -77,8 +77,9 @@ func (m *Monitor) registerMetrics(r *metrics.Registry) monitorMetrics {
 		load := c.load
 		r.RegisterFunc(metricHealthPrefix+c.name, func() float64 { return float64(load()) })
 	}
-	stages := make(map[string]stageMetrics, len(batchStages))
-	for _, name := range StageNames() {
+	names := StageNames()
+	stages := make(map[string]stageMetrics, len(names))
+	for _, name := range names {
 		stages[name] = stageMetrics{
 			seconds: r.Histogram(metricStagePrefix+name+metricStageSecondsSuffix, metrics.DefLatencyBuckets),
 			errors:  r.Counter(metricStagePrefix + name + metricStageErrorsSuffix),

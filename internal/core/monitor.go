@@ -168,10 +168,63 @@ const maxWindowCells = 1 << 24
 const maxWindowBytes = 48 * maxWindowCells
 
 // windowGeometry returns cfg's window and stride in packets, each at
-// least one. cfg must have passed NewMonitor's size checks.
+// least one. cfg must have passed check.
 func windowGeometry(cfg *MonitorConfig) (window, stride int) {
 	return max(int(cfg.WindowSeconds*cfg.SampleRate), 1),
 		max(int(cfg.UpdateEverySeconds*cfg.SampleRate), 1)
+}
+
+// check is the guard NewMonitor and TrackRates share: a positive rate, at
+// least two antennas and one subcarrier, a positive window and stride,
+// window storage within maxWindowCells and maxWindowBytes, and no
+// raw-trace estimator backend.
+func (cfg *MonitorConfig) check() error {
+	if cfg.SampleRate <= 0 {
+		return fmt.Errorf("core: sample rate must be positive, got %v", cfg.SampleRate)
+	}
+	if cfg.NumAntennas < 2 {
+		return fmt.Errorf("core: need >= 2 antennas, got %d", cfg.NumAntennas)
+	}
+	if cfg.NumSubcarriers < 1 {
+		return fmt.Errorf("core: need >= 1 subcarrier, got %d", cfg.NumSubcarriers)
+	}
+	if cfg.WindowSeconds <= 0 || cfg.UpdateEverySeconds <= 0 {
+		return fmt.Errorf("core: window %vs / stride %vs must be positive",
+			cfg.WindowSeconds, cfg.UpdateEverySeconds)
+	}
+	// Compared in float64 before any int conversion: int(1e300) wraps,
+	// and the negated test also rejects a NaN product.
+	if cells := cfg.WindowSeconds * cfg.SampleRate * float64(cfg.NumSubcarriers); !(cells <= maxWindowCells) {
+		return fmt.Errorf("core: window %vs × %v Hz × %d subcarriers exceeds %d samples",
+			cfg.WindowSeconds, cfg.SampleRate, cfg.NumSubcarriers, maxWindowCells)
+	}
+	if n := cfg.UpdateEverySeconds * cfg.SampleRate; !(n <= maxWindowCells) {
+		return fmt.Errorf("core: stride %vs × %v Hz exceeds %d samples",
+			cfg.UpdateEverySeconds, cfg.SampleRate, maxWindowCells)
+	}
+	window, stride := windowGeometry(cfg)
+	if b := windowBytes(window, stride, cfg.NumSubcarriers); b > maxWindowBytes {
+		return fmt.Errorf("core: window %vs / stride %vs splits into %d-packet exact-sum blocks "+
+			"(their gcd): %d B of window storage, over the %d B session bound",
+			cfg.WindowSeconds, cfg.UpdateEverySeconds, gcd(window, stride), b, maxWindowBytes)
+	}
+	// The stride engine keeps only quantities derived from CSI at ingest,
+	// never the raw trace, so backends that re-read it (the amplitude
+	// method) are batch-only. Fail fast instead of erroring on every
+	// stride.
+	if cfg.Pipeline.Estimator != "" {
+		if be, err := LookupBreathingEstimator(cfg.Pipeline.Estimator); err == nil && needsRawTrace(be) {
+			return fmt.Errorf("core: estimator %q is batch-only (it reads the raw trace); run it through Processor.Process",
+				cfg.Pipeline.Estimator)
+		}
+	}
+	return nil
+}
+
+// newEngine builds the stride engine a checked cfg describes.
+func (cfg *MonitorConfig) newEngine(proc *Processor) *strideEngine {
+	window, stride := windowGeometry(cfg)
+	return newStrideEngine(proc, cfg.NumAntennas, cfg.NumSubcarriers, window, stride, cfg.SampleRate, cfg.Arena)
 }
 
 // windowBytes is the window storage of a stride engine: the wrapped
@@ -195,34 +248,8 @@ func gcd(a, b int) int {
 
 // NewMonitor validates the configuration and starts the worker goroutine.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
-	if cfg.SampleRate <= 0 {
-		return nil, fmt.Errorf("core: monitor sample rate must be positive, got %v", cfg.SampleRate)
-	}
-	if cfg.NumAntennas < 2 {
-		return nil, fmt.Errorf("core: monitor needs >= 2 antennas, got %d", cfg.NumAntennas)
-	}
-	if cfg.NumSubcarriers < 1 {
-		return nil, fmt.Errorf("core: monitor needs >= 1 subcarrier, got %d", cfg.NumSubcarriers)
-	}
-	if cfg.WindowSeconds <= 0 || cfg.UpdateEverySeconds <= 0 {
-		return nil, fmt.Errorf("core: monitor window %vs / stride %vs must be positive",
-			cfg.WindowSeconds, cfg.UpdateEverySeconds)
-	}
-	// Compared in float64 before any int conversion: int(1e300) wraps,
-	// and the negated test also rejects a NaN product.
-	if cells := cfg.WindowSeconds * cfg.SampleRate * float64(cfg.NumSubcarriers); !(cells <= maxWindowCells) {
-		return nil, fmt.Errorf("core: monitor window %vs × %v Hz × %d subcarriers exceeds %d samples",
-			cfg.WindowSeconds, cfg.SampleRate, cfg.NumSubcarriers, maxWindowCells)
-	}
-	if n := cfg.UpdateEverySeconds * cfg.SampleRate; !(n <= maxWindowCells) {
-		return nil, fmt.Errorf("core: monitor stride %vs × %v Hz exceeds %d samples",
-			cfg.UpdateEverySeconds, cfg.SampleRate, maxWindowCells)
-	}
-	window, stride := windowGeometry(&cfg)
-	if b := windowBytes(window, stride, cfg.NumSubcarriers); b > maxWindowBytes {
-		return nil, fmt.Errorf("core: monitor window %vs / stride %vs splits into %d-packet exact-sum blocks "+
-			"(their gcd): %d B of window storage, over the %d B session bound",
-			cfg.WindowSeconds, cfg.UpdateEverySeconds, gcd(window, stride), b, maxWindowBytes)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	if cfg.Persons < 1 {
 		cfg.Persons = 1
@@ -233,16 +260,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	proc, err := NewProcessor(WithConfig(cfg.Pipeline), WithPersons(cfg.Persons))
 	if err != nil {
 		return nil, err
-	}
-	// The stride engine keeps only quantities derived from CSI at ingest,
-	// never the raw trace, so backends that re-read it (the amplitude
-	// method) are batch-only. Fail fast instead of erroring on every
-	// stride.
-	if cfg.Pipeline.Estimator != "" {
-		if be, lerr := LookupBreathingEstimator(cfg.Pipeline.Estimator); lerr == nil && needsRawTrace(be) {
-			return nil, fmt.Errorf("core: estimator %q is batch-only (it reads the raw trace); run it through Processor.Process",
-				cfg.Pipeline.Estimator)
-		}
 	}
 	m := &Monitor{cfg: cfg, processor: proc}
 	// The observer and sink run on the worker goroutine; a panic in one
@@ -379,7 +396,7 @@ func (m *Monitor) run() {
 	defer close(m.done)
 	defer close(m.updates)
 
-	engine := newStrideEngine(&m.cfg, m.processor)
+	engine := m.cfg.newEngine(m.processor)
 	// On exit the window slabs go back to the configured arena so the
 	// next session of a shared-arena fleet reuses them (no-op unpooled).
 	defer engine.release()

@@ -138,8 +138,8 @@ func TestEvidenceSkippedWithoutCollector(t *testing.T) {
 	if _, err := proc.Process(tr); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(batchStages) {
-		t.Fatalf("observer saw %d stages, want %d", len(got), len(batchStages))
+	if len(got) != len(StageNames()) {
+		t.Fatalf("observer saw %d stages, want %d", len(got), len(StageNames()))
 	}
 	for _, s := range got {
 		if s.Evidence != nil {
@@ -165,7 +165,7 @@ func TestIncrementalStrideEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newStrideEngine(&cfg, proc)
+	eng := cfg.newEngine(proc)
 	sim := newFixedSim(t, faultMatrixRate, faultMatrixBPM, 3)
 	window := int(faultMatrixWindow * faultMatrixRate)
 	stride := int(faultMatrixStride * faultMatrixRate)
@@ -455,7 +455,7 @@ func TestMetricsOnlyMonitorComputesNoEvidence(t *testing.T) {
 	// fresh engine: handle builds the stride's record exactly as the
 	// worker would (delivery is refused after Close).
 	m.Close()
-	eng := newStrideEngine(&m.cfg, m.processor)
+	eng := m.cfg.newEngine(m.processor)
 	defer eng.release()
 	sim := newFixedSim(t, faultMatrixRate, faultMatrixBPM, 3)
 	for eng.rec == nil {

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"phasebeat/internal/csisim"
 )
 
 func TestParallelChunksCoversAllIndices(t *testing.T) {
@@ -102,34 +100,6 @@ func TestSmoothAllParallelismIsByteIdentical(t *testing.T) {
 				if got[s][i] != want[s][i] {
 					t.Fatalf("Parallelism=%d: subcarrier %d index %d: %v != %v",
 						p, s, i, got[s][i], want[s][i])
-				}
-			}
-		}
-	}
-}
-
-func TestExtractPhaseDifferenceParallelismIsByteIdentical(t *testing.T) {
-	sim, err := csisim.FixedRatesScenario([]float64{15}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Generate(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := extractPhaseDifference(tr, 0, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 3, 16} {
-		got, err := extractPhaseDifference(tr, 0, 1, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range want {
-			for i := range want[s] {
-				if got[s][i] != want[s][i] {
-					t.Fatalf("workers=%d: subcarrier %d index %d differs", workers, s, i)
 				}
 			}
 		}

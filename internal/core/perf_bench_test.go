@@ -61,7 +61,7 @@ func BenchmarkQuarantinePush(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := newStrideEngine(&cfg, proc)
+	eng := cfg.newEngine(proc)
 	sim, err := csisim.FixedRatesScenario([]float64{17}, 11)
 	if err != nil {
 		b.Fatal(err)
@@ -198,7 +198,7 @@ func BenchmarkMonitorStride(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := newStrideEngine(&cfg, proc)
+		eng := cfg.newEngine(proc)
 		sim, err := csisim.FixedRatesScenario([]float64{17}, 7)
 		if err != nil {
 			b.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/cmplx"
 
-	"phasebeat/internal/arena"
 	"phasebeat/internal/dsp"
 	"phasebeat/internal/trace"
 )
@@ -23,84 +22,62 @@ var ErrNotStationary = errors.New("core: no stationary segment")
 
 // ErrNonFinite reports NaN/Inf input data (driver glitches, corrupt
 // captures) detected at phase extraction, or an estimator output that
-// came out non-finite. The batch pipeline surfaces it instead of letting
-// a NaN ride silently into a "successful" estimate; the streaming
-// Monitor quarantines such packets before they reach the window.
+// came out non-finite. Process fails on a NaN or Inf cell on any antenna
+// instead of letting it ride silently into a "successful" estimate; the
+// streaming Monitor and TrackRates quarantine such packets before they
+// reach the window.
 var ErrNonFinite = errors.New("core: non-finite data")
 
 // ExtractPhaseDifference computes the unwrapped CSI phase difference
 // between two receive antennas for every subcarrier: the measured quantity
 // of eq. (6), Δ∠CSI_i = ∠CSI_i^(a) − ∠CSI_i^(b), unwrapped over time.
-// The result is indexed [subcarrier][packet].
+// The result is indexed [subcarrier][packet]. The pipeline itself extracts
+// inside its stride engine; this is the standalone form of the same
+// computation, for analyses and as the engine's reference.
 func ExtractPhaseDifference(tr *trace.Trace, antennaA, antennaB int) ([][]float64, error) {
-	return extractPhaseDifference(tr, antennaA, antennaB, 0)
-}
-
-// extractPhaseDifference fans the subcarriers across workers goroutines
-// into a fresh (unpooled) columnar matrix.
-func extractPhaseDifference(tr *trace.Trace, antennaA, antennaB, workers int) ([][]float64, error) {
-	m, err := extractColumnar(tr, antennaA, antennaB, workers, nil)
-	if err != nil {
+	if err := checkAntennaPair(tr, antennaA, antennaB); err != nil {
 		return nil, err
 	}
-	return m.Rows(), nil
+	out := make([][]float64, tr.NumSubcarriers)
+	series := make([]float64, tr.Len())
+	for s := range out {
+		for k, p := range tr.Packets {
+			d := dsp.WrapPhase(cmplx.Phase(p.CSI[antennaA][s]) - cmplx.Phase(p.CSI[antennaB][s]))
+			if d != d { // NaN CSI: unwrap would smear it across the window
+				return nil, fmt.Errorf("%w: NaN phase difference at subcarrier %d packet %d", ErrNonFinite, s, k)
+			}
+			series[k] = d
+		}
+		// Rotate the series onto its circular mean before unwrapping: the
+		// constant offset Δβ is arbitrary (Theorem 1), and a mean near ±π
+		// would otherwise make measurement noise flip the wrap boundary
+		// back and forth, turning the unwrapped series into a random walk
+		// that floods the breathing band.
+		out[s] = unwrapAboutMean(series, dsp.Circular(series).Mean, nil)
+	}
+	return out, nil
 }
 
-// extractColumnar is the transpose at the batch pipeline's entry: it turns
-// the row-oriented per-packet CSI into a subcarrier-major columnar matrix
-// (one contiguous row per subcarrier backed by a single arena slab), so
-// every downstream stage reads sequential memory. The per-subcarrier
-// computation — wrapped difference, circular mean, rotate + unwrap — is
-// expression-for-expression the pre-columnar code, so the values are
-// bit-identical; only the rows' backing storage changed. Independent
-// subcarriers fan out over contiguous ranges (see parallelChunks), with
-// one wrapped-series scratch per range instead of one per subcarrier.
-func extractColumnar(tr *trace.Trace, antennaA, antennaB, workers int, ar *arena.Arena) (*arena.Matrix, error) {
+// checkAntennaPair rejects an empty trace and an antenna pair that is
+// equal or outside the trace's antennas.
+func checkAntennaPair(tr *trace.Trace, antennaA, antennaB int) error {
 	if tr == nil || tr.Len() == 0 {
-		return nil, fmt.Errorf("%w: empty trace", ErrNoData)
+		return fmt.Errorf("%w: empty trace", ErrNoData)
 	}
 	if antennaA == antennaB {
-		return nil, fmt.Errorf("core: antenna pair must differ, got (%d, %d)", antennaA, antennaB)
+		return fmt.Errorf("core: antenna pair must differ, got (%d, %d)", antennaA, antennaB)
 	}
 	if antennaA < 0 || antennaA >= tr.NumAntennas || antennaB < 0 || antennaB >= tr.NumAntennas {
-		return nil, fmt.Errorf("core: antenna pair (%d, %d) outside [0, %d)", antennaA, antennaB, tr.NumAntennas)
+		return fmt.Errorf("core: antenna pair (%d, %d) outside [0, %d)", antennaA, antennaB, tr.NumAntennas)
 	}
-	nSub := tr.NumSubcarriers
-	nPkt := tr.Len()
-	m := arena.NewMatrix(ar, nSub, nPkt)
-	err := parallelChunks(nSub, workers, func(lo, hi int) error {
-		series := make([]float64, nPkt)
-		for s := lo; s < hi; s++ {
-			for k, p := range tr.Packets {
-				d := dsp.WrapPhase(cmplx.Phase(p.CSI[antennaA][s]) - cmplx.Phase(p.CSI[antennaB][s]))
-				if d != d { // NaN CSI: unwrap would smear it across the window
-					return fmt.Errorf("%w: NaN phase difference at subcarrier %d packet %d", ErrNonFinite, s, k)
-				}
-				series[k] = d
-			}
-			// Rotate the series onto its circular mean before unwrapping: the
-			// constant offset Δβ is arbitrary (Theorem 1), and a mean near ±π
-			// would otherwise make measurement noise flip the wrap boundary
-			// back and forth, turning the unwrapped series into a random walk
-			// that floods the breathing band.
-			mean := dsp.Circular(series).Mean
-			// The matrix row has exactly nPkt capacity, so the unwrap writes
-			// in place into the slab.
-			unwrapAboutMean(series, mean, m.Row(s)[:0])
-		}
-		return nil
-	})
-	if err != nil {
-		m.Release(ar)
-		return nil, err
-	}
-	return m, nil
+	return nil
 }
 
 // unwrapAboutMean rotates the wrapped series onto mean, unwraps it into dst
 // (grown as needed; must not alias series), and shifts the mean back — the
-// exact operation sequence of batch extraction, shared with the incremental
-// monitor so both produce bit-identical samples. series is clobbered.
+// exact operation sequence of ExtractPhaseDifference, shared with the
+// stride engine so both produce bit-identical samples. series is
+// clobbered.
 func unwrapAboutMean(series []float64, mean float64, dst []float64) []float64 {
 	for k, v := range series {
 		series[k] = dsp.WrapPhase(v - mean)

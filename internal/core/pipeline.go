@@ -36,15 +36,16 @@ type Result struct {
 }
 
 // Processor runs the PhaseBeat pipeline over complete traces as an
-// explicit stage graph (see batchStages): extraction → smoothing →
-// amplitude gate → environment detection → stationary-segment selection →
-// downsampling → subcarrier selection → DWT → estimation.
+// explicit stage graph (see StageNames): extraction → smoothing →
+// amplitude gate (the stride engine's front end) → environment detection
+// → stationary-segment selection → downsampling → subcarrier selection →
+// DWT → estimation (the shared stage list).
 type Processor struct {
 	cfg      Config
 	nPersons int
 
-	// arena pools the pipeline's internal slabs (phase-difference and
-	// smoothed matrices) across Process calls; nil disables pooling.
+	// arena pools the engine's slabs (the phase-difference ring and the
+	// smoothed matrix) across Process calls; nil disables pooling.
 	// Matrices whose ownership escapes into the Result (Calibrated) are
 	// never arena-backed.
 	arena *arena.Arena
@@ -100,9 +101,8 @@ func NewProcessor(opts ...Option) (*Processor, error) {
 // Config returns a copy of the processor configuration.
 func (p *Processor) Config() Config { return p.cfg }
 
-// amplitudeGateFraction is the AmplitudeGate threshold fraction shared by
-// the batch pipeline and the streaming monitor (which replicates the gate
-// from cached per-packet amplitudes).
+// amplitudeGateFraction is the stride engine's amplitude-gate threshold
+// fraction (see AmplitudeGate).
 const amplitudeGateFraction = 0.3
 
 // filterEligible returns the rows of series whose eligible flag is set. A
@@ -126,52 +126,75 @@ func filterEligible(series [][]float64, eligible []bool) [][]float64 {
 	return kept
 }
 
-// Process runs the full stage graph on a trace.
+// Process runs the full stage graph on a trace: every packet is written
+// into a stride engine whose window and stride are the whole trace, and
+// the engine's one stride yields the Result — the same front end a
+// Monitor slides over a stream. Timestamps are not read.
 //
 // Contract: the returned *Result is never nil. On success it holds the
 // complete output; on failure it holds everything the stages that ran
 // produced (for example the EnvironmentDetection when no stationary
 // segment exists), and the error is a *StageError naming the failed stage
-// while still matching the sentinel errors (ErrNoData, ErrNotStationary)
-// through errors.Is. A configured Sink receives the run's StrideRecord
-// before Process returns, success or failure.
+// while still matching the sentinel errors (ErrNoData, ErrNotStationary,
+// ErrNonFinite) through errors.Is. A configured Sink receives the run's
+// StrideRecord before Process returns, success or failure.
 func (p *Processor) Process(tr *trace.Trace) (*Result, error) {
-	st := &pipelineState{proc: p, tr: tr, res: &Result{}}
-	if tr != nil {
-		st.sampleRate = tr.SampleRate
-	}
+	var rec *StrideRecord
 	if p.cfg.Sink != nil {
-		st.rec = newStrideRecord()
+		rec = newStrideRecord()
 	}
-	err := p.runStages(st, batchStages)
-	// The phase-difference and smoothed slabs are internal to the run —
-	// nothing in the Result aliases them — so they go back to the arena
-	// for the next Process call (no-op without an arena).
-	st.phaseDiffM.Release(p.arena)
-	st.smoothedM.Release(p.arena)
-	if st.rec != nil {
-		st.rec.Result, st.rec.Err = st.res, err
-		p.emit(st.rec)
+	t0 := p.beginStage(rec, StageExtract)
+	e, err := p.ingest(tr)
+	if p.observed(rec) {
+		s := StageStats{Stage: StageExtract, Err: err}
+		if e != nil {
+			s.Samples, s.Subcarriers = e.window, e.nSub
+		}
+		p.endStage(rec, t0, s)
 	}
-	return st.res, err
+	res := &Result{}
+	if err != nil {
+		err = &StageError{Stage: StageExtract, Err: err}
+	} else {
+		e.rec = rec
+		res, err = e.process()
+		// The engine's slabs are internal to the run — nothing in the
+		// Result aliases them — so they go back to the arena for the
+		// next call (no-op without an arena).
+		e.release()
+	}
+	if rec != nil {
+		rec.Result, rec.Err = res, err
+		p.emit(rec)
+	}
+	return res, err
 }
 
-// finishSmoothed runs everything downstream of smoothing and gating —
-// environment detection, stationary-segment selection, downsampling,
-// subcarrier selection, DWT, and rate estimation — so the batch Processor
-// and the incremental Monitor share one stage list from this point on.
-// It follows the same partial-result contract as Process, and appends
-// its stages to rec (nil when the stride is not recorded).
-func (p *Processor) finishSmoothed(smoothed [][]float64, eligible []bool, sampleRate float64, rec *StrideRecord) (*Result, error) {
-	st := &pipelineState{
-		proc:       p,
-		smoothed:   smoothed,
-		eligible:   eligible,
-		sampleRate: sampleRate,
-		rec:        rec,
-		res:        &Result{},
+// ingest writes every packet of tr into a fresh engine on p.arena with
+// window = stride = tr.Len(), reading each packet once. A packet whose
+// shape differs from the trace's is an error, and a NaN or Inf cell on
+// any antenna is ErrNonFinite.
+func (p *Processor) ingest(tr *trace.Trace) (*strideEngine, error) {
+	if err := checkAntennaPair(tr, AntennaA, AntennaB); err != nil {
+		return nil, err
 	}
-	st.gateFallback, st.rejected = gateStats(eligible)
-	err := p.runStages(st, streamStages)
-	return st.res, err
+	if tr.NumSubcarriers < 1 {
+		return nil, fmt.Errorf("%w: trace has no subcarriers", ErrNoData)
+	}
+	n := tr.Len()
+	e := newStrideEngine(p, tr.NumAntennas, tr.NumSubcarriers, n, n, tr.SampleRate, p.arena)
+	e.tr = tr
+	for k, pkt := range tr.Packets {
+		switch e.screen(pkt) {
+		case pushMalformed:
+			e.release()
+			return nil, fmt.Errorf("core: packet %d does not have the trace's %d antennas × %d subcarriers",
+				k, tr.NumAntennas, tr.NumSubcarriers)
+		case pushNonFinite:
+			e.release()
+			return nil, fmt.Errorf("%w: NaN or Inf CSI in packet %d", ErrNonFinite, k)
+		}
+		e.write(pkt)
+	}
+	return e, nil
 }

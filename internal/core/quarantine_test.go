@@ -27,7 +27,7 @@ func quarantineEngine(t *testing.T, cfg MonitorConfig) *strideEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newStrideEngine(&cfg, proc)
+	return cfg.newEngine(proc)
 }
 
 func TestStrideEngineQuarantineVerdicts(t *testing.T) {

@@ -41,7 +41,7 @@ type StrideSink interface {
 
 // newStrideRecord returns an empty record sized for the full stage graph.
 func newStrideRecord() *StrideRecord {
-	return &StrideRecord{Stages: make([]StageStats, 0, len(batchStages))}
+	return &StrideRecord{Stages: make([]StageStats, 0, frontEndStages+len(stages))}
 }
 
 // spanStages converts the record's stage timings into span child stages;

@@ -118,6 +118,59 @@ func TestPipelineSurvivesNaNPackets(t *testing.T) {
 	}
 }
 
+// A ragged packet — one antenna row shorter than the trace's subcarrier
+// count — fails the extract stage with an error instead of panicking, at
+// the default Parallelism too.
+func TestProcessRaggedPacketIsExtractError(t *testing.T) {
+	sim, err := csisim.FixedRatesScenario([]float64{14}, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.Generate(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Packets[100].CSI[1] = tr.Packets[100].CSI[1][:10]
+	p, err := NewProcessor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Process(tr)
+	var se *StageError
+	if !errors.As(err, &se) || se.Stage != StageExtract {
+		t.Fatalf("want StageError{extract}, got %v", err)
+	}
+	if res == nil {
+		t.Fatal("Process returned a nil Result")
+	}
+}
+
+// An Inf cell, on any antenna, fails the extract stage with ErrNonFinite:
+// its phase is finite, so only the cell check can stop it before it rides
+// into a "successful" estimate.
+func TestProcessRejectsInfCell(t *testing.T) {
+	sim, err := csisim.FixedRatesScenario([]float64{14}, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ant := range []int{AntennaA, 2} {
+		tr, err := sim.Generate(30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Packets[100].CSI[ant][3] = complex(math.Inf(1), 0)
+		p, err := NewProcessor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.Process(tr)
+		var se *StageError
+		if !errors.Is(err, ErrNonFinite) || !errors.As(err, &se) || se.Stage != StageExtract {
+			t.Fatalf("antenna %d: want StageError{extract} matching ErrNonFinite, got %v", ant, err)
+		}
+	}
+}
+
 // Very short but nonempty traces must fail cleanly.
 func TestPipelineShortTrace(t *testing.T) {
 	sim, err := csisim.FixedRatesScenario([]float64{15}, 79)

@@ -6,14 +6,14 @@ import (
 	"sync"
 	"time"
 
-	"phasebeat/internal/arena"
 	"phasebeat/internal/trace"
 )
 
-// Stage names, in pipeline order. The batch Processor runs all nine; the
-// streaming Monitor's incremental path replaces the first three with its
-// ring-buffer engine (which records them through the same helper) and
-// runs the remaining six through the shared stage runner.
+// Stage names, in pipeline order. The first three are the stride
+// engine's front end, which batch and stream share: the engine records
+// smooth and gate itself, and Processor.Process records extract (the
+// ingest of a whole trace; a stream's ingest is per packet, outside any
+// stride). The remaining six run through the shared stage list.
 const (
 	StageExtract    = "extract"    // phase-difference extraction + unwrap
 	StageSmooth     = "smooth"     // Hampel detrend + outlier suppression
@@ -36,11 +36,8 @@ type Stage struct {
 	Run func(*pipelineState) error
 }
 
-// batchStages is the full nine-stage graph the batch Processor runs.
-var batchStages = []Stage{
-	{StageExtract, runExtract},
-	{StageSmooth, runSmooth},
-	{StageGate, runGate},
+// stages is the list every run executes after the engine's front end.
+var stages = []Stage{
 	{StageEnvDetect, runEnvDetect},
 	{StageSegment, runSegment},
 	{StageDownsample, runDownsample},
@@ -49,15 +46,15 @@ var batchStages = []Stage{
 	{StageEstimate, runEstimate},
 }
 
-// streamStages is the suffix shared with the incremental Monitor, which
-// performs extraction, smoothing and gating itself from its ring caches.
-var streamStages = batchStages[3:]
+// frontEndStages counts the engine's front-end stages ahead of stages.
+const frontEndStages = 3
 
-// StageNames returns the batch pipeline's stage names in execution order.
+// StageNames returns the pipeline's stage names in execution order, as a
+// batch run records them.
 func StageNames() []string {
-	out := make([]string, len(batchStages))
-	for i, s := range batchStages {
-		out[i] = s.Name
+	out := []string{StageExtract, StageSmooth, StageGate}
+	for _, s := range stages {
+		out = append(out, s.Name)
 	}
 	return out
 }
@@ -123,21 +120,15 @@ type StageObserver interface {
 type pipelineState struct {
 	proc *Processor
 
-	// tr is the raw trace; nil on the Monitor's incremental path, where
-	// extraction happens inside the ring-buffer engine.
+	// tr is the raw trace of a batch run, for raw-trace estimator
+	// backends; nil on a stream.
 	tr *trace.Trace
 	// sampleRate is the capture rate in Hz.
 	sampleRate float64
 
-	// phaseDiff is the unwrapped phase difference [subcarrier][sample].
-	// phaseDiffM is its columnar backing matrix on the batch path (nil on
-	// the Monitor's incremental path); Process returns it to the arena.
-	phaseDiff  [][]float64
-	phaseDiffM *arena.Matrix
-	// smoothed is the calibrated full-rate matrix; smoothedM is its
-	// columnar backing on the batch path, released like phaseDiffM.
-	smoothed  [][]float64
-	smoothedM *arena.Matrix
+	// smoothed is the calibrated full-rate matrix, the engine's smoothed
+	// window.
+	smoothed [][]float64
 	// eligible is the amplitude-gate mask (nil = no gate).
 	eligible []bool
 	// gateFallback is true when the gate rejected every subcarrier and the
@@ -169,14 +160,10 @@ func (st *pipelineState) wantEvidence() bool {
 // the state holds, for observer stats.
 func (st *pipelineState) dims() (samples, subcarriers int) {
 	switch {
-	case st.res.Calibrated != nil && len(st.res.Calibrated) > 0:
+	case len(st.res.Calibrated) > 0:
 		return len(st.res.Calibrated[0]), len(st.res.Calibrated)
-	case st.smoothed != nil && len(st.smoothed) > 0:
+	case len(st.smoothed) > 0:
 		return len(st.smoothed[0]), len(st.smoothed)
-	case st.phaseDiff != nil && len(st.phaseDiff) > 0:
-		return len(st.phaseDiff[0]), len(st.phaseDiff)
-	case st.tr != nil:
-		return st.tr.Len(), st.tr.NumSubcarriers
 	}
 	return 0, 0
 }
@@ -225,47 +212,6 @@ func gateStats(eligible []bool) (fallback bool, rejected int) {
 		}
 	}
 	return !any, rejected
-}
-
-func runExtract(st *pipelineState) error {
-	if st.tr == nil || st.tr.Len() == 0 {
-		return fmt.Errorf("%w: empty trace", ErrNoData)
-	}
-	m, err := extractColumnar(st.tr, AntennaA, AntennaB, st.proc.cfg.Parallelism, st.proc.arena)
-	if err != nil {
-		return err
-	}
-	st.phaseDiffM = m
-	st.phaseDiff = m.Rows()
-	return nil
-}
-
-func runSmooth(st *pipelineState) error {
-	m, err := smoothAllColumnar(st.phaseDiff, &st.proc.cfg, st.proc.arena)
-	if err != nil {
-		return err
-	}
-	st.smoothedM = m
-	st.smoothed = m.Rows()
-	if st.wantEvidence() {
-		st.evidence = &CalibrationEvidence{TrendMagnitude: meanAbsDiff(st.phaseDiff, st.smoothed)}
-	}
-	return nil
-}
-
-// runGate applies the amplitude SNR gate: subcarriers in a deep fade on
-// either antenna carry noise-dominated phase and are excluded from the V
-// statistic, the sensitivity ranking and the root-MUSIC snapshots alike.
-func runGate(st *pipelineState) error {
-	st.eligible = AmplitudeGate(st.tr, AntennaA, AntennaB, amplitudeGateFraction)
-	st.gateFallback, st.rejected = gateStats(st.eligible)
-	if st.rejected > 0 {
-		st.note = fmt.Sprintf("gate rejected %d/%d subcarriers", st.rejected, len(st.eligible))
-	}
-	if st.wantEvidence() {
-		st.evidence = &GateEvidence{Fallback: st.gateFallback, Rejected: st.rejected, Total: len(st.eligible)}
-	}
-	return nil
 }
 
 func runEnvDetect(st *pipelineState) error {

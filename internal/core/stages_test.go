@@ -22,7 +22,7 @@ func referenceProcess(p *Processor, tr *trace.Trace) (*Result, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrNoData)
 	}
-	phaseDiff, err := extractPhaseDifference(tr, AntennaA, AntennaB, p.cfg.Parallelism)
+	phaseDiff, err := ExtractPhaseDifference(tr, AntennaA, AntennaB)
 	if err != nil {
 		return nil, err
 	}

@@ -39,34 +39,44 @@ func DefaultTrackConfig() TrackConfig {
 	}
 }
 
-// TrackRates runs the batch pipeline over sliding windows of a recorded
-// trace, producing a vital-sign time series — the offline counterpart of
-// the streaming Monitor, for analysing long captures (sleep studies).
+// TrackRates slides the pipeline over a recorded trace, producing a
+// vital-sign time series — the offline counterpart of the streaming
+// Monitor, for analysing long captures (sleep studies). It drives the
+// Monitor's stride engine synchronously, so its points are exactly a
+// drained Monitor's updates over the same packets: the same quarantine
+// (malformed, non-finite and backwards packets are skipped), the same gap
+// re-anchoring, one point per stride once a full window is buffered.
 func TrackRates(tr *trace.Trace, cfg TrackConfig) ([]TrackPoint, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrNoData)
 	}
-	if cfg.WindowSeconds <= 0 || cfg.StrideSeconds <= 0 {
-		return nil, fmt.Errorf("core: window %vs / stride %vs must be positive",
-			cfg.WindowSeconds, cfg.StrideSeconds)
+	mcfg := MonitorConfig{
+		Pipeline:           cfg.Pipeline,
+		SampleRate:         tr.SampleRate,
+		NumAntennas:        tr.NumAntennas,
+		NumSubcarriers:     tr.NumSubcarriers,
+		WindowSeconds:      cfg.WindowSeconds,
+		UpdateEverySeconds: cfg.StrideSeconds,
 	}
-	window := int(cfg.WindowSeconds * tr.SampleRate)
-	stride := int(cfg.StrideSeconds * tr.SampleRate)
-	if window < 1 || window > tr.Len() {
+	if err := mcfg.check(); err != nil {
+		return nil, err
+	}
+	if window, _ := windowGeometry(&mcfg); window > tr.Len() {
 		return nil, fmt.Errorf("%w: window %d samples, trace %d", ErrNoData, window, tr.Len())
 	}
 	p, err := NewProcessor(WithConfig(cfg.Pipeline))
 	if err != nil {
 		return nil, err
 	}
+	e := mcfg.newEngine(p)
+	defer e.release()
 	var out []TrackPoint
-	for start := 0; start+window <= tr.Len(); start += stride {
-		sub, err := tr.Slice(start, start+window)
-		if err != nil {
-			return nil, err
+	for _, pkt := range tr.Packets {
+		if v, _ := e.push(pkt); v != pushAccepted || !e.ready() {
+			continue
 		}
-		point := TrackPoint{Time: sub.Packets[sub.Len()-1].Time}
-		res, err := p.Process(sub)
+		point := TrackPoint{Time: pkt.Time}
+		res, err := e.process()
 		switch {
 		case err != nil:
 			point.Err = err

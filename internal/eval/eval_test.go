@@ -191,6 +191,7 @@ func TestFig01Smoke(t *testing.T) {
 	if diffR < 0.9 {
 		t.Errorf("phase difference too scattered: R = %v", diffR)
 	}
+	checkGolden(t, "fig01", rep)
 }
 
 func TestFig04Smoke(t *testing.T) {
@@ -209,6 +210,7 @@ func TestFig04Smoke(t *testing.T) {
 	if hfAfter > hfBefore/3 {
 		t.Errorf("HF noise not reduced: %v -> %v", hfBefore, hfAfter)
 	}
+	checkGolden(t, "fig04", rep)
 }
 
 func TestFig07Smoke(t *testing.T) {
@@ -228,6 +230,7 @@ func TestFig07Smoke(t *testing.T) {
 	if selected != 1 {
 		t.Errorf("selected count = %d, want 1", selected)
 	}
+	checkGolden(t, "fig07", rep)
 }
 
 func TestFig09Smoke(t *testing.T) {
@@ -238,6 +241,7 @@ func TestFig09Smoke(t *testing.T) {
 	if errBPM := mustCell(t, rep, 3, 1); errBPM > 5 {
 		t.Errorf("heart error %v bpm too large for showcase", errBPM)
 	}
+	checkGolden(t, "fig09", rep)
 }
 
 func mustCell(t *testing.T, rep *Report, row, col int) float64 {

@@ -32,6 +32,7 @@ func TestFig03Smoke(t *testing.T) {
 			t.Errorf("activity %q missing from schedule", want)
 		}
 	}
+	checkGolden(t, "fig03", rep)
 }
 
 func TestFig05Smoke(t *testing.T) {
@@ -45,6 +46,7 @@ func TestFig05Smoke(t *testing.T) {
 	if len(rep.Table.Rows) != 30 {
 		t.Errorf("rows = %d, want 30", len(rep.Table.Rows))
 	}
+	checkGolden(t, "fig05", rep)
 }
 
 func TestFig06Smoke(t *testing.T) {
@@ -62,6 +64,7 @@ func TestFig06Smoke(t *testing.T) {
 	if !strings.Contains(rep.Table.Rows[0][1], "0.625") {
 		t.Errorf("α4 band wrong: %v", rep.Table.Rows[0])
 	}
+	checkGolden(t, "fig06", rep)
 }
 
 func TestFig08Smoke(t *testing.T) {
@@ -77,6 +80,7 @@ func TestFig08Smoke(t *testing.T) {
 	if len(rep.Table.Rows) != 6 {
 		t.Errorf("rows = %d, want 6 (two cases × three rows)", len(rep.Table.Rows))
 	}
+	checkGolden(t, "fig08", rep)
 }
 
 func TestFig11Smoke(t *testing.T) {
@@ -93,6 +97,7 @@ func TestFig11Smoke(t *testing.T) {
 	if rep.Table.Rows[0][0] != "PhaseBeat" {
 		t.Errorf("first row = %v", rep.Table.Rows[0])
 	}
+	checkGolden(t, "fig11", rep)
 }
 
 func TestFig12Smoke(t *testing.T) {
@@ -106,6 +111,7 @@ func TestFig12Smoke(t *testing.T) {
 	if len(rep.Table.Rows) != 1 {
 		t.Errorf("rows = %d, want 1", len(rep.Table.Rows))
 	}
+	checkGolden(t, "fig12", rep)
 }
 
 func TestFig13Smoke(t *testing.T) {
@@ -121,6 +127,7 @@ func TestFig13Smoke(t *testing.T) {
 	if len(rep.Table.Rows) != 4 {
 		t.Errorf("rows = %d, want 4 rates", len(rep.Table.Rows))
 	}
+	checkGolden(t, "fig13", rep)
 }
 
 func TestFig14Smoke(t *testing.T) {
@@ -137,6 +144,7 @@ func TestFig14Smoke(t *testing.T) {
 	if len(rep.Table.Rows) != 3 {
 		t.Errorf("rows = %d, want 3 person counts", len(rep.Table.Rows))
 	}
+	checkGolden(t, "fig14", rep)
 }
 
 func TestFig15And16Smoke(t *testing.T) {
@@ -159,4 +167,6 @@ func TestFig15And16Smoke(t *testing.T) {
 	if len(rep16.Table.Rows) != 6 {
 		t.Errorf("fig16 rows = %d, want 6", len(rep16.Table.Rows))
 	}
+	checkGolden(t, "fig15", rep15)
+	checkGolden(t, "fig16", rep16)
 }

@@ -685,34 +685,48 @@ func (s *Store) enforceRetention() {
 func (s *Store) Sweep() { s.enforceRetention() }
 
 // blockName encodes a block's identity into its filename:
-// blk-<seq>-<t0 µs>-<t1 µs>.pbgz, zero-padded so lexical order is seal
-// order.
+// blk-<seq>-x<t0>-x<t1>.pbgz, seq zero-padded to eight digits so lexical
+// order is seal order, and each time as its float64 bits in 16 hex
+// digits, so the name keeps the block's first and last packet times
+// exactly.
 func blockName(seq uint64, t0, t1 float64) string {
-	return fmt.Sprintf("blk-%08d-%015d-%015d.pbgz", seq, int64(t0*1e6), int64(t1*1e6))
+	return fmt.Sprintf("blk-%08d-x%016x-x%016x.pbgz", seq, math.Float64bits(t0), math.Float64bits(t1))
 }
 
-// parseBlockName inverts blockName.
-func parseBlockName(name string) (seq uint64, t0, t1 float64, ok bool) {
+// parseBlockName inverts blockName. It also accepts the legacy names
+// blk-<seq>-<t0 µs>-<t1 µs>.pbgz, whose times are whole microseconds
+// (decimal, 15 digits zero-padded): exact is false for those, and their
+// t1 may sit up to 1 µs below the block's last packet.
+func parseBlockName(name string) (seq uint64, t0, t1 float64, exact, ok bool) {
 	if !strings.HasPrefix(name, "blk-") || !strings.HasSuffix(name, ".pbgz") {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, false
 	}
 	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "blk-"), ".pbgz"), "-")
 	if len(parts) != 3 {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, false
 	}
 	seq, err := strconv.ParseUint(parts[0], 10, 64)
 	if err != nil {
-		return 0, 0, 0, false
+		return 0, 0, 0, false, false
 	}
-	us0, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil {
-		return 0, 0, 0, false
+	exact = strings.HasPrefix(parts[1], "x")
+	var ts [2]float64
+	for i, part := range parts[1:] {
+		if exact {
+			bits, err := strconv.ParseUint(strings.TrimPrefix(part, "x"), 16, 64)
+			if err != nil || len(part) != 17 {
+				return 0, 0, 0, false, false
+			}
+			ts[i] = math.Float64frombits(bits)
+			continue
+		}
+		us, err := strconv.ParseInt(part, 10, 64)
+		if err != nil {
+			return 0, 0, 0, false, false
+		}
+		ts[i] = float64(us) / 1e6
 	}
-	us1, err := strconv.ParseInt(parts[2], 10, 64)
-	if err != nil {
-		return 0, 0, 0, false
-	}
-	return seq, float64(us0) / 1e6, float64(us1) / 1e6, true
+	return seq, ts[0], ts[1], exact, true
 }
 
 // recover rebuilds the session map from the store directory.
@@ -810,7 +824,7 @@ func (s *Store) recoverSession(key, dir string) (*sessionStore, []blockInfo, err
 			}
 			continue
 		}
-		seq, t0, t1, ok := parseBlockName(name)
+		seq, t0, t1, _, ok := parseBlockName(name)
 		if !ok {
 			continue
 		}
@@ -825,6 +839,17 @@ func (s *Store) recoverSession(key, dir string) (*sessionStore, []blockInfo, err
 		})
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].seq < blocks[j].seq })
+	// The newest block's t1 ends raw range queries and, after a clean
+	// close, is the session's last time. A legacy name keeps it only to
+	// whole microseconds, so read that block once for its exact times.
+	if n := len(blocks); n > 0 {
+		newest := &blocks[n-1]
+		if _, _, _, exact, _ := parseBlockName(filepath.Base(newest.path)); !exact {
+			if tr, err := readBlock(newest.path); err == nil && tr.Len() > 0 {
+				newest.t0, newest.t1 = tr.Packets[0].Time, tr.Packets[tr.Len()-1].Time
+			}
+		}
+	}
 
 	// Tier index: atomic writes mean it is either absent (no seal yet) or
 	// intact. If it is damaged anyway (disk fault), rebuild the waveform
@@ -860,15 +885,11 @@ func (s *Store) recoverSession(key, dir string) (*sessionStore, []blockInfo, err
 			// Only packets newer than the last sealed block belong in the
 			// buffer. A crash between block rename and tail reset leaves
 			// the tail holding exactly that block's packets, so a tail
-			// whose first and last times name the block is dropped whole,
-			// and its times replace the name's, which keeps them only to
-			// whole microseconds (a cut at the parsed t1 kept the block's
-			// last packet). Any other tail postdates every block.
+			// whose first and last times are the block's is dropped whole.
+			// Any other tail postdates every block.
 			if n := len(blocks); n > 0 && len(pkts) > 0 {
-				newest := &blocks[n-1]
-				t0, t1 := pkts[0].Time, pkts[len(pkts)-1].Time
-				if filepath.Base(newest.path) == blockName(newest.seq, t0, t1) {
-					newest.t0, newest.t1 = t0, t1
+				newest := blocks[n-1]
+				if pkts[0].Time == newest.t0 && pkts[len(pkts)-1].Time == newest.t1 {
 					pkts = nil
 				}
 			}

@@ -340,9 +340,8 @@ func TestStoreRecoveryTruncatedTail(t *testing.T) {
 // TestStoreRecoveryCrashBeforeTailReset restores the on-disk state of a
 // kill between a block's rename and the tail reset: the tail holds exactly
 // the newest block's packets. Recovery must re-buffer none of them and
-// lose none. The block name keeps t1 only to whole microseconds, so a cut
-// at the parsed t1 once let the block's last packet (t = 14/30 s)
-// through, and it was replayed twice.
+// lose none: the block's last packet (t = 14/30 s) must not be replayed
+// twice.
 func TestStoreRecoveryCrashBeforeTailReset(t *testing.T) {
 	dir := t.TempDir()
 	meta := Meta{SampleRate: 30, NumAntennas: 2, NumSubcarriers: 4}
@@ -390,6 +389,66 @@ func TestStoreRecoveryCrashBeforeTailReset(t *testing.T) {
 		if smp.T != pkts[i].Time {
 			t.Fatalf("sample %d at t=%v, want %v", i, smp.T, pkts[i].Time)
 		}
+	}
+}
+
+// TestStoreReopenKeepsExactLastTime closes a session cleanly (its one
+// block sealed, the tail empty) and reopens the store. The newest block's
+// t1 is the session's last time and ends raw range queries, so it must be
+// the last packet's exact time, not one truncated to whole microseconds:
+// Range must return the packet at 14/30 s, and an append older than it
+// must be refused. A legacy (µs) named block is read once for its exact
+// times.
+func TestStoreReopenKeepsExactLastTime(t *testing.T) {
+	meta := Meta{SampleRate: 30, NumAntennas: 2, NumSubcarriers: 4}
+	for _, legacy := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.OpenSession("k", meta); err != nil {
+			t.Fatal(err)
+		}
+		const n = 15
+		for i := 0; i < n; i++ {
+			if err := s.AppendPacket("k", mkPacket(float64(i)/30, 2, 4, float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.CloseSession("k"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if legacy {
+			last := 14.0 / 30
+			blk := filepath.Join(dir, "k", blockName(0, 0, last))
+			old := filepath.Join(dir, "k", fmt.Sprintf("blk-%08d-%015d-%015d.pbgz", 0, 0, int64(last*1e6)))
+			if err := os.Rename(blk, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		s2, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s2.Range("k", 0, 0, RawTier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Samples) != n {
+			t.Fatalf("legacy name %v: reopened session has %d raw samples, want %d", legacy, len(res.Samples), n)
+		}
+		if err := s2.OpenSession("k", meta); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.AppendPacket("k", mkPacket(14.0/30-1e-7, 2, 4, 0)); err == nil {
+			t.Fatalf("legacy name %v: append 1e-7 s older than the last stored packet was accepted", legacy)
+		}
+		s2.Close()
 	}
 }
 

@@ -112,17 +112,3 @@ func (t *Trace) Duration() float64 {
 
 // Len returns the packet count.
 func (t *Trace) Len() int { return len(t.Packets) }
-
-// Slice returns a shallow sub-trace covering packets [from, to).
-func (t *Trace) Slice(from, to int) (*Trace, error) {
-	if from < 0 || to > len(t.Packets) || from > to {
-		return nil, fmt.Errorf("%w: slice [%d, %d) of %d packets", ErrInvalidTrace, from, to, len(t.Packets))
-	}
-	return &Trace{
-		SampleRate:     t.SampleRate,
-		NumAntennas:    t.NumAntennas,
-		NumSubcarriers: t.NumSubcarriers,
-		CarrierHz:      t.CarrierHz,
-		Packets:        t.Packets[from:to],
-	}, nil
-}

@@ -74,24 +74,11 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestDurationAndSlice(t *testing.T) {
+func TestDuration(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tr := randomTrace(rng, 400, 2, 4)
 	if d := tr.Duration(); d <= 0.99 || d >= 1.0 {
 		t.Errorf("Duration = %v, want ~0.9975", d)
-	}
-	sub, err := tr.Slice(100, 200)
-	if err != nil {
-		t.Fatalf("Slice: %v", err)
-	}
-	if sub.Len() != 100 || sub.Packets[0].Time != tr.Packets[100].Time {
-		t.Errorf("bad slice: len=%d", sub.Len())
-	}
-	if _, err := tr.Slice(-1, 5); err == nil {
-		t.Error("want error for negative start")
-	}
-	if _, err := tr.Slice(10, 5); err == nil {
-		t.Error("want error for inverted range")
 	}
 	var empty Trace
 	if empty.Duration() != 0 {
