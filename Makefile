@@ -12,9 +12,9 @@ COVER_MIN_CORE ?= 80
 # store recording (append → seal → downsample → range-query round trip),
 # an observability pass (spans + SLO burn + flight dump + /metrics
 # scrape), the end-to-end benchmark module's vet and tests, and a gated
-# coverage report over the internal packages.
+# coverage report over the internal packages, and the dead-code gate.
 .PHONY: check
-check: vet build race bench-smoke daemon-smoke store-smoke obs-smoke perfbench cover
+check: vet build race bench-smoke daemon-smoke store-smoke obs-smoke perfbench cover deadcode
 
 .PHONY: vet
 vet:
@@ -88,6 +88,18 @@ obs-smoke:
 .PHONY: perfbench
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test .
+
+# Every func and method declared in a non-test file under internal/ must
+# be linked into some binary: the cmd/* and examples/* mains and the
+# perfbench harness, built with inlining off so a reached func keeps its
+# own symbol. Code that only tests call is deleted, or listed with the
+# test or reason that keeps it in deadcode-allow.txt.
+.PHONY: deadcode
+deadcode:
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -gcflags=all=-l -o "$$dir/" ./cmd/... ./examples/... && \
+	(cd perfbench && $(GO) build -gcflags=all=-l -o "$$dir/" .) && \
+	$(GO) run ./cmd/deadcode -allow deadcode-allow.txt "$$dir"/*
 
 # Non-test Go lines per package (the root package, internal/*, cmd/*)
 # and their total: the line delta every simplicity change reports. Run it

@@ -203,7 +203,7 @@ func estimateFromMatrix(matrix [][]float64, sampleRate float64, cfg *core.Config
 		return 0, err
 	}
 	estRate := sampleRate / float64(cfg.DownsampleFactor)
-	bands, err := core.DenoiseDWT(calibrated[sel.Selected], estRate, cfg)
+	bands, err := core.DenoiseDWT(calibrated[sel.Selected], estRate)
 	if err != nil {
 		return 0, err
 	}
@@ -247,7 +247,7 @@ func BenchmarkAblationDetrend(b *testing.B) {
 				return 0, serr
 			}
 			estRate := t.trace.SampleRate / float64(cfg.DownsampleFactor)
-			bands, derr := core.DenoiseDWT(matrix[sel.Selected], estRate, &cfg)
+			bands, derr := core.DenoiseDWT(matrix[sel.Selected], estRate)
 			if derr != nil {
 				return 0, derr
 			}
@@ -282,7 +282,7 @@ func BenchmarkAblationSubcarrierSelection(b *testing.B) {
 				return 0, err
 			}
 			estRate := t.trace.SampleRate / float64(cfg.DownsampleFactor)
-			bands, err := core.DenoiseDWT(calibrated[idx], estRate, &cfg)
+			bands, err := core.DenoiseDWT(calibrated[idx], estRate)
 			if err != nil {
 				return 0, err
 			}

@@ -63,3 +63,48 @@ func ExampleEstimateAmplitudeBaseline() {
 	// Output:
 	// amplitude method picked one of 30 subcarriers: true
 }
+
+// ExampleNewMonitor_replay tracks the rates over a recorded capture, the
+// way a long (overnight) recording is analysed offline: it replays the
+// trace's packets through a Monitor, collects its updates on a goroutine
+// and drains it, so every stride of the recording yields one update.
+func ExampleNewMonitor_replay() {
+	tr, _, err := phasebeat.SimulateFixedRates([]float64{15}, 80, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := phasebeat.DefaultMonitorConfig()
+	cfg.SampleRate = tr.SampleRate
+	cfg.NumAntennas = tr.NumAntennas
+	cfg.NumSubcarriers = tr.NumSubcarriers
+	cfg.WindowSeconds = 40
+	cfg.UpdateEverySeconds = 10
+	m, err := phasebeat.NewMonitor(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var updates []phasebeat.Update
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for u := range m.Updates() {
+			updates = append(updates, u)
+		}
+	}()
+	for _, p := range tr.Packets {
+		m.Ingest(p)
+	}
+	m.Drain() // process every queued packet, then close Updates
+	<-done
+	fmt.Printf("%d updates\n", len(updates))
+	for _, u := range updates {
+		fmt.Printf("breathing estimate: %v\n", u.Err == nil && u.Result.Breathing != nil)
+	}
+	// Output:
+	// 5 updates
+	// breathing estimate: true
+	// breathing estimate: true
+	// breathing estimate: true
+	// breathing estimate: true
+	// breathing estimate: true
+}

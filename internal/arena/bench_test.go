@@ -39,7 +39,7 @@ func BenchmarkColumnarIngest(b *testing.B) {
 			slot := r.Slot()
 			rowA, rowB := packet[0], packet[1]
 			for s := 0; s < subcarriers; s++ {
-				r.Column(s)[slot] = cmplx.Phase(rowA[s]) - cmplx.Phase(rowB[s])
+				r.Columns()[s][slot] = cmplx.Phase(rowA[s]) - cmplx.Phase(rowB[s])
 			}
 			r.Advance()
 		}
@@ -50,7 +50,7 @@ func BenchmarkColumnarIngest(b *testing.B) {
 		for i := 0; i < window+window/3; i++ { // force a wrap
 			slot := r.Slot()
 			for s := 0; s < subcarriers; s++ {
-				r.Column(s)[slot] = float64(i + s)
+				r.Columns()[s][slot] = float64(i + s)
 			}
 			r.Advance()
 		}
@@ -64,7 +64,7 @@ func BenchmarkColumnarIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				va, vb := v.Slices()
+				va, vb := v.a, v.b
 				sum := 0.0
 				for _, x := range va {
 					sum += x

@@ -54,17 +54,13 @@ func FuzzRingView(f *testing.F) {
 				if err != nil {
 					t.Fatalf("view [%d,%d) in retention [%d,%d) rejected: %v", start, start+wl, lo, n, err)
 				}
-				if v.Len() != int(wl) {
-					t.Fatalf("view len = %d, want %d", v.Len(), wl)
+				got := linear(v)
+				if len(got) != int(wl) {
+					t.Fatalf("view len = %d, want %d", len(got), wl)
 				}
-				a, b := v.Slices()
-				k := 0
-				for _, seg := range [][]float64{a, b} {
-					for _, got := range seg {
-						if want := ref[start+int64(k)]; got != want {
-							t.Fatalf("view[%d] (abs %d) = %v, want %v", k, start+int64(k), got, want)
-						}
-						k++
+				for k, g := range got {
+					if want := ref[start+int64(k)]; g != want {
+						t.Fatalf("view[%d] (abs %d) = %v, want %v", k, start+int64(k), g, want)
 					}
 				}
 			}
@@ -96,7 +92,7 @@ func TestViewNoCrossChannelAliasing(t *testing.T) {
 		for i := 0; i < total; i++ {
 			slot := r.Slot()
 			for c := 0; c < channels; c++ {
-				r.Column(c)[slot] = value(c, int64(i))
+				r.Columns()[c][slot] = value(c, int64(i))
 			}
 			r.Advance()
 		}
@@ -110,7 +106,7 @@ func TestViewNoCrossChannelAliasing(t *testing.T) {
 		}
 		v.CopyTo(before)
 		// Scribble over the victim channel's entire column.
-		col := r.Column(victim)
+		col := r.Columns()[victim]
 		for i := range col {
 			col[i] = -1
 		}
@@ -118,8 +114,8 @@ func TestViewNoCrossChannelAliasing(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := 0; i < capacity; i++ {
-			if v2.At(i) != before[i] {
+		for i, got := range linear(v2) {
+			if got != before[i] {
 				return false
 			}
 		}

@@ -63,9 +63,6 @@ func NewFloatRing(a *Arena, channels, capacity int) *Ring {
 	return newRing(channels, capacity, a.Floats(channels*capacity))
 }
 
-// Capacity returns the per-channel sample capacity.
-func (r *Ring) Capacity() int { return r.capacity }
-
 // Head returns the absolute index one past the newest admitted sample —
 // equivalently the count of samples ever admitted since the last Reset.
 func (r *Ring) Head() int64 { return r.head }
@@ -84,11 +81,6 @@ func (r *Ring) Advance() {
 
 // Reset forgets all samples; absolute indexing restarts at zero.
 func (r *Ring) Reset() { r.head, r.slot = 0, 0 }
-
-// Column returns the full backing column for channel c — capacity
-// elements in slot order, not time order. It is the write surface for
-// ingest; readers should use View for time-ordered access.
-func (r *Ring) Column(c int) []float64 { return r.cols[c] }
 
 // Columns returns the per-channel column headers (the cached headers — no
 // allocation), so hot ingest loops can index them by channel.
@@ -116,7 +108,7 @@ type View struct {
 
 // View returns a window of n samples of channel c starting at absolute
 // sample index start. The window must lie entirely within retention:
-// start >= Head-Capacity and start+n <= Head.
+// start >= Head-capacity and start+n <= Head.
 func (r *Ring) View(c int, start int64, n int) (View, error) {
 	if n < 0 || int64(n) > int64(r.capacity) {
 		return View{}, fmt.Errorf("arena: view length %d exceeds ring capacity %d", n, r.capacity)
@@ -145,26 +137,8 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// Len returns the window length.
-func (v View) Len() int { return len(v.a) + len(v.b) }
-
-// Start returns the absolute sample index of the window's oldest sample.
-func (v View) Start() int64 { return v.start }
-
-// At returns the i-th sample of the window (0 = oldest).
-func (v View) At(i int) float64 {
-	if i < len(v.a) {
-		return v.a[i]
-	}
-	return v.b[i-len(v.a)]
-}
-
-// Slices returns the window's backing segments, oldest first. b is nil
-// when the window does not straddle the wrap point.
-func (v View) Slices() (a, b []float64) { return v.a, v.b }
-
-// CopyTo linearizes the window into dst (which must hold Len elements)
-// and returns the number of samples copied.
+// CopyTo linearizes the window into dst (which must hold the window's n
+// samples) and returns the number of samples copied.
 func (v View) CopyTo(dst []float64) int {
 	n := copy(dst, v.a)
 	n += copy(dst[n:], v.b)

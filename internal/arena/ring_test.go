@@ -31,6 +31,13 @@ func value(c int, i int64) float64 {
 	return float64(c)*1e6 + float64(i)
 }
 
+// linear returns a view's samples in admission order.
+func linear(v View) []float64 {
+	dst := make([]float64, len(v.a)+len(v.b))
+	v.CopyTo(dst)
+	return dst
+}
+
 // TestRingAbsoluteIndexingAcrossWraparound is the core alias-safety
 // property test: push far more samples than capacity and verify that
 // every in-retention view reads exactly the value function — i.e. a view
@@ -44,8 +51,8 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 	)
 	a := New()
 	r := NewFloatRing(a, channels, capReq)
-	if r.Capacity() != capReq {
-		t.Fatalf("capacity = %d, want %d", r.Capacity(), capReq)
+	if r.capacity != capReq {
+		t.Fatalf("capacity = %d, want %d", r.capacity, capReq)
 	}
 	if got, want := a.Stats().Bytes, int64(8*channels*capReq); got != want {
 		t.Fatalf("ring slab holds %d bytes, want exactly %d", got, want)
@@ -54,7 +61,7 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 	for i := int64(0); i < total; i++ {
 		slot := r.Slot()
 		for c := 0; c < channels; c++ {
-			r.Column(c)[slot] = value(c, i)
+			r.Columns()[c][slot] = value(c, i)
 		}
 		r.Advance()
 		if r.Head() != i+1 {
@@ -65,7 +72,7 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 		}
 		// Probe random in-retention windows after every push.
 		for probe := 0; probe < 4; probe++ {
-			lowest := r.Head() - int64(r.Capacity())
+			lowest := r.Head() - int64(r.capacity)
 			if lowest < 0 {
 				lowest = 0
 			}
@@ -77,29 +84,19 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 			if err != nil {
 				t.Fatalf("view [%d,%d) at head %d: %v", start, start+n, r.Head(), err)
 			}
-			if int64(v.Len()) != n || v.Start() != start {
-				t.Fatalf("view shape: len=%d start=%d want %d/%d", v.Len(), v.Start(), n, start)
+			// The two backing segments must cover the window exactly.
+			if int64(len(v.a)+len(v.b)) != n || v.start != start {
+				t.Fatalf("view shape: len=%d start=%d want %d/%d", len(v.a)+len(v.b), v.start, n, start)
 			}
-			for j := 0; j < v.Len(); j++ {
-				if got, want := v.At(j), value(c, start+int64(j)); got != want {
-					t.Fatalf("view(%d)[%d] (abs %d) = %v, want %v (head %d)",
-						c, j, start+int64(j), got, want, r.Head())
-				}
-			}
-			// CopyTo must agree with At.
-			dst := make([]float64, v.Len())
-			if m := v.CopyTo(dst); m != v.Len() {
-				t.Fatalf("CopyTo copied %d of %d", m, v.Len())
+			dst := make([]float64, n)
+			if m := v.CopyTo(dst); int64(m) != n {
+				t.Fatalf("CopyTo copied %d of %d", m, n)
 			}
 			for j, got := range dst {
 				if want := value(c, start+int64(j)); got != want {
-					t.Fatalf("CopyTo[%d] = %v, want %v", j, got, want)
+					t.Fatalf("view(%d)[%d] (abs %d) = %v, want %v (head %d)",
+						c, j, start+int64(j), got, want, r.Head())
 				}
-			}
-			// The two backing segments must cover the window exactly.
-			sa, sb := v.Slices()
-			if len(sa)+len(sb) != v.Len() {
-				t.Fatalf("slices cover %d of %d", len(sa)+len(sb), v.Len())
 			}
 		}
 	}
@@ -111,7 +108,7 @@ func TestRingAbsoluteIndexingAcrossWraparound(t *testing.T) {
 func TestRingViewRejectsOutOfRetention(t *testing.T) {
 	r := NewFloatRing(nil, 1, 8)
 	for i := 0; i < 20; i++ {
-		r.Column(0)[r.Slot()] = float64(i)
+		r.Columns()[0][r.Slot()] = float64(i)
 		r.Advance()
 	}
 	// head = 20, capacity = 8, retention = [12, 20)
@@ -134,7 +131,7 @@ func TestRingViewRejectsOutOfRetention(t *testing.T) {
 		}
 	}
 	// Zero-length views at any in-retention anchor are fine.
-	if v, err := r.View(0, 20, 0); err != nil || v.Len() != 0 {
+	if v, err := r.View(0, 20, 0); err != nil || len(linear(v)) != 0 {
 		t.Fatalf("empty view at head: %v", err)
 	}
 }
@@ -143,7 +140,7 @@ func TestRingResetRestartsIndexing(t *testing.T) {
 	r := NewFloatRing(nil, 2, 4)
 	for i := 0; i < 6; i++ {
 		for c := 0; c < 2; c++ {
-			r.Column(c)[r.Slot()] = float64(100 + i)
+			r.Columns()[c][r.Slot()] = float64(100 + i)
 		}
 		r.Advance()
 	}
@@ -151,10 +148,10 @@ func TestRingResetRestartsIndexing(t *testing.T) {
 	if r.Head() != 0 || r.Slot() != 0 {
 		t.Fatalf("after reset: head=%d slot=%d", r.Head(), r.Slot())
 	}
-	r.Column(1)[r.Slot()] = 7
+	r.Columns()[1][r.Slot()] = 7
 	r.Advance()
 	v, err := r.View(1, 0, 1)
-	if err != nil || v.At(0) != 7 {
+	if err != nil || linear(v)[0] != 7 {
 		t.Fatalf("post-reset view: %v (err %v)", v, err)
 	}
 }
@@ -162,7 +159,7 @@ func TestRingResetRestartsIndexing(t *testing.T) {
 func TestRingRelease(t *testing.T) {
 	a := New()
 	r := NewFloatRing(a, 6, 16)
-	r.Column(5)[0] = 1.5
+	r.Columns()[5][0] = 1.5
 	r.Advance()
 	r.Release(a)
 	if st := a.Stats(); st.Allocs != 1 {
@@ -223,9 +220,9 @@ func TestRingConcurrentIngestAndReads(t *testing.T) {
 						err = fmt.Errorf("reader %d: %v", g, verr)
 						break
 					}
-					for j := 0; j < v.Len(); j++ {
+					for j, got := range linear(v) {
 						abs := start + int64(j)
-						if got, want := v.At(j), value(c, abs); got != want {
+						if want := value(c, abs); got != want {
 							err = fmt.Errorf("reader %d: channel %d abs %d = %v, want %v", g, c, abs, got, want)
 							break
 						}
@@ -242,7 +239,7 @@ func TestRingConcurrentIngestAndReads(t *testing.T) {
 			i := r.Head()
 			slot := r.Slot()
 			for c := 0; c < channels; c++ {
-				r.Column(c)[slot] = value(c, i)
+				r.Columns()[c][slot] = value(c, i)
 			}
 			r.Advance()
 		}

@@ -199,13 +199,6 @@ type Tolerance struct {
 	StrictAllocs *regexp.Regexp
 }
 
-// DefaultTolerance gates ns/op at 20% — the regression size the CI gate
-// is specified to catch — and the (noisier across runs with different
-// b.N) memory metrics at 30%.
-func DefaultTolerance() Tolerance {
-	return Tolerance{NsPerOp: 0.20, BytesPerOp: 0.30, AllocsPerOp: 0.30}
-}
-
 // Delta is one metric's baseline-to-current movement.
 type Delta struct {
 	// Name is the benchmark; Metric the column ("ns/op", "B/op",

@@ -9,6 +9,10 @@ import (
 	"testing"
 )
 
+// ciTolerance is the gate benchreport applies by default: ns/op at 20%,
+// the noisier memory metrics at 30%.
+var ciTolerance = Tolerance{NsPerOp: 0.20, BytesPerOp: 0.30, AllocsPerOp: 0.30}
+
 const sampleBenchOutput = `
 goos: linux
 goarch: amd64
@@ -94,7 +98,7 @@ func TestRoundTripAndIdenticalVerdict(t *testing.T) {
 		}
 	}
 
-	cmp := Compare(rep, got, DefaultTolerance())
+	cmp := Compare(rep, got, ciTolerance)
 	if !cmp.Ok() {
 		t.Fatalf("self-comparison must pass: regressions=%v missing=%v", cmp.Regressions(), cmp.Missing)
 	}
@@ -178,7 +182,7 @@ func TestRegressionDetection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cmp := Compare(base, tc.cur, DefaultTolerance())
+			cmp := Compare(base, tc.cur, ciTolerance)
 			if cmp.Ok() != tc.wantOk {
 				t.Fatalf("Ok() = %v, want %v (regressions %+v, missing %v)",
 					cmp.Ok(), tc.wantOk, cmp.Regressions(), cmp.Missing)
@@ -194,10 +198,10 @@ func TestRegressionDetection(t *testing.T) {
 	zeroCur := &Report{Schema: Schema, Benchmarks: []Benchmark{
 		{Name: "BenchmarkZ-8", NsPerOp: 100, BytesPerOp: 64, AllocsPerOp: 1},
 	}}
-	if cmp := Compare(zeroBase, zeroCur, DefaultTolerance()); cmp.Ok() {
+	if cmp := Compare(zeroBase, zeroCur, ciTolerance); cmp.Ok() {
 		t.Fatal("allocation over a zero baseline must fail")
 	}
-	if cmp := Compare(zeroBase, zeroBase, DefaultTolerance()); !cmp.Ok() {
+	if cmp := Compare(zeroBase, zeroBase, ciTolerance); !cmp.Ok() {
 		t.Fatalf("zero-vs-zero must pass: %+v", cmp.Regressions())
 	}
 
@@ -210,7 +214,7 @@ func TestRegressionDetection(t *testing.T) {
 
 	// Environment mismatch is surfaced but is not itself a failure.
 	cur = clone(func(r *Report) { r.Env.NumCPU = 4 })
-	if cmp := Compare(base, cur, DefaultTolerance()); !cmp.EnvMismatch || !cmp.Ok() {
+	if cmp := Compare(base, cur, ciTolerance); !cmp.EnvMismatch || !cmp.Ok() {
 		t.Fatalf("env mismatch handling wrong: %+v", cmp)
 	}
 }
@@ -229,7 +233,7 @@ func TestStrictAllocGate(t *testing.T) {
 		{Name: "BenchmarkOther-8", NsPerOp: 1000, BytesPerOp: 0, AllocsPerOp: 11},
 	}}
 
-	tol := DefaultTolerance()
+	tol := ciTolerance
 	if cmp := Compare(base, cur, tol); !cmp.Ok() {
 		t.Fatalf("10%% alloc growth within fractional tolerance must pass: %+v", cmp.Regressions())
 	}

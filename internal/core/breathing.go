@@ -72,8 +72,10 @@ func EstimateBreathingPeaks(breathing []float64, fs float64) (*BreathingEstimate
 	}
 }
 
-// autocorrRate estimates the breathing rate from the first major
-// autocorrelation peak within the plausible period range.
+// autocorrRate estimates the breathing rate from the largest
+// autocorrelation value over the breathing band's lag range, refined by
+// parabolic interpolation. It reports false when no lag there exceeds
+// 0.25, the minimum normalized autocorrelation taken as periodicity.
 func autocorrRate(breathing []float64, fs float64) (float64, bool) {
 	minLag := int(fs / BreathBandHigh)
 	maxLag := int(fs / BreathBandLow)

@@ -7,34 +7,21 @@ import (
 	"phasebeat/internal/dsp"
 )
 
-// Smooth applies the paper's two Hampel passes to one series at the raw
-// rate: subtract the large-window trend (DC removal) and suppress
-// high-frequency outliers with the small window.
-func Smooth(series []float64, cfg *Config) ([]float64, error) {
-	detrended, err := dsp.DetrendHampelStrided(series, cfg.TrendWindow, trendStride)
-	if err != nil {
-		return nil, fmt.Errorf("core: detrend: %w", err)
-	}
-	smoothed, err := dsp.Hampel(detrended, cfg.SmoothWindow, hampelThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("core: smooth: %w", err)
-	}
-	return smoothed, nil
-}
-
 // smoothScratch holds the reusable intermediates of a ranged smoothing
 // evaluation so the monitor's steady-state loop allocates nothing here.
 type smoothScratch struct {
 	trend, detr []float64
 }
 
-// smoothRangeInto computes Smooth(series, cfg)[lo:hi] into dst (grown as
-// needed) with caller-owned scratch, without evaluating the rest of the
-// series. The values are identical to the full evaluation's: both Hampel
-// passes are centered sliding windows, so sample i depends only on
-// series[i-m, i+m] with m = TrendWindow/2 + SmoothWindow/2, and the
-// strided trend's anchor grid is derived from len(series), not from the
-// requested range.
+// smoothRangeInto applies the paper's two Hampel passes to one series at
+// the raw rate — subtract the large-window trend (DC removal), then
+// suppress high-frequency outliers with the small window — and writes
+// samples [lo, hi) into dst (grown as needed) with caller-owned scratch,
+// without evaluating the rest of the series. The values are identical to
+// the full range's: both Hampel passes are centered sliding windows, so
+// sample i depends only on series[i-m, i+m] with m = TrendWindow/2 +
+// SmoothWindow/2, and the strided trend's anchor grid is derived from
+// len(series), not from the requested range.
 func smoothRangeInto(dst, series []float64, cfg *Config, lo, hi int, sc *smoothScratch) ([]float64, error) {
 	n := len(series)
 	if lo < 0 || hi > n || lo > hi {
@@ -86,10 +73,9 @@ func uniformCols(series [][]float64) (int, error) {
 	return cols, nil
 }
 
-// SmoothAll applies Smooth to every subcarrier series of a rectangular
-// matrix, fanning the independent subcarriers across cfg.Parallelism
-// workers. smoothRangeInto over the full range is bit-identical to Smooth
-// (TestSmoothRangeMatchesSmooth), and each worker reuses one scratch
+// SmoothAll applies smoothRangeInto over the full range to every
+// subcarrier series of a rectangular matrix, fanning the independent
+// subcarriers across cfg.Parallelism workers. Each worker reuses one scratch
 // across its contiguous row range, writing each row straight into one
 // slab. The pipeline smooths inside its stride engine; this is the
 // standalone form, for analyses and as the engine's reference.
@@ -145,7 +131,7 @@ func Downsample(smoothed [][]float64, cfg *Config) ([][]float64, error) {
 	return m.Rows(), nil
 }
 
-// Calibrate is the full data-calibration stage: Smooth then Downsample.
+// Calibrate is the full data-calibration stage: SmoothAll then Downsample.
 func Calibrate(phaseDiff [][]float64, cfg *Config) ([][]float64, error) {
 	smoothed, err := SmoothAll(phaseDiff, cfg)
 	if err != nil {

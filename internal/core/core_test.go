@@ -435,7 +435,6 @@ func TestHeartRateOnDirectionalTrace(t *testing.T) {
 }
 
 func TestDenoiseDWTBandSplit(t *testing.T) {
-	cfg := DefaultConfig()
 	fs := 20.0
 	n := 1200
 	series := make([]float64, n)
@@ -443,7 +442,7 @@ func TestDenoiseDWTBandSplit(t *testing.T) {
 		ti := float64(i) / fs
 		series[i] = math.Sin(2*math.Pi*0.3*ti) + 0.2*math.Sin(2*math.Pi*1.3*ti)
 	}
-	bands, err := DenoiseDWT(series, fs, &cfg)
+	bands, err := DenoiseDWT(series, fs)
 	if err != nil {
 		t.Fatalf("DenoiseDWT: %v", err)
 	}
@@ -465,7 +464,7 @@ func TestDenoiseDWTBandSplit(t *testing.T) {
 		t.Errorf("levels = %d, want 4", bands.Decomposition.Levels())
 	}
 	// Too-short input errors.
-	if _, err := DenoiseDWT(make([]float64, 4), 20, &cfg); !errors.Is(err, ErrNoData) {
+	if _, err := DenoiseDWT(make([]float64, 4), 20); !errors.Is(err, ErrNoData) {
 		t.Errorf("want ErrNoData, got %v", err)
 	}
 }
@@ -652,147 +651,5 @@ func TestEstimateBreathingMultiFFTTwoTones(t *testing.T) {
 	// A flat signal has no in-band local maxima.
 	if _, err := EstimateBreathingMultiFFT(make([]float64, 600), fs, 2); err == nil {
 		t.Error("want error for flat signal")
-	}
-}
-
-func TestProcessorConfigAccessor(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Estimator = "esprit"
-	p, err := NewProcessor(WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Config(); got.Estimator != "esprit" {
-		t.Errorf("Config().Estimator = %q, want esprit", got.Estimator)
-	}
-}
-
-func TestTrackRates(t *testing.T) {
-	sim, err := csisim.FixedRatesScenario([]float64{15}, 61)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Generate(90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultTrackConfig()
-	cfg.WindowSeconds = 40
-	cfg.StrideSeconds = 20
-	points, err := TrackRates(tr, cfg)
-	if err != nil {
-		t.Fatalf("TrackRates: %v", err)
-	}
-	// 90 s with 40 s windows every 20 s → starts at 0,20,40: 3 points.
-	if len(points) != 3 {
-		t.Fatalf("points = %d, want 3", len(points))
-	}
-	for i, pt := range points {
-		if pt.Err != nil {
-			t.Fatalf("point %d error: %v", i, pt.Err)
-		}
-		if math.Abs(pt.BreathingBPM-15) > 1 {
-			t.Errorf("point %d breathing = %.2f, want ~15", i, pt.BreathingBPM)
-		}
-		if i > 0 && pt.Time <= points[i-1].Time {
-			t.Errorf("timestamps not increasing: %v", points)
-		}
-	}
-}
-
-func TestTrackRatesValidation(t *testing.T) {
-	if _, err := TrackRates(nil, DefaultTrackConfig()); !errors.Is(err, ErrNoData) {
-		t.Errorf("want ErrNoData, got %v", err)
-	}
-	sim, err := csisim.FixedRatesScenario([]float64{15}, 62)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Generate(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultTrackConfig()
-	cfg.WindowSeconds = 0
-	if _, err := TrackRates(tr, cfg); err == nil {
-		t.Error("want error for zero window")
-	}
-	cfg = DefaultTrackConfig() // 60 s window > 5 s trace
-	if _, err := TrackRates(tr, cfg); !errors.Is(err, ErrNoData) {
-		t.Errorf("want ErrNoData for short trace, got %v", err)
-	}
-}
-
-// TestTrackRatesMatchesMonitor: TrackRates drives the Monitor's stride
-// engine, so on the same trace — here with a NaN packet to quarantine and
-// a timestamp gap to re-anchor on — its points are a drained Monitor's
-// updates: the same count and times and bit-identical rates.
-func TestTrackRatesMatchesMonitor(t *testing.T) {
-	sim, err := csisim.FixedRatesScenario([]float64{15}, 61)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.Generate(110)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Packets[5000].CSI[1][4] = complex(math.NaN(), 0)
-	for i := 20000; i < tr.Len(); i++ {
-		tr.Packets[i].Time += 3
-	}
-	cfg := DefaultTrackConfig()
-	cfg.WindowSeconds = 40
-	cfg.StrideSeconds = 10
-	points, err := TrackRates(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := NewMonitor(MonitorConfig{
-		Pipeline:           cfg.Pipeline,
-		Persons:            1,
-		SampleRate:         tr.SampleRate,
-		NumAntennas:        tr.NumAntennas,
-		NumSubcarriers:     tr.NumSubcarriers,
-		WindowSeconds:      cfg.WindowSeconds,
-		UpdateEverySeconds: cfg.StrideSeconds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var updates []Update
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for u := range m.Updates() {
-			updates = append(updates, u)
-		}
-	}()
-	for _, p := range tr.Packets {
-		m.Ingest(p)
-	}
-	m.Drain()
-	<-done
-	if h := m.Health(); h.QuarantinedNonFinite != 1 || h.GapResets != 1 {
-		t.Fatalf("monitor health %+v, want one non-finite packet and one gap reset", h)
-	}
-
-	if len(points) != len(updates) || len(points) < 4 {
-		t.Fatalf("TrackRates gave %d points, the Monitor %d updates", len(points), len(updates))
-	}
-	for i, pt := range points {
-		u := updates[i]
-		if pt.Time != u.Time || (pt.Err == nil) != (u.Err == nil) {
-			t.Fatalf("point %d: time %v err %v, update time %v err %v", i, pt.Time, pt.Err, u.Time, u.Err)
-		}
-		if pt.Err != nil {
-			continue
-		}
-		if pt.BreathingBPM != u.Result.Breathing.RateBPM {
-			t.Errorf("point %d: breathing %v bpm, update %v bpm", i, pt.BreathingBPM, u.Result.Breathing.RateBPM)
-		}
-		if pt.HasHeart != (u.Result.Heart != nil) || (pt.HasHeart && pt.HeartBPM != u.Result.Heart.RateBPM) {
-			t.Errorf("point %d: heart %v (%v), update %+v", i, pt.HeartBPM, pt.HasHeart, u.Result.Heart)
-		}
 	}
 }

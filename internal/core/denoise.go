@@ -21,9 +21,9 @@ type DWTBands struct {
 }
 
 // DenoiseDWT decomposes the calibrated series (sampled at fs Hz) with the
-// configured Daubechies wavelet at level L and reconstructs the breathing
-// and heart bands.
-func DenoiseDWT(series []float64, fs float64, cfg *Config) (*DWTBands, error) {
+// paper's Daubechies wavelet at level L and reconstructs the breathing and
+// heart bands.
+func DenoiseDWT(series []float64, fs float64) (*DWTBands, error) {
 	w, err := wavelet.Daubechies(waveletOrder)
 	if err != nil {
 		return nil, fmt.Errorf("core: wavelet: %w", err)

@@ -74,11 +74,11 @@ func maxGapSeconds(sampleRate float64) float64 {
 // strideEngine is the pipeline's one front end: phase-difference
 // extraction, Hampel calibration and the amplitude gate over a columnar
 // ring (internal/arena) of wrapped phase differences, one contiguous
-// column per subcarrier. A Monitor (and TrackRates) slide it over a
-// stream, so each stride reprocesses only the new tail plus the smoothing
-// edge margin, reading sequential memory throughout; Processor.Process
-// runs it once with window = stride = the whole trace, so a batch run is
-// the engine's first stride.
+// column per subcarrier. A Monitor slides it over a stream, so each
+// stride reprocesses only the new tail plus the smoothing edge margin,
+// reading sequential memory throughout; Processor.Process runs it once
+// with window = stride = the whole trace, so a batch run is the engine's
+// first stride.
 //
 // Exactness: the wrapped difference is computed with the expression of
 // ExtractPhaseDifference, and its sin/cos and the per-antenna amplitudes

@@ -174,10 +174,9 @@ func windowGeometry(cfg *MonitorConfig) (window, stride int) {
 		max(int(cfg.UpdateEverySeconds*cfg.SampleRate), 1)
 }
 
-// check is the guard NewMonitor and TrackRates share: a positive rate, at
-// least two antennas and one subcarrier, a positive window and stride,
-// window storage within maxWindowCells and maxWindowBytes, and no
-// raw-trace estimator backend.
+// check is NewMonitor's guard: a positive rate, at least two antennas and
+// one subcarrier, a positive window and stride, window storage within
+// maxWindowCells and maxWindowBytes, and no raw-trace estimator backend.
 func (cfg *MonitorConfig) check() error {
 	if cfg.SampleRate <= 0 {
 		return fmt.Errorf("core: sample rate must be positive, got %v", cfg.SampleRate)

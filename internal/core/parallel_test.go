@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"phasebeat/internal/dsp"
 )
 
 func TestParallelChunksCoversAllIndices(t *testing.T) {
@@ -109,11 +111,21 @@ func TestSmoothAllParallelismIsByteIdentical(t *testing.T) {
 func TestSmoothRangeMatchesSmooth(t *testing.T) {
 	cfg := ConfigForRate(100)
 	series := randomPhaseMatrix(1, 3000, 3)[0]
-	full, err := Smooth(series, &cfg)
+	// The reference runs the two dsp filters over the whole series:
+	// subtract the strided trend median, then Hampel-smooth.
+	n := len(series)
+	trend, err := dsp.RunningMedianStridedRange(nil, series, cfg.TrendWindow, trendStride, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(series)
+	detrended := make([]float64, n)
+	for i, v := range series {
+		detrended[i] = v - trend[i]
+	}
+	full, err := dsp.Hampel(detrended, cfg.SmoothWindow, hampelThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rc := range [][2]int{{0, n}, {0, 600}, {1200, 1800}, {n - 600, n}, {0, 0}, {n / 2, n/2 + 1}} {
 		lo, hi := rc[0], rc[1]
 		got, err := smoothRangeInto(nil, series, &cfg, lo, hi, &smoothScratch{})

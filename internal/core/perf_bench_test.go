@@ -99,7 +99,7 @@ func BenchmarkDWTDenoise(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DenoiseDWT(series, fs, &cfg); err != nil {
+		if _, err := DenoiseDWT(series, fs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,7 +122,6 @@ func BenchmarkEstimateStage(b *testing.B) {
 	// re-slices window views into this pool, so iterations pay zero fixture
 	// cost and the figures below are pure estimator work.
 	const pool = 64 * slideDec
-	cfg := DefaultConfig()
 
 	// Two stationary breathing tones plus measurement noise; each
 	// subcarrier sees them with its own phase and mix, like calibrated
@@ -168,7 +167,7 @@ func BenchmarkEstimateStage(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			window(calib, i)
-			if _, err := DenoiseDWT(calib[0], fs, &cfg); err != nil {
+			if _, err := DenoiseDWT(calib[0], fs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -24,8 +24,7 @@ var ErrNotStationary = errors.New("core: no stationary segment")
 // captures) detected at phase extraction, or an estimator output that
 // came out non-finite. Process fails on a NaN or Inf cell on any antenna
 // instead of letting it ride silently into a "successful" estimate; the
-// streaming Monitor and TrackRates quarantine such packets before they
-// reach the window.
+// streaming Monitor quarantines such packets before they reach the window.
 var ErrNonFinite = errors.New("core: non-finite data")
 
 // ExtractPhaseDifference computes the unwrapped CSI phase difference

@@ -98,9 +98,6 @@ func NewProcessor(opts ...Option) (*Processor, error) {
 	return p, nil
 }
 
-// Config returns a copy of the processor configuration.
-func (p *Processor) Config() Config { return p.cfg }
-
 // amplitudeGateFraction is the stride engine's amplitude-gate threshold
 // fraction (see AmplitudeGate).
 const amplitudeGateFraction = 0.3

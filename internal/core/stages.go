@@ -284,7 +284,7 @@ func runSelect(st *pipelineState) error {
 
 func runDWT(st *pipelineState) error {
 	sel := st.res.Selection
-	bands, err := DenoiseDWT(st.res.Calibrated[sel.Selected], st.res.EstimationRate, &st.proc.cfg)
+	bands, err := DenoiseDWT(st.res.Calibrated[sel.Selected], st.res.EstimationRate)
 	if err != nil {
 		return err
 	}

@@ -62,7 +62,7 @@ func referenceProcess(p *Processor, tr *trace.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bands, err := DenoiseDWT(calibrated[sel.Selected], estRate, &p.cfg)
+	bands, err := DenoiseDWT(calibrated[sel.Selected], estRate)
 	if err != nil {
 		return nil, err
 	}

@@ -184,9 +184,6 @@ func (s *Simulator) Truth() []VitalTruth {
 	return out
 }
 
-// SampleRate returns the configured packet rate in Hz.
-func (s *Simulator) SampleRate() float64 { return s.cfg.SampleRate }
-
 // NextPacket produces the next CSI packet. Consecutive calls advance the
 // simulation clock by 1/SampleRate.
 func (s *Simulator) NextPacket() trace.Packet {

@@ -28,16 +28,6 @@ func NextPowerOfTwo(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// FFT returns the discrete Fourier transform of x. It uses an iterative
-// radix-2 Cooley-Tukey algorithm when len(x) is a power of two and
-// Bluestein's chirp-z algorithm otherwise. The input is not modified.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, false)
-	return out
-}
-
 // IFFT returns the inverse discrete Fourier transform of x (normalized by
 // 1/N so IFFT(FFT(x)) == x). The input is not modified.
 func IFFT(x []complex128) []complex128 {

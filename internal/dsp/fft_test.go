@@ -26,11 +26,19 @@ func TestNextPowerOfTwo(t *testing.T) {
 	}
 }
 
+// fft is the forward transform the spectrum paths run (fftInPlace),
+// applied to a copy of x.
+func fft(x []complex128) []complex128 {
+	out := append([]complex128(nil), x...)
+	fftInPlace(out, false)
+	return out
+}
+
 func TestFFTImpulse(t *testing.T) {
 	// DFT of a unit impulse is all ones.
 	x := make([]complex128, 8)
 	x[0] = 1
-	got := FFT(x)
+	got := fft(x)
 	for k, v := range got {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Errorf("bin %d = %v, want 1", k, v)
@@ -45,7 +53,7 @@ func TestFFTSinusoidBin(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Rect(1, 2*math.Pi*3*float64(i)/float64(n))
 	}
-	got := FFT(x)
+	got := fft(x)
 	for k, v := range got {
 		want := 0.0
 		if k == 3 {
@@ -76,7 +84,7 @@ func TestFFTRealCosine(t *testing.T) {
 	}
 }
 
-// Property: IFFT(FFT(x)) == x for both power-of-two and arbitrary lengths.
+// Property: IFFT(fft(x)) == x for both power-of-two and arbitrary lengths.
 func TestFFTRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	f := func(seed int64) bool {
@@ -86,7 +94,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		for i := range x {
 			x[i] = complex(r.NormFloat64(), r.NormFloat64())
 		}
-		y := IFFT(FFT(x))
+		y := IFFT(fft(x))
 		for i := range x {
 			if cmplx.Abs(x[i]-y[i]) > 1e-9 {
 				return false
@@ -99,7 +107,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: linearity FFT(a·x + b·y) == a·FFT(x) + b·FFT(y).
+// Property: linearity fft(a·x + b·y) == a·fft(x) + b·fft(y).
 func TestFFTLinearityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	f := func(seed int64) bool {
@@ -115,7 +123,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 			y[i] = complex(r.NormFloat64(), r.NormFloat64())
 			mix[i] = a*x[i] + b*y[i]
 		}
-		fx, fy, fmix := FFT(x), FFT(y), FFT(mix)
+		fx, fy, fmix := fft(x), fft(y), fft(mix)
 		for k := range fmix {
 			if cmplx.Abs(fmix[k]-(a*fx[k]+b*fy[k])) > 1e-8 {
 				return false
@@ -152,7 +160,7 @@ func TestBluesteinMatchesDirectDFT(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		got := FFT(x)
+		got := fft(x)
 		want := directDFT(x)
 		for k := range want {
 			if cmplx.Abs(got[k]-want[k]) > 1e-8 {
@@ -203,12 +211,12 @@ func TestZeroPad(t *testing.T) {
 }
 
 func TestFFTEmptyAndSingle(t *testing.T) {
-	if got := FFT(nil); len(got) != 0 {
-		t.Error("FFT(nil) should be empty")
+	if got := fft(nil); len(got) != 0 {
+		t.Error("fft(nil) should be empty")
 	}
-	got := FFT([]complex128{5})
+	got := fft([]complex128{5})
 	if len(got) != 1 || got[0] != 5 {
-		t.Errorf("FFT single = %v", got)
+		t.Errorf("fft single = %v", got)
 	}
 	if got := IFFT([]complex128{5}); got[0] != 5 {
 		t.Errorf("IFFT single = %v", got)
@@ -223,7 +231,7 @@ func BenchmarkFFT1024(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		fft(x)
 	}
 }
 
@@ -235,6 +243,6 @@ func BenchmarkFFTBluestein1000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		fft(x)
 	}
 }

@@ -102,20 +102,13 @@ func grow[T any](dst []T, n int) []T {
 	return dst[:n]
 }
 
-// RunningMedianStrided evaluates the centered window median only at sample
-// indices 0, stride, 2·stride, … and linearly interpolates between those
-// anchor points; with stride 1 it is the exact running median. See
-// RunningMedianStridedRange for the cost.
-func RunningMedianStrided(x []float64, window, stride int) ([]float64, error) {
-	return RunningMedianStridedRange(nil, x, window, stride, 0, len(x))
-}
-
-// RunningMedianStridedRange computes the same values
-// RunningMedianStrided(x, window, stride) would produce for indices [lo, hi)
-// of x, writing them into dst (grown as needed). Output index i corresponds
-// to signal index lo+i. Anchor positions are derived from the full signal
-// length, so a sub-range evaluation matches the full evaluation exactly —
-// the invariant the incremental Monitor relies on.
+// RunningMedianStridedRange evaluates the centered window median of x only
+// at sample indices 0, stride, 2·stride, … and linearly interpolates
+// between those anchor points (with stride 1 it is the exact running
+// median), writing indices [lo, hi) into dst (grown as needed). Output
+// index i corresponds to signal index lo+i. Anchor positions are derived
+// from the full signal length, so a sub-range evaluation matches the full
+// evaluation exactly — the invariant the incremental Monitor relies on.
 //
 // The samples the needed anchors' windows cover are ranked once (a radix
 // sort for long views, a comparison sort for short ones); the window then

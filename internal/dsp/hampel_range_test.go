@@ -84,7 +84,7 @@ func TestRunningMedianStridedRangeMatchesFull(t *testing.T) {
 	}
 	for _, window := range []int{7, 31, 101} {
 		for _, stride := range []int{1, 3, 10, 50} {
-			full, err := RunningMedianStrided(x, window, stride)
+			full, err := RunningMedianStridedRange(nil, x, window, stride, 0, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -209,10 +209,6 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 				_, err := HampelRange(nil, x[40:100], 40, len(x), 11, 3, 50, 90)
 				return err
 			},
-			"RunningMedianStrided": func() error {
-				_, err := RunningMedianStrided(x, 11, 4)
-				return err
-			},
 			"RunningMedianStridedRange": func() error {
 				_, err := RunningMedianStridedRange(nil, x, 11, 4, 50, 90)
 				return err

@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -198,23 +197,4 @@ func Parseval(x []float64) (timeEnergy, freqEnergy float64) {
 		freqEnergy /= float64(len(x))
 	}
 	return timeEnergy, freqEnergy
-}
-
-// SNR estimates the signal-to-noise ratio (in dB) of x given a signal band:
-// power inside [fLo, fHi] over power outside it (excluding DC).
-func SNR(x []float64, fs, fLo, fHi float64) (float64, error) {
-	sp, err := MagnitudeSpectrum(RemoveMean(x), fs, NextPowerOfTwo(len(x)))
-	if err != nil {
-		return 0, err
-	}
-	inBand := sp.Power(fLo, fHi)
-	total := sp.Power(sp.Freqs[1], sp.Fs/2)
-	noise := total - inBand
-	if noise <= 0 {
-		return math.Inf(1), nil
-	}
-	if inBand == 0 {
-		return math.Inf(-1), nil
-	}
-	return 10 * math.Log10(inBand/noise), nil
 }

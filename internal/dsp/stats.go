@@ -17,23 +17,6 @@ func Mean(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// Variance returns the population variance of x, or 0 when len(x) < 2.
-func Variance(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
 // Median returns the median of x, or 0 for an empty slice. x is not
 // modified.
 func Median(x []float64) float64 {
@@ -62,32 +45,6 @@ func MeanAbsDev(x []float64) float64 {
 		s += math.Abs(v - m)
 	}
 	return s / float64(len(x))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of x using linear
-// interpolation between order statistics. x is not modified.
-func Percentile(x []float64, p float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	tmp := make([]float64, n)
-	copy(tmp, x)
-	sort.Float64s(tmp)
-	if p <= 0 {
-		return tmp[0]
-	}
-	if p >= 100 {
-		return tmp[n-1]
-	}
-	pos := p / 100 * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return tmp[lo]
-	}
-	frac := pos - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac
 }
 
 // MinMax returns the minimum and maximum of x. It returns (0, 0) for an

@@ -12,23 +12,14 @@ func TestBasicStats(t *testing.T) {
 	if got := Mean(x); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := Variance(x); got != 4 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(x); got != 2 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
 	if got := Median(x); got != 4.5 {
 		t.Errorf("Median = %v, want 4.5", got)
 	}
 }
 
 func TestStatsEmpty(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 || Variance(nil) != 0 || MeanAbsDev(nil) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 || MeanAbsDev(nil) != 0 {
 		t.Error("empty-slice statistics should be zero")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil) should be 0")
 	}
 	if RMS(nil) != 0 {
 		t.Error("RMS(nil) should be 0")
@@ -39,18 +30,6 @@ func TestMeanAbsDev(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5} // mean 3, deviations 2 1 0 1 2
 	if got := MeanAbsDev(x); math.Abs(got-1.2) > 1e-12 {
 		t.Errorf("MeanAbsDev = %v, want 1.2", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {90, 4.6},
-	}
-	for _, c := range cases {
-		if got := Percentile(x, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
 	}
 }
 
@@ -91,32 +70,6 @@ func TestAutocorrelationConstantSignal(t *testing.T) {
 		if v != 0 {
 			t.Errorf("ac[%d] = %v, want 0 for zero-variance input", lag, v)
 		}
-	}
-}
-
-// Property: Percentile is monotone in p and bounded by min/max.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(50)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		mn, mx := MinMax(x)
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 10 {
-			v := Percentile(x, p)
-			if v < prev-1e-12 || v < mn-1e-12 || v > mx+1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
-		t.Error(err)
 	}
 }
 

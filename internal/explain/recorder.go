@@ -311,17 +311,6 @@ func (r *Recorder) Last() *Trace {
 	return r.ring[(r.head+r.count-1)%len(r.ring)].Trace
 }
 
-// Entries returns a copy of the ring, oldest first.
-func (r *Recorder) Entries() []Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Entry, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		out = append(out, r.ring[(r.head+i)%len(r.ring)])
-	}
-	return out
-}
-
 // Len returns the number of recorded traces currently in the ring.
 func (r *Recorder) Len() int {
 	r.mu.Lock()

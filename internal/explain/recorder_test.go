@@ -74,8 +74,11 @@ func TestRingBounding(t *testing.T) {
 	if r.Len() != ringCapacity {
 		t.Fatalf("Len = %d, want %d", r.Len(), ringCapacity)
 	}
-	entries := r.Entries()
-	for i, e := range entries {
+	// The ring is what a flight dump writes, oldest first.
+	r.mu.Lock()
+	d, _ := r.buildDumpLocked("manual", 0)
+	r.mu.Unlock()
+	for i, e := range d.Entries {
 		if want := uint64(7 + i); e.Trace.Seq != want {
 			t.Fatalf("entry %d has seq %d, want %d", i, e.Trace.Seq, want)
 		}

@@ -614,9 +614,6 @@ type Session struct {
 	drained chan struct{}
 }
 
-// Key returns the session key.
-func (s *Session) Key() string { return s.key }
-
 // Health returns the session Monitor's current Health.
 func (s *Session) Health() core.Health { return s.mon.Health() }
 
@@ -625,17 +622,6 @@ func (s *Session) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
-}
-
-// Latest returns the most recent Snapshot; ok is false while the session
-// has not produced an update yet.
-func (s *Session) Latest() (Snapshot, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.seq == 0 {
-		return Snapshot{}, false
-	}
-	return Snapshot{Seq: s.seq, Update: s.latest}, true
 }
 
 // Wait long-polls for a Snapshot newer than since. It returns as soon as

@@ -138,8 +138,8 @@ func TestManagerSessionLifecycle(t *testing.T) {
 	if _, ok := s.Wait(snap.Seq, 50*time.Millisecond); ok {
 		t.Fatal("Wait returned a snapshot no newer than the head cursor")
 	}
-	if again, ok := s.Latest(); !ok || again.Seq != snap.Seq {
-		t.Fatalf("Latest disagrees with the drained head: %+v vs %+v", again, snap)
+	if seq := s.Seq(); seq != snap.Seq {
+		t.Fatalf("Seq %d disagrees with the drained head %+v", seq, snap)
 	}
 
 	h, err := mgr.CloseSession("alpha")
@@ -257,9 +257,9 @@ func TestRecorderFailuresAreCountedNotFatal(t *testing.T) {
 	if h.Accepted != uint64(len(pkts)) {
 		t.Fatalf("final health Accepted = %d, want %d", h.Accepted, len(pkts))
 	}
-	final, _ := s.Latest()
-	if final.Seq < 2 {
-		t.Fatalf("session published %d updates, want a stream of them", final.Seq)
+	published := s.Seq()
+	if published < 2 {
+		t.Fatalf("session published %d updates, want a stream of them", published)
 	}
 
 	// CloseSession returns after the recorder's last call: counts are final.
@@ -269,14 +269,14 @@ func TestRecorderFailuresAreCountedNotFatal(t *testing.T) {
 	}{
 		{"OpenSession", rec.opens.Load(), 1},
 		{"AppendPacket", rec.packets.Load(), uint64(len(pkts))},
-		{"AppendUpdate", rec.updates.Load(), final.Seq},
+		{"AppendUpdate", rec.updates.Load(), published},
 		{"CloseSession", rec.closes.Load(), 1},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s calls = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	want := 1 + uint64(len(pkts)) + final.Seq + 1
+	want := 1 + uint64(len(pkts)) + published + 1
 	if v := gaugeValue(t, reg, "fleet.record.errors"); v != float64(want) {
 		t.Fatalf("fleet.record.errors = %v, want %d failed calls", v, want)
 	}
@@ -399,7 +399,7 @@ func TestSharedArenaChurnStress(t *testing.T) {
 					t.Errorf("%s: accepted %d/%d, quarantined-malformed %d/%d",
 						key, h.Accepted, clean, h.QuarantinedMalformed, bad)
 				}
-				if snap, ok := s.Latest(); ok && snap.Update.Result != nil {
+				if snap, ok := s.Wait(0, 0); ok && snap.Update.Result != nil {
 					cu := capturedUpdate{res: snap.Update.Result, key: key}
 					if c := snap.Update.Result.Calibrated; len(c) > 0 && len(c[0]) > 0 {
 						cu.calibRow = append([]float64(nil), c[0]...)

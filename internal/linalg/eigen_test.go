@@ -59,12 +59,7 @@ func TestEigSymProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(10)
-		// Random symmetric matrix: B + Bᵀ.
-		b := randomMatrix(r, n, n)
-		a, err := b.Add(b.Transpose())
-		if err != nil {
-			return false
-		}
+		a := randomSymmetric(r, n)
 		e, err := EigSym(a)
 		if err != nil {
 			return false
@@ -111,8 +106,7 @@ func TestEigSymTraceInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(8)
-		b := randomMatrix(rng, n, n)
-		a, _ := b.Add(b.Transpose())
+		a := randomSymmetric(rng, n)
 		e, err := EigSym(a)
 		if err != nil {
 			t.Fatalf("EigSym: %v", err)
@@ -130,8 +124,7 @@ func TestEigSymTraceInvariant(t *testing.T) {
 
 func BenchmarkEigSym30(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	m := randomMatrix(rng, 30, 30)
-	a, _ := m.Add(m.Transpose())
+	a := randomSymmetric(rng, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EigSym(a); err != nil {

@@ -49,13 +49,6 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // Col returns a copy of column j.
 func (m *Matrix) Col(j int) []float64 {
 	out := make([]float64, m.rows)
@@ -89,30 +82,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 		m.data[i] *= s
 	}
 	return m
-}
-
-// Add returns m + other as a new matrix.
-func (m *Matrix) Add(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrDimensionMismatch, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += other.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - other as a new matrix.
-func (m *Matrix) Sub(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrDimensionMismatch, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= other.data[i]
-	}
-	return out, nil
 }
 
 // Mul returns the matrix product m · other.
@@ -203,21 +172,4 @@ func (m *Matrix) Trace() (float64, error) {
 		t += m.data[i*m.cols+i]
 	}
 	return t, nil
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	s := fmt.Sprintf("Matrix(%dx%d)[", m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		if i > 0 {
-			s += "; "
-		}
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				s += " "
-			}
-			s += fmt.Sprintf("%.4g", m.At(i, j))
-		}
-	}
-	return s + "]"
 }

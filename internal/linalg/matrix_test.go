@@ -58,26 +58,6 @@ func TestMatrixTranspose(t *testing.T) {
 	}
 }
 
-func TestMatrixAddSub(t *testing.T) {
-	a := matrixFrom(2, 2, []float64{1, 2, 3, 4})
-	b := matrixFrom(2, 2, []float64{5, 6, 7, 8})
-	s, err := a.Add(b)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	d, err := s.Sub(b)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if d.At(i, j) != a.At(i, j) {
-				t.Errorf("(a+b)-b != a at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	a := matrixFrom(2, 3, []float64{1, 0, -1, 2, 1, 0})
 	got, err := a.MulVec([]float64{3, 4, 5})
@@ -165,6 +145,18 @@ func randomMatrix(r *rand.Rand, rows, cols int) *Matrix {
 		}
 	}
 	return m
+}
+
+// randomSymmetric returns B + Bᵀ for a random n×n matrix B.
+func randomSymmetric(r *rand.Rand, n int) *Matrix {
+	b := randomMatrix(r, n, n)
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, b.At(i, j)+b.At(j, i))
+		}
+	}
+	return a
 }
 
 func matricesClose(a, b *Matrix, tol float64) bool {

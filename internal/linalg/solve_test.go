@@ -98,8 +98,7 @@ func TestEigenvaluesMatchEigSym(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(5)
-		b := randomMatrix(rng, n, n)
-		a, _ := b.Add(b.Transpose())
+		a := randomSymmetric(rng, n)
 		sym, err := EigSym(a)
 		if err != nil {
 			t.Fatal(err)

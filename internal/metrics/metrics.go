@@ -80,20 +80,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add moves the gauge by delta using a CAS loop (lock-free, no mutex).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		if g.bits.CompareAndSwap(old, math.Float64bits(cur+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (zero on a nil receiver).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -18,9 +18,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := NewGauge()
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	if got := g.Value(); got != 2.5 {
+		t.Fatalf("gauge = %v, want 2.5", got)
 	}
 }
 
@@ -36,7 +35,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(1)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge should read 0")
 	}
@@ -171,7 +169,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(1)
 				h.Observe(1e-5)
 				// Concurrent snapshots must not race with recording.
 				if i%100 == 0 {
@@ -184,8 +182,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if c.Value() != workers*iters {
 		t.Fatalf("counter lost updates: %d", c.Value())
 	}
-	if g.Value() != workers*iters {
-		t.Fatalf("gauge lost updates: %v", g.Value())
+	if g.Value() != 1 {
+		t.Fatalf("gauge = %v, want 1", g.Value())
 	}
 	if h.Count() != workers*iters {
 		t.Fatalf("histogram lost updates: %d", h.Count())

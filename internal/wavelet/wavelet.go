@@ -32,16 +32,6 @@ type Wavelet struct {
 // Len returns the filter length.
 func (w *Wavelet) Len() int { return len(w.RecLo) }
 
-// Haar returns the db1/Haar wavelet.
-func Haar() *Wavelet {
-	w, err := Daubechies(1)
-	if err != nil {
-		// Daubechies(1) is closed-form and cannot fail.
-		panic(fmt.Sprintf("wavelet: Haar construction failed: %v", err))
-	}
-	return w
-}
-
 // Daubechies constructs the dbN wavelet (filter length 2N) for 1 <= N <= 12
 // by spectral factorization: the roots of the Daubechies polynomial
 // P(y) = Σ_k C(N-1+k, k) yᵏ are mapped to z-plane root pairs and the

@@ -104,8 +104,18 @@ func TestDaubechiesRange(t *testing.T) {
 	}
 }
 
+// haar is the db1/Haar wavelet.
+func haar(t *testing.T) *Wavelet {
+	t.Helper()
+	w, err := Daubechies(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestHaar(t *testing.T) {
-	w := Haar()
+	w := haar(t)
 	s := math.Sqrt2 / 2
 	if math.Abs(w.RecLo[0]-s) > 1e-15 || math.Abs(w.RecLo[1]-s) > 1e-15 {
 		t.Errorf("Haar rec_lo = %v", w.RecLo)
@@ -116,7 +126,7 @@ func TestHaar(t *testing.T) {
 }
 
 func TestDWTHaarKnown(t *testing.T) {
-	w := Haar()
+	w := haar(t)
 	x := []float64{1, 3, 5, 7}
 	a, d := DWT(x, w, ModeZero)
 	// Pairwise sums/differences scaled by 1/√2 (plus one boundary coeff).
@@ -310,7 +320,7 @@ func energy(x []float64) float64 {
 }
 
 func TestWavedecErrors(t *testing.T) {
-	w := Haar()
+	w := haar(t)
 	if _, err := Wavedec(make([]float64, 100), w, ModeSymmetric, 0); err == nil {
 		t.Error("want error for level 0")
 	}
@@ -330,7 +340,7 @@ func TestWavedecErrors(t *testing.T) {
 }
 
 func TestIDWTErrors(t *testing.T) {
-	w := Haar()
+	w := haar(t)
 	if _, err := IDWT([]float64{1}, []float64{1, 2}, w, 2); err == nil {
 		t.Error("want error for mismatched coefficient lengths")
 	}

@@ -67,10 +67,6 @@ type (
 	Health = core.Health
 	// EnvironmentState classifies a detection window.
 	EnvironmentState = core.EnvironmentState
-	// TrackPoint and TrackConfig belong to the offline sliding-window
-	// rate tracker.
-	TrackPoint  = core.TrackPoint
-	TrackConfig = core.TrackConfig
 	// ProcessorOption customizes ProcessTrace.
 	ProcessorOption = core.Option
 	// StageError tags a pipeline failure with the stage that produced it;
@@ -238,16 +234,6 @@ func DefaultMonitorConfig() MonitorConfig { return core.DefaultMonitorConfig() }
 // NewMonitor starts a realtime monitor; feed it with Ingest and read
 // Updates.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return core.NewMonitor(cfg) }
-
-// DefaultTrackConfig returns the offline tracker defaults (60 s window,
-// 10 s stride).
-func DefaultTrackConfig() TrackConfig { return core.DefaultTrackConfig() }
-
-// TrackRates produces a vital-sign time series over sliding windows of a
-// recorded trace — the offline counterpart of the streaming Monitor.
-func TrackRates(tr *Trace, cfg TrackConfig) ([]TrackPoint, error) {
-	return core.TrackRates(tr, cfg)
-}
 
 // Simulate builds the scenario and generates durationS seconds of CSI,
 // returning the trace and the per-person ground truth.

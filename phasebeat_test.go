@@ -149,28 +149,3 @@ func TestEnvironmentStateConstants(t *testing.T) {
 		t.Error("state constants mismatch")
 	}
 }
-
-func TestPublicAPITrackRates(t *testing.T) {
-	tr, truth, err := SimulateFixedRates([]float64{14}, 80, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultTrackConfig()
-	cfg.WindowSeconds = 40
-	cfg.StrideSeconds = 40
-	points, err := TrackRates(tr, cfg)
-	if err != nil {
-		t.Fatalf("TrackRates: %v", err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2", len(points))
-	}
-	for _, pt := range points {
-		if pt.Err != nil {
-			t.Fatalf("point error: %v", pt.Err)
-		}
-		if math.Abs(pt.BreathingBPM-truth[0].BreathingBPM) > 1 {
-			t.Errorf("tracked %.2f, want %.2f", pt.BreathingBPM, truth[0].BreathingBPM)
-		}
-	}
-}
