@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"phasebeat"
+	"phasebeat/internal/trace"
 )
 
 func TestRunGeneratesReadableTrace(t *testing.T) {
@@ -24,9 +25,9 @@ func TestRunGeneratesReadableTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := phasebeat.ReadTrace(f)
+	tr, err := trace.Read(f)
 	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+		t.Fatalf("trace.Read: %v", err)
 	}
 	if tr.Len() != 800 { // 2 s at 400 Hz
 		t.Errorf("packets = %d, want 800", tr.Len())
@@ -96,9 +97,9 @@ func TestRunJSONFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := phasebeat.ReadTraceJSON(f)
+	tr, err := trace.ReadJSON(f)
 	if err != nil {
-		t.Fatalf("ReadTraceJSON: %v", err)
+		t.Fatalf("trace.ReadJSON: %v", err)
 	}
 	if tr.Len() != 400 {
 		t.Errorf("packets = %d, want 400", tr.Len())
@@ -118,9 +119,9 @@ func TestRunGzipFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := phasebeat.ReadTraceAuto(f)
+	tr, err := trace.ReadCompressed(f)
 	if err != nil {
-		t.Fatalf("ReadTraceAuto: %v", err)
+		t.Fatalf("trace.ReadCompressed: %v", err)
 	}
 	if tr.Len() != 400 {
 		t.Errorf("packets = %d, want 400", tr.Len())

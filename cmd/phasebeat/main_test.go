@@ -79,12 +79,12 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("run %v: error %v, want one naming %s", tc.args, err, tc.needs)
 		}
 	}
-	// The amplitude baseline reads the raw trace, which the streaming
-	// Monitor never retains: watch mode must refuse it up front.
+	// The amplitude method of [13] is Fig. 11's separate system, not a
+	// breathing backend: watch mode refuses it up front as unknown.
 	if err := run([]string{"-watch", "42", "-estimator", "amplitude"}); err == nil {
-		t.Error("want error for a batch-only estimator in watch mode")
-	} else if !strings.Contains(err.Error(), "amplitude") || !strings.Contains(err.Error(), "batch-only") {
-		t.Errorf("watch -estimator amplitude: error %q should name amplitude and say batch-only", err)
+		t.Error("want error for an unknown estimator in watch mode")
+	} else if !strings.Contains(err.Error(), "amplitude") || !strings.Contains(err.Error(), "unknown") {
+		t.Errorf("watch -estimator amplitude: error %q should name amplitude and say unknown", err)
 	}
 }
 

@@ -54,7 +54,7 @@ func ExampleEstimateAmplitudeBaseline() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := phasebeat.EstimateAmplitudeBaseline(tr, phasebeat.DefaultBaselineConfig())
+	est, err := phasebeat.EstimateAmplitudeBaseline(tr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,62 +19,25 @@ import (
 // ErrNoData reports an empty or unusable input trace.
 var ErrNoData = errors.New("baseline: not enough data")
 
-// Config holds the amplitude method's tunables.
-type Config struct {
-	// Antenna is the receive antenna whose amplitudes are used.
-	Antenna int
-	// HampelWindow and HampelSigma control the outlier filter.
-	HampelWindow int
-	HampelSigma  float64
-	// SmoothWindow is the moving-average length at the raw rate.
-	SmoothWindow int
-	// DownsampleFactor reduces the raw rate to the estimation rate.
-	DownsampleFactor int
-	// PeakWindow and PeakMinDistance control breathing peak detection at
+// The amplitude method's settings. The raw-rate windows are the 400 Hz
+// values; EstimateBreathing scales them to the trace's rate so the
+// estimation rate stays near 20 Hz.
+const (
+	// antenna is the receive antenna whose amplitudes are used.
+	antenna = 0
+	// hampelWindow400 and hampelSigma control the outlier filter.
+	hampelWindow400 = 50
+	hampelSigma     = 3
+	// smoothWindow400 is the moving-average length at 400 Hz.
+	smoothWindow400 = 80
+	// estimationRate is the rate the downsample factor aims for, in Hz.
+	estimationRate = 20.0
+	// peakWindow and peakMinDistance control breathing peak detection at
 	// the estimation rate.
-	PeakWindow, PeakMinDistance int
-	// BreathBandLow/High bound the breathing band in Hz.
-	BreathBandLow, BreathBandHigh float64
-}
-
-// DefaultConfig mirrors the PhaseBeat operating point for a fair
-// comparison at 400 Hz.
-func DefaultConfig() Config {
-	return Config{
-		Antenna:          0,
-		HampelWindow:     50,
-		HampelSigma:      3,
-		SmoothWindow:     80,
-		DownsampleFactor: 20,
-		PeakWindow:       51,
-		PeakMinDistance:  35,
-		BreathBandLow:    0.17,
-		BreathBandHigh:   0.62,
-	}
-}
-
-// ConfigForRate adapts the 400 Hz defaults to another capture rate,
-// scaling the raw-rate windows and the downsample factor so the
-// estimation rate stays near 20 Hz — the amplitude-method counterpart of
-// the core pipeline's ConfigForRate.
-func ConfigForRate(sampleRate float64) Config {
-	cfg := DefaultConfig()
-	if sampleRate <= 0 {
-		return cfg
-	}
-	scale := sampleRate / 400.0
-	cfg.HampelWindow = maxInt(3, int(50*scale))
-	cfg.SmoothWindow = maxInt(3, int(80*scale))
-	cfg.DownsampleFactor = maxInt(1, int(sampleRate/20.0))
-	return cfg
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+	peakWindow, peakMinDistance = 51, 35
+	// breathBandLow/High bound the breathing band in Hz.
+	breathBandLow, breathBandHigh = 0.17, 0.62
+)
 
 // Estimate is the amplitude method's output.
 type Estimate struct {
@@ -84,32 +47,43 @@ type Estimate struct {
 	Subcarrier int
 }
 
-// EstimateBreathing runs the amplitude pipeline on a trace.
-func EstimateBreathing(tr *trace.Trace, cfg Config) (*Estimate, error) {
+// EstimateBreathing runs the amplitude pipeline on a trace. A packet whose
+// shape differs from the trace's is an error naming the packet.
+func EstimateBreathing(tr *trace.Trace) (*Estimate, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrNoData)
 	}
-	if cfg.Antenna < 0 || cfg.Antenna >= tr.NumAntennas {
-		return nil, fmt.Errorf("baseline: antenna %d outside [0, %d)", cfg.Antenna, tr.NumAntennas)
+	if !(tr.SampleRate > 0) {
+		return nil, fmt.Errorf("baseline: sample rate %v Hz", tr.SampleRate)
 	}
-	if cfg.DownsampleFactor < 1 || cfg.SmoothWindow < 1 || cfg.HampelWindow < 1 {
-		return nil, fmt.Errorf("baseline: invalid window configuration %+v", cfg)
+	if antenna >= tr.NumAntennas {
+		return nil, fmt.Errorf("baseline: antenna %d outside [0, %d)", antenna, tr.NumAntennas)
 	}
-	estRate := tr.SampleRate / float64(cfg.DownsampleFactor)
+	for k, p := range tr.Packets {
+		if len(p.CSI) != tr.NumAntennas || len(p.CSI[antenna]) != tr.NumSubcarriers {
+			return nil, fmt.Errorf("baseline: packet %d does not have the trace's %d antennas × %d subcarriers",
+				k, tr.NumAntennas, tr.NumSubcarriers)
+		}
+	}
+	scale := tr.SampleRate / 400.0
+	hampelWindow := max(3, int(hampelWindow400*scale))
+	smoothWindow := max(3, int(smoothWindow400*scale))
+	factor := max(1, int(tr.SampleRate/estimationRate))
+	estRate := tr.SampleRate / float64(factor)
 
 	// Calibrate every subcarrier's amplitude series.
 	calibrated := make([][]float64, tr.NumSubcarriers)
 	for s := 0; s < tr.NumSubcarriers; s++ {
 		amp := make([]float64, tr.Len())
 		for k, p := range tr.Packets {
-			amp[k] = cmplx.Abs(p.CSI[cfg.Antenna][s])
+			amp[k] = cmplx.Abs(p.CSI[antenna][s])
 		}
-		cleaned, err := dsp.Hampel(amp, cfg.HampelWindow, cfg.HampelSigma)
+		cleaned, err := dsp.Hampel(amp, hampelWindow, hampelSigma)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: hampel: %w", err)
 		}
-		smoothed := dsp.MovingAverage(cleaned, cfg.SmoothWindow)
-		down, err := dsp.Downsample(smoothed, cfg.DownsampleFactor)
+		smoothed := dsp.MovingAverage(cleaned, smoothWindow)
+		down, err := dsp.Downsample(smoothed, factor)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: downsample: %w", err)
 		}
@@ -120,7 +94,7 @@ func EstimateBreathing(tr *trace.Trace, cfg Config) (*Estimate, error) {
 	// highest in-band spectral peak relative to its total power.
 	best, bestScore := -1, 0.0
 	for s, series := range calibrated {
-		score := periodicityScore(series, estRate, cfg.BreathBandLow, cfg.BreathBandHigh)
+		score := periodicityScore(series, estRate, breathBandLow, breathBandHigh)
 		if score > bestScore {
 			best, bestScore = s, score
 		}
@@ -130,18 +104,18 @@ func EstimateBreathing(tr *trace.Trace, cfg Config) (*Estimate, error) {
 	}
 
 	series := calibrated[best]
-	peaks, err := dsp.FindPeaks(series, cfg.PeakWindow, cfg.PeakMinDistance)
+	peaks, err := dsp.FindPeaks(series, peakWindow, peakMinDistance)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: peaks: %w", err)
 	}
 	if bpm, ok := dsp.RateFromPeaks(peaks, estRate); ok {
 		// The amplitude method keeps the plain peak estimate (no spectral
 		// cross-check) as published.
-		if bpm >= cfg.BreathBandLow*60 && bpm <= cfg.BreathBandHigh*60 {
+		if bpm >= breathBandLow*60 && bpm <= breathBandHigh*60 {
 			return &Estimate{BreathingBPM: bpm, Subcarrier: best}, nil
 		}
 	}
-	f, err := dsp.DominantFrequency(series, estRate, cfg.BreathBandLow, cfg.BreathBandHigh, 4096)
+	f, err := dsp.DominantFrequency(series, estRate, breathBandLow, breathBandHigh, 4096)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}

@@ -3,6 +3,7 @@ package baseline
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"phasebeat/internal/csisim"
@@ -17,7 +18,7 @@ func TestEstimateBreathingRecoversRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateBreathing(tr, DefaultConfig())
+	est, err := EstimateBreathing(tr)
 	if err != nil {
 		t.Fatalf("EstimateBreathing: %v", err)
 	}
@@ -30,7 +31,7 @@ func TestEstimateBreathingRecoversRate(t *testing.T) {
 }
 
 func TestEstimateBreathingValidation(t *testing.T) {
-	if _, err := EstimateBreathing(nil, DefaultConfig()); !errors.Is(err, ErrNoData) {
+	if _, err := EstimateBreathing(nil); !errors.Is(err, ErrNoData) {
 		t.Errorf("want ErrNoData, got %v", err)
 	}
 	sim, err := csisim.FixedRatesScenario([]float64{15}, 2)
@@ -41,15 +42,31 @@ func TestEstimateBreathingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultConfig()
-	bad.Antenna = 99
-	if _, err := EstimateBreathing(tr, bad); err == nil {
-		t.Error("want error for bad antenna")
+	tr.SampleRate = 0
+	if _, err := EstimateBreathing(tr); err == nil {
+		t.Error("want error for a zero sample rate")
 	}
-	bad = DefaultConfig()
-	bad.DownsampleFactor = 0
-	if _, err := EstimateBreathing(tr, bad); err == nil {
-		t.Error("want error for zero downsample factor")
+}
+
+// TestEstimateBreathingRaggedPacket cuts one packet's antenna-0 row
+// short: the method must refuse the trace with an error naming the
+// packet instead of indexing past the row.
+func TestEstimateBreathingRaggedPacket(t *testing.T) {
+	sim, err := csisim.FixedRatesScenario([]float64{15}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.Generate(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Packets[100].CSI[0] = tr.Packets[100].CSI[0][:10]
+	_, err = EstimateBreathing(tr)
+	if err == nil {
+		t.Fatal("want error for a ragged packet")
+	}
+	if !strings.Contains(err.Error(), "packet 100") {
+		t.Errorf("error %q should name packet 100", err)
 	}
 }
 

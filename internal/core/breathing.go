@@ -137,11 +137,7 @@ func EstimateBreathingMultiRootMUSIC(calibrated [][]float64, fs float64, nPerson
 	if err != nil {
 		return nil, err
 	}
-	freqs, err := music.EstimateFrequencies(series, nPersons, musicFs, music.CorrelationOptions{
-		WindowLen:       musicWindow,
-		ForwardBackward: true,
-		DiagonalLoad:    1e-6,
-	})
+	freqs, err := music.EstimateFrequencies(series, nPersons, musicFs, musicWindow)
 	if err != nil {
 		return nil, fmt.Errorf("core: root-MUSIC: %w", err)
 	}
@@ -169,11 +165,7 @@ func EstimateBreathingMultiESPRIT(calibrated [][]float64, fs float64, nPersons i
 	if err != nil {
 		return nil, err
 	}
-	freqs, err := music.EstimateFrequenciesESPRIT(series, nPersons, musicFs, music.CorrelationOptions{
-		WindowLen:       musicWindow,
-		ForwardBackward: true,
-		DiagonalLoad:    1e-6,
-	})
+	freqs, err := music.EstimateFrequenciesESPRIT(series, nPersons, musicFs, musicWindow)
 	if err != nil {
 		return nil, fmt.Errorf("core: ESPRIT: %w", err)
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"phasebeat/internal/wavelet"
-)
+import "fmt"
 
 // The paper's fixed operating point (Wang, Yang, Mao, ICDCS 2017). These
 // are constants, not Config fields: the paper never varies them, and
@@ -35,10 +31,9 @@ const (
 	// selection).
 	TopK = 3
 	// waveletOrder and waveletLevel are the Daubechies order (db4) and the
-	// decomposition depth L = 4 of the discrete wavelet transform, with
-	// symmetric boundary extension (waveletMode).
+	// decomposition depth L = 4 of the discrete wavelet transform, whose
+	// boundary extension is symmetric.
 	waveletOrder, waveletLevel = 4, 4
-	waveletMode                = wavelet.ModeSymmetric
 	// peakWindow is the sliding window (20 Hz samples) of breathing peak
 	// detection, sized by the longest human breathing period (paper:
 	// breathing rate estimation); peaks closer than peakMinDistance
@@ -87,9 +82,8 @@ type Config struct {
 	Parallelism int
 
 	// Estimator selects the breathing backend behind the estimation stage
-	// ("peaks", "root-music", "esprit" or "amplitude"). Empty selects the
-	// paper's person-count dispatch: peaks for one person, root-MUSIC for
-	// more.
+	// ("peaks", "root-music" or "esprit"). Empty selects the paper's
+	// person-count dispatch: peaks for one person, root-MUSIC for more.
 	Estimator string
 
 	// Observer, when non-nil, receives live OnStageStart/OnStageEnd

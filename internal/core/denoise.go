@@ -36,7 +36,7 @@ func DenoiseDWT(series []float64, fs float64) (*DWTBands, error) {
 		}
 		level = maxL
 	}
-	dec, err := wavelet.Wavedec(series, w, waveletMode, level)
+	dec, err := wavelet.Wavedec(series, w, level)
 	if err != nil {
 		return nil, fmt.Errorf("core: wavedec: %w", err)
 	}
@@ -57,7 +57,7 @@ func DenoiseDWT(series []float64, fs float64) (*DWTBands, error) {
 	// band) on the clean calibrated series removes the breathing energy
 	// before the detail channels ever see it.
 	residual := suppressBreathingLeakage(series, fs)
-	dec2, err := wavelet.Wavedec(residual, w, waveletMode, level)
+	dec2, err := wavelet.Wavedec(residual, w, level)
 	if err != nil {
 		return nil, fmt.Errorf("core: residual wavedec: %w", err)
 	}

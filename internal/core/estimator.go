@@ -3,19 +3,14 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"phasebeat/internal/baseline"
-	"phasebeat/internal/trace"
 )
 
 // EstimatorInput bundles everything the estimation stage can hand a
 // breathing backend: the wavelet breathing band of the selected
-// subcarrier, the full calibrated matrix with its eligibility mask, and —
-// on batch runs — the raw trace for amplitude-domain methods.
+// subcarrier and the full calibrated matrix with its eligibility mask.
+// Batch runs and Monitor strides build it from the same stride engine, so
+// every backend runs in both.
 type EstimatorInput struct {
-	// Trace is the raw capture; nil on Monitor strides, whose engine keeps
-	// only the quantities derived from CSI at ingest.
-	Trace *trace.Trace
 	// Breathing is the DWT breathing-band reconstruction of the selected
 	// subcarrier, sampled at Rate.
 	Breathing []float64
@@ -48,26 +43,12 @@ type BreathingEstimator interface {
 	EstimateBreathing(in *EstimatorInput) (*BreathingResult, error)
 }
 
-// RawTraceEstimator is optionally implemented by backends that need the
-// raw trace (EstimatorInput.Trace). Such backends are batch-only: the
-// Monitor refuses them, because its stride engine does not retain raw CSI.
-type RawTraceEstimator interface {
-	NeedsRawTrace() bool
-}
-
-// needsRawTrace reports whether a backend declares a raw-trace dependency.
-func needsRawTrace(e any) bool {
-	r, ok := e.(RawTraceEstimator)
-	return ok && r.NeedsRawTrace()
-}
-
 // breathingBackends is the fixed set of breathing backends, keyed by the
 // names Config.Estimator accepts.
 var breathingBackends = map[string]BreathingEstimator{
 	"peaks":      peaksEstimator{},
 	"root-music": rootMusicEstimator{},
 	"esprit":     espritEstimator{},
-	"amplitude":  amplitudeEstimator{},
 }
 
 // BreathingEstimatorNames lists the breathing backends, sorted.
@@ -111,7 +92,6 @@ func runEstimate(st *pipelineState) error {
 	p := st.proc
 	res := st.res
 	in := &EstimatorInput{
-		Trace:      st.tr,
 		Breathing:  res.Bands.Breathing,
 		Calibrated: res.Calibrated,
 		Eligible:   res.Selection.Eligible,
@@ -214,26 +194,4 @@ func soloHz(multi *MultiPersonEstimate, persons int) float64 {
 		return multi.RatesBPM[0] / 60
 	}
 	return 0
-}
-
-// amplitudeEstimator is the CSI-amplitude method of Liu et al. [13] — the
-// paper's Fig. 11 comparison system — run from the raw trace.
-type amplitudeEstimator struct{}
-
-func (amplitudeEstimator) NeedsRawTrace() bool { return true }
-
-func (amplitudeEstimator) EstimateBreathing(in *EstimatorInput) (*BreathingResult, error) {
-	if in.Trace == nil {
-		return nil, fmt.Errorf("core: amplitude estimator is batch-only (it reads the raw trace); run it through Processor.Process")
-	}
-	bcfg := baseline.ConfigForRate(in.Trace.SampleRate)
-	bcfg.Antenna = AntennaA
-	bcfg.BreathBandLow = BreathBandLow
-	bcfg.BreathBandHigh = BreathBandHigh
-	est, err := baseline.EstimateBreathing(in.Trace, bcfg)
-	if err != nil {
-		return nil, err
-	}
-	single := &BreathingEstimate{RateBPM: est.BreathingBPM, Method: "amplitude"}
-	return &BreathingResult{Single: single, BreathingHz: est.BreathingBPM / 60}, nil
 }

@@ -101,10 +101,6 @@ type strideEngine struct {
 	// storage across Monitor lifetimes.
 	arena *arena.Arena
 
-	// tr is the raw trace of a batch run, handed to raw-trace estimator
-	// backends; nil on a stream, where the engine keeps only quantities
-	// derived from CSI at ingest.
-	tr         *trace.Trace
 	sampleRate float64
 
 	window, stride int
@@ -324,7 +320,7 @@ func (e *strideEngine) ready() bool {
 func (e *strideEngine) process() (*Result, error) {
 	slide := e.sinceLast
 	e.sinceLast = 0
-	st := &pipelineState{proc: e.proc, tr: e.tr, sampleRate: e.sampleRate, rec: e.rec, res: &Result{}}
+	st := &pipelineState{proc: e.proc, sampleRate: e.sampleRate, rec: e.rec, res: &Result{}}
 	eligible, err := e.strideSmooth(slide)
 	if err != nil {
 		return st.res, err

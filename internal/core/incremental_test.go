@@ -66,9 +66,10 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // TestIncrementalMatchesBatch is the exactness contract of the incremental
 // engine: every stride's output must match running the batch pipeline from
-// scratch on the same window, for every breathing backend a Monitor can
-// run. Discrete outputs (environment states, segment bounds, subcarrier
-// selection) must agree exactly; float outputs agree to a tight tolerance.
+// scratch on the same window, for every registered breathing backend (one
+// with no row fails the test). Discrete outputs (environment states,
+// segment bounds, subcarrier selection) must agree exactly; float outputs
+// agree to a tight tolerance.
 // The tolerance is not zero because overlapping samples are smoothed once
 // and copied forward: their values are anchored to the unwrap constant of
 // the window that computed them, which the detrend cancels exactly in real
@@ -92,6 +93,15 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		{estimator: "root-music", bpm: []float64{12, 19}, burst: true},
 		{estimator: "peaks", bpm: []float64{16}, stride: 4},
 		{estimator: "peaks", bpm: []float64{16}, gap: true},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		covered[tc.estimator] = true
+	}
+	for _, name := range BreathingEstimatorNames() {
+		if !covered[name] {
+			t.Errorf("backend %q has no stream case", name)
+		}
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s/%dp", tc.estimator, len(tc.bpm))

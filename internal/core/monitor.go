@@ -175,8 +175,8 @@ func windowGeometry(cfg *MonitorConfig) (window, stride int) {
 }
 
 // check is NewMonitor's guard: a positive rate, at least two antennas and
-// one subcarrier, a positive window and stride, window storage within
-// maxWindowCells and maxWindowBytes, and no raw-trace estimator backend.
+// one subcarrier, a positive window and stride, and window storage within
+// maxWindowCells and maxWindowBytes.
 func (cfg *MonitorConfig) check() error {
 	if cfg.SampleRate <= 0 {
 		return fmt.Errorf("core: sample rate must be positive, got %v", cfg.SampleRate)
@@ -206,16 +206,6 @@ func (cfg *MonitorConfig) check() error {
 		return fmt.Errorf("core: window %vs / stride %vs splits into %d-packet exact-sum blocks "+
 			"(their gcd): %d B of window storage, over the %d B session bound",
 			cfg.WindowSeconds, cfg.UpdateEverySeconds, gcd(window, stride), b, maxWindowBytes)
-	}
-	// The stride engine keeps only quantities derived from CSI at ingest,
-	// never the raw trace, so backends that re-read it (the amplitude
-	// method) are batch-only. Fail fast instead of erroring on every
-	// stride.
-	if cfg.Pipeline.Estimator != "" {
-		if be, err := LookupBreathingEstimator(cfg.Pipeline.Estimator); err == nil && needsRawTrace(be) {
-			return fmt.Errorf("core: estimator %q is batch-only (it reads the raw trace); run it through Processor.Process",
-				cfg.Pipeline.Estimator)
-		}
 	}
 	return nil
 }

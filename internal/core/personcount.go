@@ -20,11 +20,7 @@ func EstimatePersonCount(calibrated [][]float64, fs float64, maxPersons int) (in
 	if err != nil {
 		return 0, err
 	}
-	r, err := music.CorrelationMatrix(series, music.CorrelationOptions{
-		WindowLen:       musicWindow,
-		ForwardBackward: true,
-		DiagonalLoad:    1e-6,
-	})
+	r, err := music.CorrelationMatrix(series, musicWindow)
 	if err != nil {
 		return 0, err
 	}

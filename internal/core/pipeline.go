@@ -180,7 +180,6 @@ func (p *Processor) ingest(tr *trace.Trace) (*strideEngine, error) {
 	}
 	n := tr.Len()
 	e := newStrideEngine(p, tr.NumAntennas, tr.NumSubcarriers, n, n, tr.SampleRate, p.arena)
-	e.tr = tr
 	for k, pkt := range tr.Packets {
 		switch e.screen(pkt) {
 		case pushMalformed:

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"phasebeat/internal/trace"
 )
 
 // Stage names, in pipeline order. The first three are the stride
@@ -120,9 +118,6 @@ type StageObserver interface {
 type pipelineState struct {
 	proc *Processor
 
-	// tr is the raw trace of a batch run, for raw-trace estimator
-	// backends; nil on a stream.
-	tr *trace.Trace
 	// sampleRate is the capture rate in Hz.
 	sampleRate float64
 

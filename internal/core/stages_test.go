@@ -351,7 +351,7 @@ func TestGateFallbackSurfaced(t *testing.T) {
 }
 
 // TestEstimatorBackends runs each breathing backend over the
-// same fixed-rate capture and checks all four recover the truth.
+// same fixed-rate capture and checks all three recover the truth.
 func TestEstimatorBackends(t *testing.T) {
 	sim, err := csisim.FixedRatesScenario([]float64{17}, 44)
 	if err != nil {
@@ -368,7 +368,6 @@ func TestEstimatorBackends(t *testing.T) {
 		{"peaks", 1},
 		{"root-music", 2},
 		{"esprit", 2},
-		{"amplitude", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.estimator, func(t *testing.T) {
@@ -399,17 +398,8 @@ func TestEstimatorBackends(t *testing.T) {
 }
 
 func TestEstimatorRegistry(t *testing.T) {
-	names := BreathingEstimatorNames()
-	for _, want := range []string{"amplitude", "esprit", "peaks", "root-music"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry %v missing %q", names, want)
-		}
+	if got, want := fmt.Sprint(BreathingEstimatorNames()), "[esprit peaks root-music]"; got != want {
+		t.Errorf("BreathingEstimatorNames() = %s, want %s", got, want)
 	}
 	if _, err := LookupBreathingEstimator("bogus"); err == nil {
 		t.Error("want error for unknown estimator")
@@ -422,16 +412,20 @@ func TestEstimatorRegistry(t *testing.T) {
 	}
 }
 
-func TestMonitorRejectsRawTraceEstimatorIncrementally(t *testing.T) {
-	cfg := DefaultMonitorConfig()
-	cfg.Pipeline.Estimator = "amplitude"
-	_, err := NewMonitor(cfg)
-	if err == nil {
-		t.Fatal("want error: amplitude estimator on a Monitor")
-	}
-	for _, want := range []string{"amplitude", "batch-only"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q should contain %q", err, want)
+// TestMonitorAcceptsEveryBackend: batch and stream run the same stride
+// engine, so every backend NewProcessor accepts is one NewMonitor
+// accepts, and a name NewProcessor refuses NewMonitor refuses too.
+func TestMonitorAcceptsEveryBackend(t *testing.T) {
+	for _, name := range append(BreathingEstimatorNames(), "amplitude") {
+		cfg := DefaultMonitorConfig()
+		cfg.Pipeline.Estimator = name
+		_, perr := NewProcessor(WithConfig(cfg.Pipeline))
+		m, merr := NewMonitor(cfg)
+		if merr == nil {
+			m.Close()
+		}
+		if (perr == nil) != (merr == nil) {
+			t.Errorf("estimator %q: NewProcessor error %v, NewMonitor error %v", name, perr, merr)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func Fig11BreathingCDF(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 		out := &breathTrial{phaseErr: math.Abs(res.Breathing.RateBPM - truth)}
-		if amp, err := baseline.EstimateBreathing(tr, baseline.DefaultConfig()); err == nil {
+		if amp, err := baseline.EstimateBreathing(tr); err == nil {
 			out.ampErr = math.Abs(amp.BreathingBPM - truth)
 			out.ampOK = true
 		}

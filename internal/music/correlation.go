@@ -16,28 +16,23 @@ import (
 // requested correlation window.
 var ErrNotEnoughData = errors.New("music: not enough data")
 
-// CorrelationOptions configures CorrelationMatrix.
-type CorrelationOptions struct {
-	// WindowLen is the temporal window M — the dimension of the resulting
-	// correlation matrix. Larger M gives finer frequency resolution but
-	// needs more data and a bigger eigenproblem.
-	WindowLen int
-	// ForwardBackward enables forward-backward averaging, which improves
-	// conditioning for the highly-correlated sinusoidal snapshots produced
-	// by breathing signals.
-	ForwardBackward bool
-	// DiagonalLoad adds a small multiple of the identity (relative to the
-	// average eigenvalue) for numerical stability. Zero disables loading.
-	DiagonalLoad float64
-}
+// diagonalLoad is the multiple of the average eigenvalue CorrelationMatrix
+// adds to the diagonal for numerical stability.
+const diagonalLoad = 1e-6
 
-// CorrelationMatrix estimates the M×M temporal correlation matrix from one
+// CorrelationMatrix estimates the m×m temporal correlation matrix from one
 // or more time series ("snapshots" in the paper's sense: the 30 subcarrier
 // phase-difference series all carry the same breathing frequencies). Every
-// length-M sliding window of every series contributes one outer product —
-// temporal smoothing that decorrelates coherent sinusoids.
-func CorrelationMatrix(series [][]float64, opts CorrelationOptions) (*linalg.Matrix, error) {
-	m := opts.WindowLen
+// length-m sliding window of every series contributes one outer product —
+// temporal smoothing that decorrelates coherent sinusoids. The window m is
+// the matrix dimension: a larger m gives finer frequency resolution but
+// needs more data and a bigger eigenproblem.
+//
+// The estimate is then forward-backward averaged, which improves
+// conditioning for the highly correlated sinusoidal snapshots breathing
+// produces, and diagonally loaded by diagonalLoad times the average
+// eigenvalue.
+func CorrelationMatrix(series [][]float64, m int) (*linalg.Matrix, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("music: window length must be >= 2, got %d", m)
 	}
@@ -56,21 +51,17 @@ func CorrelationMatrix(series [][]float64, opts CorrelationOptions) (*linalg.Mat
 	}
 	r.Scale(1 / float64(count))
 
-	if opts.ForwardBackward {
-		// R ← (R + J Rᵀ J)/2 with J the exchange matrix, averaged in
-		// place so the hot stride path does not allocate a second M×M
-		// scratch matrix per call.
-		fbAverageInPlace(r)
+	// R ← (R + J Rᵀ J)/2 with J the exchange matrix, averaged in place so
+	// the hot stride path does not allocate a second m×m scratch matrix
+	// per call.
+	fbAverageInPlace(r)
+	tr, err := r.Trace()
+	if err != nil {
+		return nil, err
 	}
-	if opts.DiagonalLoad > 0 {
-		tr, err := r.Trace()
-		if err != nil {
-			return nil, err
-		}
-		load := opts.DiagonalLoad * tr / float64(m)
-		for i := 0; i < m; i++ {
-			r.Set(i, i, r.At(i, i)+load)
-		}
+	load := diagonalLoad * tr / float64(m)
+	for i := 0; i < m; i++ {
+		r.Set(i, i, r.At(i, i)+load)
 	}
 	return r, nil
 }

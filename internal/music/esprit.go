@@ -74,9 +74,9 @@ func espritFromBasis(basis *linalg.Matrix, nExp, nSignals int, fs float64) ([]fl
 
 // EstimateFrequenciesESPRIT mirrors EstimateFrequencies with the ESPRIT
 // backend: build the temporal correlation matrix from the calibrated
-// subcarrier series, then run least-squares ESPRIT.
-func EstimateFrequenciesESPRIT(series [][]float64, nSignals int, fs float64, opts CorrelationOptions) ([]float64, error) {
-	r, err := CorrelationMatrix(series, opts)
+// subcarrier series with window m, then run least-squares ESPRIT.
+func EstimateFrequenciesESPRIT(series [][]float64, nSignals int, fs float64, m int) ([]float64, error) {
+	r, err := CorrelationMatrix(series, m)
 	if err != nil {
 		return nil, err
 	}

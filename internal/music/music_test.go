@@ -37,7 +37,7 @@ func makeSinusoids(rng *rand.Rand, freqs []float64, fs float64, n, nSeries int, 
 func TestCorrelationMatrixShapeAndSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	series := makeSinusoids(rng, []float64{0.3}, 2, 200, 3, 0.1)
-	r, err := CorrelationMatrix(series, CorrelationOptions{WindowLen: 16, ForwardBackward: true})
+	r, err := CorrelationMatrix(series, 16)
 	if err != nil {
 		t.Fatalf("CorrelationMatrix: %v", err)
 	}
@@ -60,31 +60,57 @@ func TestCorrelationMatrixShapeAndSymmetry(t *testing.T) {
 }
 
 func TestCorrelationMatrixErrors(t *testing.T) {
-	if _, err := CorrelationMatrix(nil, CorrelationOptions{WindowLen: 1}); err == nil {
+	if _, err := CorrelationMatrix(nil, 1); err == nil {
 		t.Error("want error for tiny window")
 	}
 	short := [][]float64{make([]float64, 5)}
-	if _, err := CorrelationMatrix(short, CorrelationOptions{WindowLen: 10}); !errors.Is(err, ErrNotEnoughData) {
+	if _, err := CorrelationMatrix(short, 10); !errors.Is(err, ErrNotEnoughData) {
 		t.Errorf("want ErrNotEnoughData, got %v", err)
 	}
 }
 
+// TestCorrelationDiagonalLoad rebuilds the estimate by hand — the mean
+// outer product of every window, forward-backward averaged — and checks
+// that CorrelationMatrix adds 1e-6 times its average eigenvalue to the
+// diagonal and nothing elsewhere.
 func TestCorrelationDiagonalLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	series := makeSinusoids(rng, []float64{0.3}, 2, 300, 1, 0)
-	plain, err := CorrelationMatrix(series, CorrelationOptions{WindowLen: 8})
+	const m = 8
+	var raw [m][m]float64
+	count := 0
+	for _, s := range series {
+		for start := 0; start+m <= len(s); start++ {
+			for i := 0; i < m; i++ {
+				for j := 0; j < m; j++ {
+					raw[i][j] += s[start+i] * s[start+j]
+				}
+			}
+			count++
+		}
+	}
+	var want [m][m]float64
+	trace := 0.0
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			want[i][j] = (raw[i][j] + raw[m-1-i][m-1-j]) / 2 / float64(count)
+		}
+		trace += want[i][i]
+	}
+	loaded, err := CorrelationMatrix(series, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := CorrelationMatrix(series, CorrelationOptions{WindowLen: 8, DiagonalLoad: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.At(0, 0) <= plain.At(0, 0) {
-		t.Error("diagonal loading should increase diagonal entries")
-	}
-	if math.Abs(loaded.At(0, 1)-plain.At(0, 1)) > 1e-12 {
-		t.Error("diagonal loading must not change off-diagonal entries")
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			w := want[i][j]
+			if i == j {
+				w += 1e-6 * trace / m
+			}
+			if math.Abs(loaded.At(i, j)-w) > 1e-12 {
+				t.Errorf("R[%d][%d] = %v, want %v", i, j, loaded.At(i, j), w)
+			}
+		}
 	}
 }
 
@@ -93,7 +119,7 @@ func TestRootMUSICSingleTone(t *testing.T) {
 	f0 := 0.27
 	fs := 2.0
 	series := makeSinusoids(rng, []float64{f0}, fs, 240, 5, 0.2)
-	freqs, err := EstimateFrequencies(series, 1, fs, CorrelationOptions{WindowLen: 12, ForwardBackward: true})
+	freqs, err := EstimateFrequencies(series, 1, fs, 12)
 	if err != nil {
 		t.Fatalf("EstimateFrequencies: %v", err)
 	}
@@ -112,9 +138,7 @@ func TestRootMUSICThreeClosePersons(t *testing.T) {
 	want := []float64{0.1467, 0.2233, 0.2483}
 	fs := 2.0
 	series := makeSinusoids(rng, want, fs, 360, 30, 0.15)
-	freqs, err := EstimateFrequencies(series, 3, fs, CorrelationOptions{
-		WindowLen: 24, ForwardBackward: true,
-	})
+	freqs, err := EstimateFrequencies(series, 3, fs, 24)
 	if err != nil {
 		t.Fatalf("EstimateFrequencies: %v", err)
 	}
@@ -148,7 +172,7 @@ func TestRootMUSICErrors(t *testing.T) {
 func BenchmarkRootMUSIC3Persons(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	series := makeSinusoids(rng, []float64{0.15, 0.22, 0.25}, 2, 360, 30, 0.15)
-	r, err := CorrelationMatrix(series, CorrelationOptions{WindowLen: 24, ForwardBackward: true})
+	r, err := CorrelationMatrix(series, 24)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -165,7 +189,7 @@ func TestESPRITSingleTone(t *testing.T) {
 	f0 := 0.31
 	fs := 2.0
 	series := makeSinusoids(rng, []float64{f0}, fs, 240, 5, 0.15)
-	r, err := CorrelationMatrix(series, CorrelationOptions{WindowLen: 12, ForwardBackward: true})
+	r, err := CorrelationMatrix(series, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +207,7 @@ func TestESPRITMatchesRootMUSIC(t *testing.T) {
 	want := []float64{0.2, 0.35}
 	fs := 2.0
 	series := makeSinusoids(rng, want, fs, 360, 15, 0.1)
-	r, err := CorrelationMatrix(series, CorrelationOptions{WindowLen: 20, ForwardBackward: true})
+	r, err := CorrelationMatrix(series, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,10 @@ func BenchmarkRootMUSIC(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	fs := 20.0
 	series := makeSinusoids(rng, []float64{0.25, 0.40}, fs, int(60*fs), 6, 0.05)
-	opts := CorrelationOptions{WindowLen: 32, ForwardBackward: true, DiagonalLoad: 1e-6}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateFrequencies(series, 2, fs, opts); err != nil {
+		if _, err := EstimateFrequencies(series, 2, fs, 32); err != nil {
 			b.Fatal(err)
 		}
 	}

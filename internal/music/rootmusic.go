@@ -130,9 +130,9 @@ func clusterFrequencies(sorted []float64, nSignals int, fs float64) []float64 {
 
 // EstimateFrequencies is the high-level helper PhaseBeat's multi-person
 // path calls: build the correlation matrix from the calibrated subcarrier
-// series, then run root-MUSIC.
-func EstimateFrequencies(series [][]float64, nSignals int, fs float64, opts CorrelationOptions) ([]float64, error) {
-	r, err := CorrelationMatrix(series, opts)
+// series with window m, then run root-MUSIC.
+func EstimateFrequencies(series [][]float64, nSignals int, fs float64, m int) ([]float64, error) {
+	r, err := CorrelationMatrix(series, m)
 	if err != nil {
 		return nil, err
 	}

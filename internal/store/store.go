@@ -18,9 +18,10 @@
 // Retention evicts sealed blocks oldest-first (global seal order) when
 // the byte or age budget is exceeded, trimming the tier index to match.
 // Recovery after a crash rebuilds the session from the directory: sealed
-// blocks and the tier index are intact by construction, and the tail log
-// yields every complete record — at most the torn trailing record (plus
-// estimate-history points since the last seal) is lost.
+// blocks and the tier index are intact by construction, the index names
+// the blocks its waveform series cover (newer ones are re-fed), and the
+// tail log yields every complete record — at most the torn trailing
+// record (plus estimate-history points since the last seal) is lost.
 package store
 
 import (
@@ -591,8 +592,10 @@ func (s *Store) sealLocked(ss *sessionStore) error {
 	return nil
 }
 
-// persistTiersLocked writes tiers.bin atomically. Caller holds ss.mu.
+// persistTiersLocked writes tiers.bin atomically, recording that its
+// waveform series cover every block sealed so far. Caller holds ss.mu.
 func (s *Store) persistTiersLocked(ss *sessionStore) error {
+	ss.tiers.next = ss.seq
 	path := filepath.Join(ss.dir, "tiers.bin")
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -852,25 +855,23 @@ func (s *Store) recoverSession(key, dir string) (*sessionStore, []blockInfo, err
 	}
 
 	// Tier index: atomic writes mean it is either absent (no seal yet) or
-	// intact. If it is damaged anyway (disk fault), rebuild the waveform
-	// series from the sealed blocks; the estimate history cannot be
-	// reconstructed from raw CSI and is lost with a warning.
-	tiersPath := filepath.Join(dir, "tiers.bin")
-	if f, err := os.Open(tiersPath); err == nil {
+	// intact, but a kill between a block's rename and the index persist
+	// leaves it one block stale, so the waveform series are re-fed from
+	// every block newer than the index covers. If the index is damaged
+	// (disk fault), the waveform series are rebuilt from every block; the
+	// estimate history cannot be reconstructed from raw CSI and is lost
+	// with a warning.
+	from := uint64(0)
+	if f, err := os.Open(filepath.Join(dir, "tiers.bin")); err == nil {
 		ts, terr := readTiers(f)
 		f.Close()
-		switch {
-		case terr == nil && len(ts.durs) == len(s.cfg.TierSeconds) && sameDurs(ts.durs, s.cfg.TierSeconds):
-			ss.tiers = ts
-		default:
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.Warn("tier index rebuilt", "session", key, "err", terr)
-			}
-			s.rebuildWaveTiers(ss, blocks)
+		if terr == nil && len(ts.durs) == len(s.cfg.TierSeconds) && sameDurs(ts.durs, s.cfg.TierSeconds) {
+			ss.tiers, from = ts, ts.next
+		} else if s.cfg.Logger != nil {
+			s.cfg.Logger.Warn("tier index rebuilt", "session", key, "err", terr)
 		}
-	} else if len(blocks) > 0 {
-		s.rebuildWaveTiers(ss, blocks)
 	}
+	s.feedWaveTiers(ss, blocks, from)
 
 	// Crash tail: keep every complete record, discard a torn trailer.
 	if f, err := os.Open(filepath.Join(dir, "tail.pblog")); err == nil {
@@ -910,11 +911,14 @@ func (s *Store) recoverSession(key, dir string) (*sessionStore, []blockInfo, err
 	return ss, blocks, nil
 }
 
-// rebuildWaveTiers regenerates the waveform tier series by decoding the
-// sealed blocks — the recovery path for a damaged tier index.
-func (s *Store) rebuildWaveTiers(ss *sessionStore, blocks []blockInfo) {
-	ss.tiers = newTierSet(s.cfg.TierSeconds)
+// feedWaveTiers adds the packets of every sealed block with seq >= from
+// to the waveform tier series — the recovery path for blocks a stale,
+// damaged or missing tier index does not cover.
+func (s *Store) feedWaveTiers(ss *sessionStore, blocks []blockInfo, from uint64) {
 	for _, bi := range blocks {
+		if bi.seq < from {
+			continue
+		}
 		tr, err := readBlock(bi.path)
 		if err != nil {
 			s.blockCorrupt.Inc()

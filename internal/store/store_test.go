@@ -392,6 +392,129 @@ func TestStoreRecoveryCrashBeforeTailReset(t *testing.T) {
 	}
 }
 
+// staleTierState runs a 30 Hz session with 0.45 s blocks through two
+// seals (15 packets each, one estimate point before the first) and then
+// puts back the tiers.bin of the first seal: the on-disk state of a kill
+// after the second block's rename but before its tier index persist. With
+// tailHoldsBlock the tail log still holds the second block's packets (a
+// kill before the tail reset as well). It returns the store directory.
+func staleTierState(t *testing.T, tailHoldsBlock bool) string {
+	t.Helper()
+	dir := t.TempDir()
+	meta := Meta{SampleRate: 30, NumAntennas: 2, NumSubcarriers: 4}
+	s, err := Open(Config{Dir: dir, BlockSeconds: 0.45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.OpenSession("k", meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendUpdate("k", core.Update{Time: 0.2, Result: &core.Result{
+		Breathing: &core.BreathingEstimate{RateBPM: 15},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	tiersPath := filepath.Join(dir, "k", "tiers.bin")
+	var firstSeal []byte
+	var second []trace.Packet
+	for i := 0; i < 30; i++ { // packets 14 and 29 seal blocks 0 and 1
+		p := mkPacket(float64(i)/30, 2, 4, float64(i))
+		if i >= 15 {
+			second = append(second, p)
+		}
+		if err := s.AppendPacket("k", p); err != nil {
+			t.Fatal(err)
+		}
+		if i == 14 {
+			if firstSeal, err = os.ReadFile(tiersPath); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := os.WriteFile(tiersPath, firstSeal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tailHoldsBlock {
+		tw, err := newTailWriter(filepath.Join(dir, "k", "tail.pblog"), 30, 2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range second {
+			if err := tw.append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// checkRecoveredTiers reopens a store left by staleTierState and expects
+// all 30 packets in the raw tier, all 30 in the 1 s waveform tier, and
+// the estimate point kept.
+func checkRecoveredTiers(t *testing.T, dir string) {
+	t.Helper()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	raw, err := s.Range("k", 0, 0, RawTier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Samples) != 30 {
+		t.Fatalf("recovered %d raw samples, want 30", len(raw.Samples))
+	}
+	res, err := s.Range("k", 0, 0, "1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n uint32
+	for _, b := range res.Wave {
+		n += b.Count
+	}
+	if n != 30 {
+		t.Fatalf("the 1 s tier covers %d samples, want 30", n)
+	}
+	if len(res.Breathing) != 1 || res.Breathing[0].Last != 15 {
+		t.Fatalf("breathing tier %+v, want the one 15 bpm point", res.Breathing)
+	}
+}
+
+// TestStoreRecoveryStaleTierIndex restores the crash state of a kill
+// between a block's rename and the tier index persist, with the tail
+// already reset and with it still holding the block: recovery must
+// re-feed the waveform tiers from the block the index does not cover.
+func TestStoreRecoveryStaleTierIndex(t *testing.T) {
+	for _, tailHoldsBlock := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tail-holds-block=%v", tailHoldsBlock), func(t *testing.T) {
+			checkRecoveredTiers(t, staleTierState(t, tailHoldsBlock))
+		})
+	}
+}
+
+// TestStoreRecoveryVersion1TierIndex rewrites the stale index of that
+// crash state in the version-1 layout, which records no block seq:
+// recovery rebuilds its waveform series from every block and keeps its
+// estimate series.
+func TestStoreRecoveryVersion1TierIndex(t *testing.T) {
+	dir := staleTierState(t, false)
+	tiersPath := filepath.Join(dir, "k", "tiers.bin")
+	v2, err := os.ReadFile(tiersPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte{}, v2[:len(v2)-8]...) // version 1 has no next seq
+	v1[4], v1[5] = 1, 0
+	if err := os.WriteFile(tiersPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkRecoveredTiers(t, dir)
+}
+
 // TestStoreReopenKeepsExactLastTime closes a session cleanly (its one
 // block sealed, the tail empty) and reopens the store. The newest block's
 // t1 is the session's last time and ends raw range queries, so it must be
@@ -665,6 +788,7 @@ func TestTierCodecRoundTrip(t *testing.T) {
 	}
 	ts.add(seriesBreath, 5, 15.5)
 	ts.add(seriesHeart, 5, 71)
+	ts.next = 7
 	var buf bytes.Buffer
 	if err := writeTiers(&buf, ts); err != nil {
 		t.Fatal(err)
@@ -675,6 +799,9 @@ func TestTierCodecRoundTrip(t *testing.T) {
 	}
 	if len(got.durs) != 2 || got.durs[0] != 1 || got.durs[1] != 10 {
 		t.Fatalf("durs = %v", got.durs)
+	}
+	if got.next != 7 {
+		t.Fatalf("next = %d, want 7", got.next)
 	}
 	for i := range ts.series {
 		for w := 0; w < numSeries; w++ {

@@ -21,9 +21,11 @@ import (
 // them away.
 //
 // Bins accumulate incrementally on every append and are persisted to
-// tiers.bin (atomic tmp+rename) at block-seal time, so the on-disk tier
-// index always describes exactly the sealed data plus nothing newer than
-// the crash-recoverable tail.
+// tiers.bin (atomic tmp+rename) at block-seal time, after the block's
+// rename. The index records the seq after the newest block its waveform
+// series cover, so recovery after a kill between the rename and the
+// persist re-feeds the waveform tiers from every newer block instead of
+// trusting a stale index.
 
 // TierBin is one downsample bin: the min/max-preserving summary of every
 // sample whose timestamp fell in [Start, Start+duration).
@@ -115,6 +117,9 @@ const (
 type tierSet struct {
 	durs   []float64
 	series [][numSeries]series // one entry per tier
+	// next is the per-session seq after the newest sealed block whose
+	// packets the waveform series include.
+	next uint64
 }
 
 func newTierSet(durs []float64) *tierSet {
@@ -156,10 +161,15 @@ func TierLabel(dur float64) string { return fmt.Sprintf("%gs", dur) }
 //
 //	magic "PBTI" | uint16 version | uint8 tierCount |
 //	tiers: float64 duration, then numSeries × (uint32 binCount, bins) |
+//	uint64 next (version 2 only)
 //	bin: float64 start, uint32 count, float64 min, max, first, last
+//
+// A version-1 file does not say which blocks its waveform series cover:
+// readTiers keeps its estimate series and drops its waveform series with
+// next = 0, so recovery rebuilds them from every block.
 const (
 	tierMagic   = "PBTI"
-	tierVersion = 1
+	tierVersion = 2
 	// maxTiers bounds the tier count a (possibly corrupt) index file can
 	// declare.
 	maxTiers = 8
@@ -221,6 +231,10 @@ func writeTiers(w io.Writer, ts *tierSet) error {
 			}
 		}
 	}
+	binary.LittleEndian.PutUint64(buf[:], ts.next)
+	if _, err := bw.Write(buf[:]); err != nil {
+		return err
+	}
 	return bw.Flush()
 }
 
@@ -241,8 +255,9 @@ func readTiers(r io.Reader) (*tierSet, error) {
 	if _, err := io.ReadFull(br, u16[:]); err != nil {
 		return nil, fmt.Errorf("%w: version: %v", ErrBadTierIndex, err)
 	}
-	if v := binary.LittleEndian.Uint16(u16[:]); v != tierVersion {
-		return nil, fmt.Errorf("%w: version %d (supported: %d)", ErrBadTierIndex, v, tierVersion)
+	version := binary.LittleEndian.Uint16(u16[:])
+	if version != 1 && version != tierVersion {
+		return nil, fmt.Errorf("%w: version %d (supported: 1, %d)", ErrBadTierIndex, version, tierVersion)
 	}
 	nTiers, err := br.ReadByte()
 	if err != nil {
@@ -309,6 +324,16 @@ func readTiers(r io.Reader) (*tierSet, error) {
 			}
 			ts.series[i][w].bins = bins
 		}
+	}
+	if version == 1 {
+		for i := range ts.series {
+			ts.series[i][seriesWave].bins = nil
+		}
+	} else {
+		if _, err := io.ReadFull(br, buf[:]); err != nil {
+			return nil, fmt.Errorf("%w: next seq: %v", ErrBadTierIndex, err)
+		}
+		ts.next = binary.LittleEndian.Uint64(buf[:])
 	}
 	// A trailing garbage run means the file was not produced by
 	// writeTiers; reject rather than silently ignore.

@@ -5,66 +5,25 @@ import (
 	"math"
 )
 
-// ExtensionMode selects how signals are extended at their boundaries before
-// filtering.
-type ExtensionMode int
-
-const (
-	// ModeSymmetric mirrors the signal with half-sample symmetry
-	// (… x1 x0 | x0 x1 …). This is the default, matching MATLAB's
-	// dwtmode('sym') used by the original PhaseBeat implementation.
-	ModeSymmetric ExtensionMode = iota + 1
-	// ModeZero pads with zeros.
-	ModeZero
-	// ModePeriodic wraps the signal around.
-	ModePeriodic
-)
-
-// String implements fmt.Stringer.
-func (m ExtensionMode) String() string {
-	switch m {
-	case ModeSymmetric:
-		return "symmetric"
-	case ModeZero:
-		return "zero"
-	case ModePeriodic:
-		return "periodic"
-	default:
-		return fmt.Sprintf("ExtensionMode(%d)", int(m))
-	}
-}
-
-// extend pads x with pad samples on each side according to mode.
-func extend(x []float64, pad int, mode ExtensionMode) []float64 {
+// extend pads x with pad samples on each side by half-sample symmetric
+// mirroring (… x1 x0 | x0 x1 …), MATLAB's dwtmode('sym') used by the
+// original PhaseBeat implementation.
+func extend(x []float64, pad int) []float64 {
 	n := len(x)
 	out := make([]float64, 0, n+2*pad)
 	idx := func(i int) float64 {
-		switch mode {
-		case ModeZero:
-			if i < 0 || i >= n {
-				return 0
-			}
-			return x[i]
-		case ModePeriodic:
-			i %= n
-			if i < 0 {
-				i += n
-			}
-			return x[i]
-		default: // ModeSymmetric
-			if n == 1 {
-				return x[0]
-			}
-			period := 2 * n
-			i %= period
-			if i < 0 {
-				i += period
-			}
-			if i >= n {
-				i = period - 1 - i
-			}
-			return x[i]
+		if n == 1 {
+			return x[0]
 		}
+		period := 2 * n
+		i %= period
+		if i < 0 {
+			i += period
+		}
+		if i >= n {
+			i = period - 1 - i
+		}
+		return x[i]
 	}
 	for i := -pad; i < n+pad; i++ {
 		out = append(out, idx(i))
@@ -73,14 +32,15 @@ func extend(x []float64, pad int, mode ExtensionMode) []float64 {
 }
 
 // DWT performs one analysis step, returning the approximation and detail
-// coefficient vectors, each of length floor((len(x)+L-1)/2).
-func DWT(x []float64, w *Wavelet, mode ExtensionMode) (approx, detail []float64) {
+// coefficient vectors, each of length floor((len(x)+L-1)/2), over the
+// symmetric extension of x.
+func DWT(x []float64, w *Wavelet) (approx, detail []float64) {
 	l := w.Len()
 	n := len(x)
 	if n == 0 {
 		return nil, nil
 	}
-	ext := extend(x, l-1, mode)
+	ext := extend(x, l-1)
 	nc := (n + l - 1) / 2
 	approx = make([]float64, nc)
 	detail = make([]float64, nc)
@@ -141,7 +101,6 @@ type Decomposition struct {
 	Lengths []int
 
 	wavelet *Wavelet
-	mode    ExtensionMode
 }
 
 // Levels returns the number of decomposition levels L.
@@ -157,7 +116,7 @@ func MaxLevel(n, l int) int {
 }
 
 // Wavedec performs a level-`levels` wavelet decomposition of x.
-func Wavedec(x []float64, w *Wavelet, mode ExtensionMode, levels int) (*Decomposition, error) {
+func Wavedec(x []float64, w *Wavelet, levels int) (*Decomposition, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadLevel, levels)
 	}
@@ -169,12 +128,11 @@ func Wavedec(x []float64, w *Wavelet, mode ExtensionMode, levels int) (*Decompos
 		Details: make([][]float64, 0, levels),
 		Lengths: make([]int, 0, levels),
 		wavelet: w,
-		mode:    mode,
 	}
 	cur := x
 	for lev := 0; lev < levels; lev++ {
 		d.Lengths = append(d.Lengths, len(cur))
-		a, det := DWT(cur, w, mode)
+		a, det := DWT(cur, w)
 		d.Details = append(d.Details, det)
 		cur = a
 	}

@@ -128,7 +128,7 @@ func TestHaar(t *testing.T) {
 func TestDWTHaarKnown(t *testing.T) {
 	w := haar(t)
 	x := []float64{1, 3, 5, 7}
-	a, d := DWT(x, w, ModeZero)
+	a, d := DWT(x, w)
 	// Pairwise sums/differences scaled by 1/√2 (plus one boundary coeff).
 	s := math.Sqrt2 / 2
 	wantA := []float64{(1 + 3) * s, (5 + 7) * s}
@@ -146,31 +146,29 @@ func TestDWTHaarKnown(t *testing.T) {
 	}
 }
 
-// Property: IDWT(DWT(x)) == x for every wavelet and mode (MATLAB-style
-// perfect reconstruction).
+// Property: IDWT(DWT(x)) == x for every wavelet (MATLAB-style perfect
+// reconstruction).
 func TestSingleLevelPerfectReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, mode := range []ExtensionMode{ModeSymmetric, ModeZero, ModePeriodic} {
-		for n := 1; n <= 10; n++ {
-			w, err := Daubechies(n)
-			if err != nil {
-				t.Fatalf("db%d: %v", n, err)
+	for n := 1; n <= 10; n++ {
+		w, err := Daubechies(n)
+		if err != nil {
+			t.Fatalf("db%d: %v", n, err)
+		}
+		for _, length := range []int{w.Len(), w.Len() + 1, 50, 51, 128} {
+			x := make([]float64, length)
+			for i := range x {
+				x[i] = rng.NormFloat64()
 			}
-			for _, length := range []int{w.Len(), w.Len() + 1, 50, 51, 128} {
-				x := make([]float64, length)
-				for i := range x {
-					x[i] = rng.NormFloat64()
-				}
-				a, d := DWT(x, w, mode)
-				y, err := IDWT(a, d, w, length)
-				if err != nil {
-					t.Fatalf("db%d %v n=%d: IDWT: %v", n, mode, length, err)
-				}
-				for i := range x {
-					if math.Abs(x[i]-y[i]) > 1e-9 {
-						t.Fatalf("db%d %v n=%d: PR failed at %d: %v != %v",
-							n, mode, length, i, y[i], x[i])
-					}
+			a, d := DWT(x, w)
+			y, err := IDWT(a, d, w, length)
+			if err != nil {
+				t.Fatalf("db%d n=%d: IDWT: %v", n, length, err)
+			}
+			for i := range x {
+				if math.Abs(x[i]-y[i]) > 1e-9 {
+					t.Fatalf("db%d n=%d: PR failed at %d: %v != %v",
+						n, length, i, y[i], x[i])
 				}
 			}
 		}
@@ -194,12 +192,11 @@ func TestWavedecWaverecProperty(t *testing.T) {
 			return true
 		}
 		levels := 1 + r.Intn(maxL)
-		mode := []ExtensionMode{ModeSymmetric, ModeZero, ModePeriodic}[r.Intn(3)]
 		x := make([]float64, length)
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		d, err := Wavedec(x, w, mode, levels)
+		d, err := Wavedec(x, w, levels)
 		if err != nil {
 			return false
 		}
@@ -231,7 +228,7 @@ func TestBandAdditivity(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	d, err := Wavedec(x, w, ModeSymmetric, 4)
+	d, err := Wavedec(x, w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +268,11 @@ func TestApproxIsLowPass(t *testing.T) {
 		low[i] = math.Sin(2 * math.Pi * 0.3 * ti)
 		high[i] = math.Sin(2 * math.Pi * 4 * ti)
 	}
-	dLow, err := Wavedec(low, w, ModeSymmetric, 4)
+	dLow, err := Wavedec(low, w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dHigh, err := Wavedec(high, w, ModeSymmetric, 4)
+	dHigh, err := Wavedec(high, w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +295,7 @@ func TestApproxIsLowPass(t *testing.T) {
 	for i := range heart {
 		heart[i] = math.Sin(2 * math.Pi * 1.1 * float64(i) / fs)
 	}
-	dh, err := Wavedec(heart, w, ModeSymmetric, 4)
+	dh, err := Wavedec(heart, w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,13 +318,13 @@ func energy(x []float64) float64 {
 
 func TestWavedecErrors(t *testing.T) {
 	w := haar(t)
-	if _, err := Wavedec(make([]float64, 100), w, ModeSymmetric, 0); err == nil {
+	if _, err := Wavedec(make([]float64, 100), w, 0); err == nil {
 		t.Error("want error for level 0")
 	}
-	if _, err := Wavedec(make([]float64, 8), w, ModeSymmetric, 10); err == nil {
+	if _, err := Wavedec(make([]float64, 8), w, 10); err == nil {
 		t.Error("want error for level deeper than MaxLevel")
 	}
-	d, err := Wavedec(make([]float64, 64), w, ModeSymmetric, 3)
+	d, err := Wavedec(make([]float64, 64), w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,16 +361,6 @@ func TestMaxLevel(t *testing.T) {
 	}
 }
 
-func TestExtensionModeString(t *testing.T) {
-	if ModeSymmetric.String() != "symmetric" || ModeZero.String() != "zero" ||
-		ModePeriodic.String() != "periodic" {
-		t.Error("mode strings wrong")
-	}
-	if ExtensionMode(99).String() == "" {
-		t.Error("unknown mode should still render")
-	}
-}
-
 func BenchmarkWavedecDb4L4(b *testing.B) {
 	w, err := Daubechies(4)
 	if err != nil {
@@ -386,7 +373,7 @@ func BenchmarkWavedecDb4L4(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Wavedec(x, w, ModeSymmetric, 4); err != nil {
+		if _, err := Wavedec(x, w, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

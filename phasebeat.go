@@ -10,7 +10,8 @@
 //   - the physics-based CSI simulator that substitutes for Intel 5300
 //     hardware (Simulate, Scenario), including the paper's NIC phase-error
 //     model of eq. (3)-(4),
-//   - the trace container with a binary codec (ReadTrace / WriteTrace),
+//   - the trace container with its codecs (ReadTraceAuto reads every
+//     format WriteTrace, WriteTraceCompressed and WriteTraceJSON write),
 //   - and the amplitude-based comparison method of Liu et al. [13]
 //     (EstimateAmplitudeBaseline).
 //
@@ -130,9 +131,8 @@ type (
 	FaultStats    = csisim.FaultStats
 	FaultInjector = csisim.FaultInjector
 
-	// BaselineConfig and BaselineEstimate belong to the amplitude-based
-	// comparison method [13].
-	BaselineConfig   = baseline.Config
+	// BaselineEstimate is the output of the amplitude-based comparison
+	// method [13].
 	BaselineEstimate = baseline.Estimate
 
 	// TraceStore is the tiered session trace store phasebeatd archives
@@ -211,9 +211,6 @@ func NewExplainRecorder(cfg ExplainConfig) (*ExplainRecorder, error) {
 	return explain.NewRecorder(cfg)
 }
 
-// PipelineStages lists the pipeline's stage names in execution order.
-func PipelineStages() []string { return core.StageNames() }
-
 // BreathingEstimators lists the breathing estimator backends selectable
 // through Config.Estimator.
 func BreathingEstimators() []string { return core.BreathingEstimatorNames() }
@@ -275,14 +272,8 @@ func SimulateFixedRates(breathingBPM []float64, durationS float64, seed int64) (
 	return tr, sim.Truth(), nil
 }
 
-// ReadTrace decodes a binary trace.
-func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
-
 // WriteTrace encodes a trace in the binary format.
 func WriteTrace(w io.Writer, tr *Trace) error { return trace.Write(w, tr) }
-
-// ReadTraceJSON decodes a JSON-lines trace (the interoperability format).
-func ReadTraceJSON(r io.Reader) (*Trace, error) { return trace.ReadJSON(r) }
 
 // ReadTraceAuto sniffs the stream and decodes any supported trace format:
 // gzip-wrapped binary, plain binary or JSON lines.
@@ -301,11 +292,9 @@ func WriteTraceJSON(w io.Writer, tr *Trace) error { return trace.WriteJSON(w, tr
 // TraceStore.ReplayThroughMonitor).
 func OpenTraceStore(cfg TraceStoreConfig) (*TraceStore, error) { return store.Open(cfg) }
 
-// DefaultBaselineConfig returns the amplitude method's defaults.
-func DefaultBaselineConfig() BaselineConfig { return baseline.DefaultConfig() }
-
 // EstimateAmplitudeBaseline runs the amplitude-based method of [13] — the
-// benchmark curve in the paper's Fig. 11.
-func EstimateAmplitudeBaseline(tr *Trace, cfg BaselineConfig) (*BaselineEstimate, error) {
-	return baseline.EstimateBreathing(tr, cfg)
+// benchmark curve in the paper's Fig. 11 — on a trace, with its windows
+// scaled to the trace's sample rate.
+func EstimateAmplitudeBaseline(tr *Trace) (*BaselineEstimate, error) {
+	return baseline.EstimateBreathing(tr)
 }

@@ -54,7 +54,7 @@ func TestPublicAPIBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateAmplitudeBaseline(tr, DefaultBaselineConfig())
+	est, err := EstimateAmplitudeBaseline(tr)
 	if err != nil {
 		t.Fatalf("EstimateAmplitudeBaseline: %v", err)
 	}
@@ -77,9 +77,9 @@ func TestPublicAPITraceRoundTrip(t *testing.T) {
 	if err := WriteTrace(&buf, tr); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := ReadTraceAuto(&buf)
 	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+		t.Fatalf("ReadTraceAuto: %v", err)
 	}
 	if got.Len() != tr.Len() || got.SampleRate != tr.SampleRate {
 		t.Errorf("round trip mismatch: %d/%v vs %d/%v", got.Len(), got.SampleRate, tr.Len(), tr.SampleRate)
